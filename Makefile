@@ -3,11 +3,12 @@
 # service included), the race detector over the concurrent pipeline
 # (crawler clients, analysis worker pool, metrics, service queue), the
 # serve-smoke end-to-end boot of cmd/serve, the trace-smoke validation of
-# the span-trace exports, and the per-package coverage floor (cover).
+# the span-trace exports, the per-package coverage floor (cover), and
+# the benchmark harness's own vet and tests (bench-harness).
 
 GO ?= go
 
-.PHONY: all tier1 tier2 bench bench-workers bench-service bench-throughput bench-json bench-dataset bench-crawl bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
+.PHONY: all tier1 tier2 bench-harness bench bench-workers bench-service bench-throughput bench-json bench-dataset bench-crawl bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
 
 all: tier1
 
@@ -15,9 +16,15 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke
+tier2: serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke bench-harness
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+
+# The benchmark harness (benchmark/, a module of its own) compiles against
+# the program's public and layer APIs; vet and test it so an API change
+# that breaks it fails here rather than only when the benchmark runs.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Race-harden the serving layer specifically: the autoscaling pool
 # (grow/shrink/drain under concurrent submits and cancels), the scaler,
@@ -51,6 +58,7 @@ FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME) ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz '^FuzzSite$$' -fuzztime $(FUZZTIME) ./internal/urlutil
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyCache$$' -fuzztime $(FUZZTIME) ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime $(FUZZTIME) ./internal/linkextract
 	$(GO) test -run '^$$' -fuzz '^FuzzRedirectChain$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/faults

@@ -49,11 +49,14 @@ type Analysis struct {
 
 	pages   []*PageAnalysis
 	vetting Vetting
+	// rawURLIdentity records the tree builder's identity mode, under which
+	// attribution scoring resolves node keys. Only the mode is kept: the
+	// builder's filter-match memo must not outlive the per-page work.
+	rawURLIdentity bool
 	// siteKeys retains each streamed site block's pre-interned key cache
-	// (columnar inputs only), so derived analyses that rebuild trees —
-	// attribution scoring — reuse the int32-id fast path instead of
-	// re-normalizing every URL. Nil for JSONL inputs and merged partials;
-	// consumers fall back to plain normalization.
+	// (columnar inputs only), so attribution scoring reuses the block's
+	// table instead of building one per page. Nil for JSONL inputs and
+	// merged partials.
 	siteKeys map[string]*urlutil.KeyCache
 	// siteRank maps site → Tranco rank for the Appendix F bucket analysis
 	// (may be empty when unknown).
@@ -188,6 +191,7 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 		builder = &tree.Builder{}
 	}
 	builder.Filter = filter
+	a.rawURLIdentity = builder.RawURLIdentity
 	minSuccess := opts.MinSuccessProfiles
 	if minSuccess <= 0 || minSuccess > len(profiles) {
 		minSuccess = len(profiles)
@@ -228,8 +232,8 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 // URL (dataset block order) and sites must arrive in ascending order —
 // together these make the accumulated page order equal to the global
 // page-key order. keys, when non-nil, is the site's pre-interned
-// normalization cache (SiteBlock.KeyCache), which routes tree building
-// through the int32-id fast path.
+// normalization cache (SiteBlock.KeyCache), which the tree builds use in
+// place of a per-page table.
 func (s *Stream) AddSite(site string, pages []*dataset.PageVisits, keys *urlutil.KeyCache) error {
 	if s.done {
 		return fmt.Errorf("core: AddSite after Finish")
@@ -338,7 +342,7 @@ type pageWorker struct {
 	allowDegraded bool
 	tracer        *trace.Tracer
 	// keys, when non-nil, is the current site block's pre-interned
-	// normalization cache; tree builds then take the int32-id fast path.
+	// normalization cache; without one, each page builds its own.
 	keys *urlutil.KeyCache
 
 	pagesSeen, pagesOK, trees, treesFail *metrics.Counter
@@ -442,7 +446,10 @@ type pageResult struct {
 // exclusion reason among its visits. The three stages run back to back
 // per page (vetting → build → compare) and each is traced; the exclusion
 // ranking is a max over reasons, so splitting the stages cannot change
-// which reason wins.
+// which reason wins. Trees are built only for pages with enough eligible
+// profiles, through one URL table per page (the block's when the caller
+// passed one): every tree then takes the int32-id path, and each distinct
+// URL is normalized once per page rather than once per request.
 func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
 	defer w.pageMS.Time()()
 	w.pagesSeen.Inc()
@@ -475,9 +482,22 @@ func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
 		}
 	}
 	spans.vet(len(w.profiles), len(eligible), worst)
+	if len(eligible) < w.minSuccess {
+		// Every missing profile carries a reason ranked above
+		// ExcludeBuild, so no build failure could change the verdict.
+		return pageResult{excluded: worst}
+	}
+	keys := w.keys
+	if keys == nil && !w.builder.RawURLIdentity {
+		visits := make([]*measurement.Visit, len(eligible))
+		for i, c := range eligible {
+			visits[i] = c.v
+		}
+		keys = pageKeys(visits)
+	}
 	// Tree construction, one tree per eligible profile.
 	for _, c := range eligible {
-		t, err := w.builder.BuildKeyed(c.v, w.keys)
+		t, err := w.builder.BuildKeyed(c.v, keys)
 		spans.build(c.profile, len(c.v.Requests), t, err)
 		if err != nil {
 			// Success flags guarantee requests; a build failure means
@@ -500,6 +520,34 @@ func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
 	spans.compare(pa.Trees, pa.Cmp)
 	w.pagesOK.Inc()
 	return pageResult{pa: pa}
+}
+
+// pageKeys builds the transient URL table of one page's visits: every
+// string a tree build or attribution scoring resolves (page URL, request
+// URLs, redirect sources, last call-stack frames, frame URLs, ground-truth
+// parents).
+func pageKeys(visits []*measurement.Visit) *urlutil.KeyCache {
+	n := 0
+	for _, v := range visits {
+		n += 1 + 2*len(v.Requests)
+	}
+	raws := make([]string, 0, n)
+	for _, v := range visits {
+		raws = append(raws, v.PageURL)
+		for i := range v.Requests {
+			req := &v.Requests[i]
+			raws = append(raws, req.URL)
+			if len(req.CallStack) > 0 {
+				raws = append(raws, req.CallStack[len(req.CallStack)-1].URL)
+			}
+			for _, raw := range []string{req.RedirectFrom, req.FrameURL, req.TrueParentURL} {
+				if raw != "" {
+					raws = append(raws, raw)
+				}
+			}
+		}
+	}
+	return urlutil.BuildKeyCache(raws)
 }
 
 // Profiles returns the profile order used for tree indexing.

@@ -165,11 +165,12 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 	}
 
 	a := &Analysis{
-		ds:       ds,
-		filter:   filter,
-		profiles: profiles,
-		siteRank: opts.SiteRank,
-		metrics:  opts.Metrics,
+		ds:             ds,
+		filter:         filter,
+		profiles:       profiles,
+		rawURLIdentity: opts.TreeBuilder != nil && opts.TreeBuilder.RawURLIdentity,
+		siteRank:       opts.SiteRank,
+		metrics:        opts.Metrics,
 	}
 	defer opts.Metrics.Histogram("analysis.merge_ms").Time()()
 	for _, p := range byShard {

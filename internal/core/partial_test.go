@@ -7,6 +7,7 @@ import (
 
 	"webmeasure/internal/crawler"
 	"webmeasure/internal/dataset"
+	"webmeasure/internal/faults"
 	"webmeasure/internal/filterlist"
 	"webmeasure/internal/tranco"
 	"webmeasure/internal/webgen"
@@ -16,12 +17,19 @@ import (
 // shard-and-merge tests need.
 func shardExperiment(t testing.TB, seed int64) (*dataset.Dataset, *filterlist.List, Options) {
 	t.Helper()
+	return faultyExperiment(t, seed, faults.Profile{})
+}
+
+// faultyExperiment is shardExperiment with the crawl under a fault
+// profile.
+func faultyExperiment(t testing.TB, seed int64, prof faults.Profile) (*dataset.Dataset, *filterlist.List, Options) {
+	t.Helper()
 	const nSites = 10
 	u := webgen.New(webgen.DefaultConfig(seed))
 	list := tranco.Generate(nSites*10, seed)
 	sample := list.Sample(tranco.ScaledBoundaries(nSites*10), nSites/5, seed)
 	ds, _, err := crawler.Run(context.Background(), crawler.Config{
-		Universe: u, Sites: sample, MaxPages: 4, Instances: 4, Seed: seed,
+		Universe: u, Sites: sample, MaxPages: 4, Instances: 4, Seed: seed, Faults: prof,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"webmeasure/internal/measurement"
 	"webmeasure/internal/tree"
 )
 
@@ -124,10 +125,10 @@ func (r StaticDynamicReport) StaticAdvantage() float64 {
 	return static - dynamic
 }
 
-// AttributionReport aggregates the ground-truth attribution evaluation
-// (tree.EvaluateAttribution) over the vetted visits: how often the paper's
-// §3.2 heuristics recover the true parent, and how often §6's URL-merge
-// collapse bites.
+// AttributionReport aggregates the ground-truth attribution scores
+// (tree.Builder.ScoreAttribution) over the vetted visits: how often the
+// paper's §3.2 heuristics recover the true parent, and how often §6's
+// URL-merge collapse bites.
 type AttributionReport struct {
 	Visits         int
 	Attributable   int
@@ -144,32 +145,38 @@ func (r AttributionReport) Accuracy() float64 {
 	return float64(r.Correct) / float64(r.Attributable)
 }
 
-// Attribution evaluates parent attribution on every vetted visit carrying
-// ground truth. Datasets captured by real instrumentation have none and
-// yield a zero report.
+// Attribution scores parent attribution on the analysis's own trees:
+// every vetted visit carrying ground truth is scored against the tree the
+// analysis built from it (under its builder's identity mode), resolving
+// URLs through one table per page — the site block's when the input was
+// columnar. Datasets captured by real instrumentation have no ground
+// truth and yield a zero report.
 func (a *Analysis) Attribution() AttributionReport {
 	var rep AttributionReport
-	builder := &tree.Builder{}
+	scorer := &tree.Builder{RawURLIdentity: a.rawURLIdentity}
+	var trees []*tree.Tree
+	var visits []*measurement.Visit
 	for _, pa := range a.pages {
-		for _, prof := range a.profiles {
-			v := a.visitFor(pa, prof)
-			if v == nil || !v.Success {
-				continue
+		pv := a.ds.PageGroup(pa.Key)
+		if pv == nil {
+			continue
+		}
+		trees, visits = trees[:0], visits[:0]
+		for _, t := range pa.Trees {
+			if v := pv.ByProfile[t.Profile]; v != nil && hasGroundTruth(v) {
+				trees = append(trees, t)
+				visits = append(visits, v)
 			}
-			hasTruth := false
-			for _, req := range v.Requests {
-				if req.TrueParentURL != "" {
-					hasTruth = true
-					break
-				}
-			}
-			if !hasTruth {
-				continue
-			}
-			r, err := builder.EvaluateAttributionKeyed(v, a.siteKeys[pa.Key.Site])
-			if err != nil {
-				continue
-			}
+		}
+		if len(visits) == 0 {
+			continue
+		}
+		keys := a.siteKeys[pa.Key.Site]
+		if keys == nil && !a.rawURLIdentity {
+			keys = pageKeys(visits)
+		}
+		for i, v := range visits {
+			r := scorer.ScoreAttribution(trees[i], v, keys)
 			rep.Visits++
 			rep.Attributable += r.Attributable
 			rep.Correct += r.Correct
@@ -178,4 +185,13 @@ func (a *Analysis) Attribution() AttributionReport {
 		}
 	}
 	return rep
+}
+
+func hasGroundTruth(v *measurement.Visit) bool {
+	for i := range v.Requests {
+		if v.Requests[i].TrueParentURL != "" {
+			return true
+		}
+	}
+	return false
 }

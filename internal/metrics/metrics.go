@@ -25,7 +25,10 @@
 //	crawl.site_ms          wall-clock per completed site batch
 //	analysis.pages         page groups examined
 //	analysis.pages.vetted  pages passing the vetting rule
-//	analysis.trees         trees built
+//	analysis.trees         trees built; only pages with enough eligible
+//	                       profiles build, so this is the vetted pages'
+//	                       trees plus those of pages a malformed visit
+//	                       dropped
 //	analysis.trees.failed  malformed visits skipped by the tree builder
 //	analysis.page_ms       wall-clock per page (build + cross-compare)
 //

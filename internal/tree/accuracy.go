@@ -35,23 +35,23 @@ func (r AttributionAccuracy) Accuracy() float64 {
 	return float64(r.Correct) / float64(r.Attributable)
 }
 
-// EvaluateAttribution rebuilds the visit's tree and scores every request's
-// reconstructed parent against measurement.Request.TrueParentURL.
+// EvaluateAttribution builds the visit's tree and scores it
+// (ScoreAttribution).
 func (b *Builder) EvaluateAttribution(v *measurement.Visit) (AttributionAccuracy, error) {
-	return b.EvaluateAttributionKeyed(v, nil)
+	t, err := b.Build(v)
+	if err != nil {
+		return AttributionAccuracy{}, err
+	}
+	return b.ScoreAttribution(t, v, nil), nil
 }
 
-// EvaluateAttributionKeyed is EvaluateAttribution consuming a
-// pre-interned key cache (see BuildKeyed): both the rebuild and the
-// per-request scoring lookups resolve through the cache instead of
-// re-normalizing every URL. keys may be nil; the result is identical
-// either way.
-func (b *Builder) EvaluateAttributionKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (AttributionAccuracy, error) {
+// ScoreAttribution scores every request's reconstructed parent in t — the
+// tree b built from v — against measurement.Request.TrueParentURL. keys,
+// when non-nil, resolves node identities through a pre-interned key cache
+// (see BuildKeyed) instead of re-normalizing every URL; the result is
+// identical either way.
+func (b *Builder) ScoreAttribution(t *Tree, v *measurement.Visit, keys *urlutil.KeyCache) AttributionAccuracy {
 	var rep AttributionAccuracy
-	t, err := b.BuildKeyed(v, keys)
-	if err != nil {
-		return rep, err
-	}
 	lookup := b.key
 	if keys != nil && !b.RawURLIdentity {
 		lookup = func(raw string) (string, bool) {
@@ -92,5 +92,5 @@ func (b *Builder) EvaluateAttributionKeyed(v *measurement.Visit, keys *urlutil.K
 			rep.RootFallbacks++
 		}
 	}
-	return rep, nil
+	return rep
 }

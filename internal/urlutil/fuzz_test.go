@@ -58,3 +58,40 @@ func FuzzSite(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKeyCache pins the key cache to the functions it precomputes: for
+// any strings, Lookup must return exactly Normalize's key and stripped
+// flag, and SiteByID must equal Site of the normalized key — the per-host
+// eTLD+1 resolution reads the host from the normalizing parse, so this is
+// what keeps it equal to a fresh parse of the key.
+func FuzzKeyCache(f *testing.F) {
+	for _, s := range [][3]string{
+		{"https://a.b.example.co.uk/x?s=1", "https://A.B.Example.co.uk/x?s=2", "https://b.example.co.uk/"},
+		{"http://[::1]:80/p?a=1&a=2", "http://[fe80::1%25en0]/", "garbage"},
+		{"HTTP://Host.EXAMPLE:8080/a#frag", "//proto-relative.example/x?a=b", "?only=query"},
+		{"http://%C3%84.example/", "http://\xff.example/", "mailto:user@example.com"},
+		{"http:////evil.example/x", "http:/path", "https://com/"},
+	} {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, a, b, c string) {
+		raws := []string{a, b, c}
+		cache := BuildKeyCache(raws)
+		for _, raw := range raws {
+			key, id, stripped, ok := cache.Lookup(raw)
+			if !ok {
+				t.Fatalf("Lookup(%q) missed a string of the cache's universe", raw)
+			}
+			wantKey, wantStripped := Normalize(raw)
+			if key != wantKey || stripped != wantStripped {
+				t.Fatalf("Lookup(%q) = (%q, %v), Normalize = (%q, %v)", raw, key, stripped, wantKey, wantStripped)
+			}
+			if id < 0 || int(id) >= cache.NumKeys() {
+				t.Fatalf("Lookup(%q) id %d outside [0, %d)", raw, id, cache.NumKeys())
+			}
+			if got, want := cache.SiteByID(id), Site(key); got != want {
+				t.Fatalf("SiteByID for %q (key %q) = %q, Site(key) = %q", raw, key, got, want)
+			}
+		}
+	})
+}

@@ -1,5 +1,12 @@
 package urlutil
 
+import (
+	"net/url"
+	"strings"
+
+	"webmeasure/internal/psl"
+)
+
 // KeyCache is a pre-computed normalization table: raw URL → (normalized
 // node key, dense key id, stripped flag). The columnar store builds one
 // per site block from the block's interned string table, so Normalize —
@@ -26,25 +33,45 @@ type keyRef struct {
 // the distinct normalized keys in first-seen order. Non-URL strings in
 // the input (profile names, header values) simply normalize to themselves
 // and cost one table entry; callers pass whatever string universe their
-// visits reference.
+// visits reference. Each new key's eTLD+1 comes from the host of the
+// normalizing parse, resolved once per distinct host.
 func BuildKeyCache(raws []string) *KeyCache {
 	c := &KeyCache{refs: make(map[string]keyRef, len(raws))}
 	ids := make(map[string]int32, len(raws))
+	hostSites := make(map[string]string)
 	for _, raw := range raws {
 		if _, ok := c.refs[raw]; ok {
 			continue
 		}
-		key, stripped := Normalize(raw)
+		key, stripped, u := normalize(raw)
 		id, ok := ids[key]
 		if !ok {
 			id = int32(len(c.keys))
 			ids[key] = id
 			c.keys = append(c.keys, key)
-			c.sites = append(c.sites, Site(key))
+			c.sites = append(c.sites, hostSite(u, hostSites))
 		}
 		c.refs[raw] = keyRef{id: id, stripped: stripped}
 	}
 	return c
+}
+
+// hostSite is Site over an already parsed URL (nil when unparseable),
+// memoized per host in memo.
+func hostSite(u *url.URL, memo map[string]string) string {
+	if u == nil {
+		return ""
+	}
+	h := strings.ToLower(u.Hostname())
+	if h == "" {
+		return ""
+	}
+	site, ok := memo[h]
+	if !ok {
+		site = psl.Default().RegistrableDomain(h)
+		memo[h] = site
+	}
+	return site
 }
 
 // Lookup resolves a raw URL to its cached normalization. ok is false when

@@ -466,7 +466,6 @@ type Summary struct {
 func (r *Results) Summary() Summary {
 	cs := r.analysis.CrawlSummary()
 	ov := r.analysis.TreeOverview()
-	pa := r.analysis.PartyAppearance()
 	tr := r.analysis.TrackingStudy()
 	un := r.analysis.UniqueNodes()
 	var fpSim, tpSim float64
@@ -478,7 +477,6 @@ func (r *Results) Summary() Summary {
 			tpSim = row.Sim
 		}
 	}
-	_ = pa
 	return Summary{
 		Sites:            cs.Sites,
 		Pages:            cs.Pages,
