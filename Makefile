@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 bench-harness bench bench-workers bench-service bench-throughput bench-json bench-dataset bench-crawl bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
+.PHONY: all tier1 tier2 loc bench-harness bench bench-workers bench-service bench-throughput bench-json bench-dataset bench-crawl bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
 
 all: tier1
 
@@ -19,6 +19,11 @@ tier1:
 tier2: serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke bench-harness
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+
+# Non-test Go lines outside benchmark/: the size figure each change
+# reports next to its benchmark result (see ROADMAP.md).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l
 
 # The benchmark harness (benchmark/, a module of its own) compiles against
 # the program's public and layer APIs; vet and test it so an API change

@@ -146,7 +146,7 @@ func runCase(input, op string, sites, pages int, stdout, stderr io.Writer) int {
 		}
 		visits = ds.Len()
 	case "analyze":
-		res, err := webmeasure.LoadAndAnalyze(f, webmeasure.Config{
+		res, err := webmeasure.LoadAndAnalyzeContext(context.Background(), f, webmeasure.Config{
 			Seed: benchSeed, Sites: sites, PagesPerSite: pages,
 		})
 		if err != nil {

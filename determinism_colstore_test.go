@@ -3,6 +3,7 @@ package webmeasure
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 
 	"webmeasure/internal/dataset"
@@ -90,7 +91,7 @@ func analyzeArtifacts(t *testing.T, raw []byte, cfg Config, shards int) formatEx
 	t.Helper()
 	cfg.Shards = shards
 	if shards > 1 {
-		res, err := LoadAndAnalyzeSharded(bytes.NewReader(raw), cfg)
+		res, err := LoadAndAnalyzeShardedContext(context.Background(), bytes.NewReader(raw), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func analyzeArtifacts(t *testing.T, raw []byte, cfg Config, shards int) formatEx
 	}
 	tc := trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1})
 	cfg.Tracer = tc
-	res, err := LoadAndAnalyze(bytes.NewReader(raw), cfg)
+	res, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(raw), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,5 +169,55 @@ func TestAnalysisByteIdenticalAcrossFormats(t *testing.T) {
 			check("json jsonl-sharded-vs-col-sharded", jsonlSharded.json, colSharded.json)
 			check("csv jsonl-sharded-vs-col-sharded", jsonlSharded.csv, colSharded.csv)
 		})
+	}
+}
+
+// TestLoadRejectsTornCol: a columnar file cut short — as a crawl killed
+// mid-write leaves it — or with a corrupted block must fail the load with
+// an error, whether the single sequential scan reads it from a seekable
+// reader or a plain one, even though the analysis has already consumed
+// the blocks before the damage.
+func TestLoadRejectsTornCol(t *testing.T) {
+	cfg := Config{Seed: 11, Sites: 8, PagesPerSite: 3}
+	_, col := crawlBytes(t, cfg)
+	colr, err := dataset.OpenCol(bytes.NewReader(col), int64(len(col)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := colr.Index().Blocks
+	first, footer := blocks[0], 0
+	for _, b := range blocks {
+		if b.Offset < first.Offset {
+			first = b
+		}
+		if end := int(b.Offset + b.Length); end > footer {
+			footer = end
+		}
+	}
+	const tailLen = 16 // uint64le index offset + "WMCOLEND"
+	flipped := bytes.Clone(col)
+	flipped[first.Offset+first.Length/2] ^= 0xff
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"mid first block", col[:first.Offset+first.Length/2]},
+		{"mid last block", col[:footer-10]},
+		{"before the footer", col[:footer]},
+		{"before the tail", col[:len(col)-tailLen]},
+		{"last byte missing", col[:len(col)-1]},
+		{"flipped block byte", flipped},
+	} {
+		for _, rd := range []struct {
+			name string
+			in   io.Reader
+		}{
+			{"seekable", bytes.NewReader(tc.data)},
+			{"plain", io.MultiReader(bytes.NewReader(tc.data))},
+		} {
+			if res, err := LoadAndAnalyzeContext(context.Background(), rd.in, cfg); err == nil || res != nil {
+				t.Errorf("%s, %s reader: load accepted the damaged file (err %v)", tc.name, rd.name, err)
+			}
+		}
 	}
 }

@@ -97,8 +97,8 @@ func TestCrawlPoolByteIdentical(t *testing.T) {
 // TestCrawlStreamMatchesRun proves the streaming crawl writes the same
 // bytes the buffered path writes, in both formats, and that the streamed
 // columnar file — whose blocks land in crawl order, not site order —
-// analyzes to the same artifacts through both the indexed (seekable) and
-// the buffered (plain reader) load paths.
+// loads from a seekable reader, from a plain one, and as its JSONL
+// conversion to the crawl's artifacts and to the crawl's dataset bytes.
 func TestCrawlStreamMatchesRun(t *testing.T) {
 	cfg := Config{Seed: 13, Sites: 8, PagesPerSite: 3, FaultProfile: "light"}
 
@@ -157,25 +157,37 @@ func TestCrawlStreamMatchesRun(t *testing.T) {
 	}
 
 	want := renderArtifacts(t, res)
-	// Indexed load path: a bytes.Reader is seekable, so the footer index
-	// drives block iteration in ascending site order.
-	indexed, err := LoadAndAnalyze(bytes.NewReader(gotCol.Bytes()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Buffered fallback path: hide the seekability so ScanColSites runs
-	// in body order and the loader must sort the blocks itself.
-	buffered, err := LoadAndAnalyze(io.MultiReader(bytes.NewReader(gotCol.Bytes())), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]*Results{"indexed": indexed, "buffered": buffered} {
+	for _, tc := range []struct {
+		name string
+		in   io.Reader
+	}{
+		{"seekable col", bytes.NewReader(gotCol.Bytes())},
+		{"plain col", io.MultiReader(bytes.NewReader(gotCol.Bytes()))},
+		{"jsonl", bytes.NewReader(streamedJSONL.Bytes())},
+	} {
+		got, err := LoadAndAnalyzeContext(context.Background(), tc.in, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		art := renderArtifacts(t, got)
 		if !bytes.Equal(want.report, art.report) {
-			t.Errorf("%s load of the streamed columnar file: report differs from the crawl's", name)
+			t.Errorf("%s load of the streamed file: report differs from the crawl's", tc.name)
 		}
 		if !bytes.Equal(want.json, art.json) {
-			t.Errorf("%s load of the streamed columnar file: JSON differs from the crawl's", name)
+			t.Errorf("%s load of the streamed file: JSON differs from the crawl's", tc.name)
+		}
+		var jsonl, col bytes.Buffer
+		if err := got.WriteDataset(&jsonl); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.WriteDatasetCol(&col); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantJSONL.Bytes(), jsonl.Bytes()) {
+			t.Errorf("%s load of the streamed file: WriteDataset differs from the crawl's", tc.name)
+		}
+		if !bytes.Equal(wantCol.Bytes(), col.Bytes()) {
+			t.Errorf("%s load of the streamed file: WriteDatasetCol differs from the crawl's", tc.name)
 		}
 	}
 }

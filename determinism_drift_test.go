@@ -110,7 +110,7 @@ func runEpochsStreamed(t *testing.T, siteWorkers int) []*drift.Baseline {
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := LoadAndAnalyze(bytes.NewReader(buf.Bytes()), cfg)
+		res, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(buf.Bytes()), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

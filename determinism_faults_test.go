@@ -71,7 +71,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 				t.Helper()
 				acfg := cfg
 				acfg.Workers = workers
-				r, err := LoadAndAnalyze(bytes.NewReader(raw.Bytes()), acfg)
+				r, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(raw.Bytes()), acfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -227,13 +227,13 @@ func TestLoadAndAnalyzeSharded(t *testing.T) {
 	if err := res.WriteDataset(&ds); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := LoadAndAnalyze(bytes.NewReader(ds.Bytes()), cfg)
+	plain, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(ds.Bytes()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shardCfg := cfg
 	shardCfg.Shards = 4
-	sharded, err := LoadAndAnalyzeSharded(bytes.NewReader(ds.Bytes()), shardCfg)
+	sharded, err := LoadAndAnalyzeShardedContext(context.Background(), bytes.NewReader(ds.Bytes()), shardCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

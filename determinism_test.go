@@ -34,7 +34,7 @@ func TestAnalysisByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	analyzeWith := func(workers int) export {
 		t.Helper()
-		r, err := LoadAndAnalyze(bytes.NewReader(raw.Bytes()), Config{
+		r, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(raw.Bytes()), Config{
 			Seed: seed, Sites: sites, PagesPerSite: pages, Workers: workers,
 		})
 		if err != nil {
@@ -110,6 +110,6 @@ func TestAnalysisByteIdenticalAcrossWorkers(t *testing.T) {
 	var repW bytes.Buffer
 	resW.WriteReport(&repW)
 	if !bytes.Equal(repW.Bytes(), one.report) {
-		t.Error("Run(Workers=8) report differs from LoadAndAnalyze(Workers=1)")
+		t.Error("Run(Workers=8) report differs from LoadAndAnalyzeContext(Workers=1)")
 	}
 }

@@ -18,14 +18,13 @@
 // is a small table index, so a URL requested by five profiles on eleven
 // pages is stored once and decoded into one shared Go string. The index
 // footer records, per block, the site, byte offset, length, visit count,
-// and sorted page-URL list, so a shard worker can seek straight to the
-// blocks containing its pages instead of scanning the whole file.
+// and sorted page-URL list, so a reader can seek straight to the blocks
+// containing given pages instead of scanning the whole file.
 //
-// Two read paths cover the two workloads: Scan streams blocks in file
-// order from any io.Reader (the site-by-site analysis pipeline), and
-// OpenReader random-accesses blocks through the footer from an io.ReaderAt
-// (shard workers, site-filtered loads). Both verify per-record CRCs and
-// fail with clean errors on truncated or corrupted input.
+// Two read paths: Scan streams blocks in file order from any io.Reader
+// (every analysis load, seekable or not), and OpenReader random-accesses
+// blocks through the footer from an io.ReaderAt. Both verify per-record
+// CRCs and fail with clean errors on truncated or corrupted input.
 package colstore
 
 import (
@@ -65,9 +64,8 @@ type BlockMeta struct {
 	Length uint64
 	// Visits is the number of visit rows in the block.
 	Visits int
-	// Pages lists the block's distinct page URLs in ascending order — the
-	// per-site page-key range a shard worker intersects with its slice to
-	// decide whether the block holds any of its pages.
+	// Pages lists the block's distinct page URLs in ascending order, so a
+	// reader can tell whether the block holds a page without decoding it.
 	Pages []string
 }
 

@@ -154,10 +154,9 @@ func decodeIndex(payload []byte) (*Index, error) {
 }
 
 // Reader random-accesses a columnar file through its footer index: open
-// the footer once, then decode exactly the blocks you need. This is the
-// shard-worker path — the index carries each block's page list, so a
-// worker seeks straight to the blocks holding its pages and never touches
-// the rest of the file.
+// the footer once, then decode exactly the blocks you need. The index
+// carries each block's page list, so a caller can seek straight to the
+// blocks holding given pages and never touch the rest of the file.
 type Reader struct {
 	ra  io.ReaderAt
 	idx *Index

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -135,37 +136,31 @@ func New(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis,
 	if err != nil {
 		return nil, err
 	}
-	// ds.Pages() is sorted by (site, page URL); the pool writes each
-	// page's result into its matching slot, so the merge preserves that
-	// deterministic order.
 	if err := s.addBatch(ds.Pages(), nil); err != nil {
 		return nil, err
 	}
 	return s.Finish()
 }
 
-// Stream builds an Analysis incrementally, one batch of page groups at a
-// time — the columnar-format path, where the facade decodes one site
-// block, hands its page groups (plus the block's pre-interned key cache)
-// to AddSite, and lets the decoder's transient memory be reclaimed
-// before the next block. Batches must arrive in ascending site order so
-// the accumulated pages match the page-key order the batch-free New
-// produces; the result is then byte-identical in every export.
+// Stream builds an Analysis incrementally, one site at a time, in
+// whatever order the input yields the sites: a crawl's site-list order,
+// a columnar file's block order, or a dataset's sorted order. Finish sorts
+// the vetted pages into page-key order, so the result is byte-identical
+// in every export to New's over the same visits, for any arrival order.
 type Stream struct {
-	a        *Analysis
-	w        pageWorker
-	ctx      context.Context
-	workers  int
-	opts     Options
-	lastSite string
-	seenSite bool
-	done     bool
+	a     *Analysis
+	w     pageWorker
+	ctx   context.Context
+	opts  Options
+	sites map[string]bool
+	done  bool
 }
 
-// NewStream starts an incremental analysis over ds, which the caller
-// fills (dataset.Add) with the same visits whose page groups it feeds to
-// AddSite — the derived analyses (timing, static/dynamic, case studies)
-// read raw visits back from the dataset after the per-page pool runs.
+// NewStream starts an incremental analysis over ds, which must hold the
+// same visits whose page groups reach AddSite by the time Finish runs:
+// WriteSite adds them itself, AddSite callers fill ds (dataset.Add). The
+// derived analyses (timing, static/dynamic, case studies) read raw visits
+// back from the dataset after the per-page pool runs.
 // Unlike New, the profile order cannot be inferred from a dataset that
 // does not exist yet, so Options.Profiles is required.
 func NewStream(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Stream, error) {
@@ -196,10 +191,6 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 	if minSuccess <= 0 || minSuccess > len(profiles) {
 		minSuccess = len(profiles)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	tracer := opts.Tracer
 	if tracer == nil {
 		tracer = trace.TracerFrom(opts.Context)
@@ -222,31 +213,29 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 			treesFail:     opts.Metrics.Counter("analysis.trees.failed"),
 			pageMS:        opts.Metrics.Histogram("analysis.page_ms"),
 		},
-		ctx:     ctx,
-		workers: workers,
-		opts:    opts,
+		ctx:   ctx,
+		opts:  opts,
+		sites: make(map[string]bool),
 	}, nil
 }
 
-// AddSite analyzes one site's page groups. pages must be sorted by page
-// URL (dataset block order) and sites must arrive in ascending order —
-// together these make the accumulated page order equal to the global
-// page-key order. keys, when non-nil, is the site's pre-interned
+// AddSite analyzes one site's page groups. Sites may arrive in any order,
+// each at most once. keys, when non-nil, is the site's pre-interned
 // normalization cache (SiteBlock.KeyCache), which the tree builds use in
 // place of a per-page table.
 func (s *Stream) AddSite(site string, pages []*dataset.PageVisits, keys *urlutil.KeyCache) error {
 	if s.done {
 		return fmt.Errorf("core: AddSite after Finish")
 	}
-	if s.seenSite && site <= s.lastSite {
-		return fmt.Errorf("core: site %q arrived after %q; streaming analysis requires ascending site order", site, s.lastSite)
+	if s.sites[site] {
+		return fmt.Errorf("core: site %q added twice", site)
 	}
-	s.lastSite, s.seenSite = site, true
 	for _, pv := range pages {
 		if pv.Key.Site != site {
 			return fmt.Errorf("core: page of site %q in batch for %q", pv.Key.Site, site)
 		}
 	}
+	s.sites[site] = true
 	if keys != nil {
 		if s.a.siteKeys == nil {
 			s.a.siteKeys = make(map[string]*urlutil.KeyCache)
@@ -256,50 +245,33 @@ func (s *Stream) AddSite(site string, pages []*dataset.PageVisits, keys *urlutil
 	return s.addBatch(pages, keys)
 }
 
+// WriteSite adds one site's visits to the stream's dataset and analyzes
+// the site: the crawler.SiteSink form of AddSite, through which a crawl
+// feeds the analysis as it emits each site.
+func (s *Stream) WriteSite(site string, visits []*measurement.Visit) error {
+	if err := s.AddSite(site, dataset.GroupVisits(visits), nil); err != nil {
+		return err
+	}
+	for _, v := range visits {
+		s.a.ds.Add(v)
+	}
+	return nil
+}
+
 // addBatch fans one batch of page groups over the worker pool and merges
-// the results in slot order. Per-page work carries no cross-page state
-// (the trace cost model runs on a per-page cursor), so splitting the
-// page list into batches cannot change any output.
+// the results. Per-page work carries no cross-page state (the trace cost
+// model runs on a per-page cursor), so splitting the page list into
+// batches cannot change any output.
 func (s *Stream) addBatch(pages []*dataset.PageVisits, keys *urlutil.KeyCache) error {
 	results := make([]pageResult, len(pages))
 	w := s.w
 	w.keys = keys
-	workers := s.workers
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	ctx := s.ctx
-	if workers <= 1 {
-		for i, pv := range pages {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = w.analyze(pv)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(pages) {
-						return
-					}
-					results[i] = w.analyze(pages[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	forEachPage(s.ctx, s.opts.Workers, len(pages), func(i int) { results[i] = w.analyze(pages[i]) })
+	if err := s.ctx.Err(); err != nil {
 		return fmt.Errorf("core: analysis canceled: %w", err)
 	}
-	// Merge in slot order (= page-key order) and aggregate the vetting
-	// tally; doing both after the pool drains keeps the result — counts
-	// included — independent of worker scheduling.
+	// Aggregate the vetting tally after the pool drains, so the counts
+	// are independent of worker scheduling.
 	for _, r := range results {
 		s.a.vetting.count(r.excluded)
 		if r.pa != nil {
@@ -309,13 +281,44 @@ func (s *Stream) addBatch(pages []*dataset.PageVisits, keys *urlutil.KeyCache) e
 	return nil
 }
 
-// Finish seals the stream and returns the analysis.
+// forEachPage is the per-page worker pool: it runs fn(i) for every i in
+// [0, n) on up to workers goroutines (0 or negative = GOMAXPROCS) and
+// stops handing out indices once ctx is done. fn writes into slot i of
+// the caller's result slice, so the merge never depends on scheduling.
+func forEachPage(ctx context.Context, workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Finish seals the stream and returns the analysis, its vetted pages
+// sorted by (site, page URL).
 func (s *Stream) Finish() (*Analysis, error) {
 	if s.done {
 		return nil, fmt.Errorf("core: Finish called twice")
 	}
 	s.done = true
 	a, opts := s.a, s.opts
+	sort.Slice(a.pages, func(i, j int) bool { return a.pages[i].Key.Less(a.pages[j].Key) })
 	for reason, n := range map[string]int{
 		ExcludeMissing:  a.vetting.ExcludedMissing,
 		ExcludeFailed:   a.vetting.ExcludedFailed,

@@ -11,11 +11,9 @@ package core
 // CSV byte-identical to a single-process run over the whole dataset.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"webmeasure/internal/dataset"
 	"webmeasure/internal/filterlist"
@@ -192,14 +190,7 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 	// results keep the merged page-key order regardless of scheduling.
 	results := make([]*PageAnalysis, len(merged))
 	errs := make([]error, len(merged))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(merged) {
-		workers = len(merged)
-	}
-	rebuild := func(i int) {
+	forEachPage(context.Background(), opts.Workers, len(merged), func(i int) {
 		pp := merged[i]
 		pa := &PageAnalysis{Key: pp.Key, Trees: make([]*tree.Tree, 0, len(pp.Trees))}
 		for _, tr := range pp.Trees {
@@ -212,29 +203,7 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 		}
 		pa.Cmp = treediff.Compare(pa.Trees)
 		results[i] = pa
-	}
-	if workers <= 1 {
-		for i := range merged {
-			rebuild(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(merged) {
-						return
-					}
-					rebuild(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -257,19 +226,13 @@ func mergePages(byShard []*Partial) ([]PartialPage, error) {
 		total += len(p.Pages)
 	}
 	out := make([]PartialPage, 0, total)
-	less := func(a, b dataset.PageKey) bool {
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.PageURL < b.PageURL
-	}
 	for len(out) < total {
 		best := -1
 		for s, p := range byShard {
 			if heads[s] >= len(p.Pages) {
 				continue
 			}
-			if best == -1 || less(p.Pages[heads[s]].Key, byShard[best].Pages[heads[best]].Key) {
+			if best == -1 || p.Pages[heads[s]].Key.Less(byShard[best].Pages[heads[best]].Key) {
 				best = s
 			}
 		}
@@ -277,7 +240,7 @@ func mergePages(byShard []*Partial) ([]PartialPage, error) {
 		heads[best]++
 		if n := len(out); n > 0 {
 			prev := out[n-1].Key
-			if !less(prev, pick.Key) {
+			if !prev.Less(pick.Key) {
 				if prev == pick.Key {
 					return nil, fmt.Errorf("core: page %s/%s appears in more than one partial", pick.Key.Site, pick.Key.PageURL)
 				}

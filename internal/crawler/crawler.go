@@ -84,20 +84,12 @@ type Config struct {
 	// emitted, strictly in site-list order (monitoring hook for the
 	// commander UI).
 	Progress func(done, total int)
-	// OnVisit, if non-nil, receives every visit at emission — the
-	// streaming hook for multi-day crawls (write-through checkpointing).
-	// Called from the single emission goroutine, in final dataset order.
-	OnVisit func(*measurement.Visit)
 	// Sink, if non-nil, receives each emitted site's visits in site-list
-	// order — the streaming dataset writer (dataset.SiteWriter satisfies
-	// it). With a sink attached and DiscardDataset set, a crawl's peak
-	// memory is bounded by the in-flight reorder window instead of the
-	// whole dataset.
+	// order — a streaming dataset writer (dataset.SiteWriter) or a
+	// streaming analysis (core.Stream). The visits then go only to the
+	// sink: Run keeps no dataset, so a crawl's own peak memory is bounded
+	// by the in-flight reorder window instead of the whole dataset.
 	Sink SiteSink
-	// DiscardDataset skips accumulating the in-memory dataset.Dataset;
-	// Run returns an empty one. Use together with Sink (or OnVisit) when
-	// the caller streams visits out instead of analyzing them in place.
-	DiscardDataset bool
 	// Metrics, if non-nil, receives live crawl counters and timings
 	// (crawl.sites, crawl.visits, crawl.visit_ms, …; the full name list
 	// is in the internal/metrics package comment). Snapshot it from
@@ -224,11 +216,12 @@ type crawlRun struct {
 	tracer *trace.Tracer
 }
 
-// Run executes the crawl and returns the collected dataset. Sites are
-// crawled by Config.SiteWorkers concurrent workers on isolated scratch
-// state and emitted in site-list order; the context cancels dispatch
-// between sites (in-flight sites finish, the contiguous emitted prefix is
-// kept, and ctx.Err() is returned).
+// Run executes the crawl and returns the collected dataset, or a nil one
+// when Config.Sink receives the visits instead. Sites are crawled by
+// Config.SiteWorkers concurrent workers on isolated scratch state and
+// emitted in site-list order; the context cancels dispatch between sites
+// (in-flight sites finish, the contiguous emitted prefix is kept, and
+// ctx.Err() is returned).
 func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 	if cfg.Universe == nil {
 		return nil, Stats{}, fmt.Errorf("crawler: Config.Universe is required")
@@ -316,7 +309,10 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 		close(results)
 	}()
 
-	ds := dataset.New()
+	var ds *dataset.Dataset
+	if cfg.Sink == nil {
+		ds = dataset.New()
+	}
 	var stats Stats
 	var runErr error
 	seq := newSequencer(func(r *siteResult) error {
@@ -368,9 +364,9 @@ func registerCrawlMetrics(reg *metrics.Registry, profiles []browser.Profile) {
 }
 
 // emit folds one finished site into the run's shared state, in site-list
-// order: stats, the metrics merge, the trace import, the dataset/OnVisit
-// append, the streaming sink, and finally the progress callback. Runs on
-// the single sequencer goroutine.
+// order: stats, the metrics merge, the trace import, the sink (or else
+// the dataset), and finally the progress callback. Runs on the single
+// sequencer goroutine.
 func (c *crawlRun) emit(r *siteResult, ds *dataset.Dataset, stats *Stats) error {
 	if !r.skipped {
 		stats.add(r.stats)
@@ -384,18 +380,12 @@ func (c *crawlRun) emit(r *siteResult, ds *dataset.Dataset, stats *Stats) error 
 				return fmt.Errorf("crawler: merge site traces: %w", err)
 			}
 		}
-		for _, v := range r.visits {
-			if !c.cfg.DiscardDataset {
+		if c.cfg.Sink == nil {
+			for _, v := range r.visits {
 				ds.Add(v)
 			}
-			if c.cfg.OnVisit != nil {
-				c.cfg.OnVisit(v)
-			}
-		}
-		if c.cfg.Sink != nil {
-			if err := c.cfg.Sink.WriteSite(r.site, r.visits); err != nil {
-				return fmt.Errorf("crawler: site sink: %w", err)
-			}
+		} else if err := c.cfg.Sink.WriteSite(r.site, r.visits); err != nil {
+			return fmt.Errorf("crawler: site sink: %w", err)
 		}
 	}
 	if c.cfg.Progress != nil {

@@ -65,90 +65,95 @@ func TestSiteWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// orderSink records the site order and visit stream a crawl emits.
+// orderSink records the site order and visit stream a crawl emits, and
+// writes the visits through a streaming JSONL site writer.
 type orderSink struct {
 	sites  []string
 	visits []*measurement.Visit
+	jsonl  bytes.Buffer
+	w      *dataset.JSONLSiteWriter
 }
 
 func (s *orderSink) WriteSite(site string, visits []*measurement.Visit) error {
 	s.sites = append(s.sites, site)
 	s.visits = append(s.visits, visits...)
-	return nil
+	if s.w == nil {
+		s.w = dataset.NewJSONLSiteWriter(&s.jsonl)
+	}
+	return s.w.WriteSite(site, visits)
+}
+
+// streamed closes the JSONL stream and returns the bytes written.
+func (s *orderSink) streamed(t *testing.T) []byte {
+	t.Helper()
+	if s.w != nil {
+		if err := s.w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.jsonl.Bytes()
+}
+
+// jsonlOf renders a sink-free run's dataset as JSON Lines.
+func jsonlOf(t *testing.T, ds *dataset.Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ds.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestSinkReceivesSiteListOrder pins the streaming contract: the sink
-// sees every site exactly once, in site-list order, and the concatenated
-// sink visits equal the in-memory dataset's insertion order (DiscardDataset
-// off so both exist to compare).
+// sees every site exactly once, in site-list order, and the sink's visits,
+// streamed through a JSONL site writer, equal byte for byte the dataset a
+// run of the same config without a sink returns.
 func TestSinkReceivesSiteListOrder(t *testing.T) {
 	cfg := smallCrawl(t, 9, 5)
 	cfg.SiteWorkers = 4
-	sink := &orderSink{}
-	cfg.Sink = sink
-	var onVisit []*measurement.Visit
-	cfg.OnVisit = func(v *measurement.Visit) { onVisit = append(onVisit, v) }
-	ds, _, err := Run(context.Background(), cfg)
+	want, _, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]string, len(cfg.Sites))
+	sink := &orderSink{}
+	cfg.Sink = sink
+	if _, _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	wantSites := make([]string, len(cfg.Sites))
 	for i, e := range cfg.Sites {
-		want[i] = cfg.Universe.GenerateSiteAt(e, cfg.Epoch).Domain
+		wantSites[i] = cfg.Universe.GenerateSiteAt(e, cfg.Epoch).Domain
 	}
-	if !reflect.DeepEqual(sink.sites, want) {
-		t.Errorf("sink site order %v, want site-list order %v", sink.sites, want)
+	if !reflect.DeepEqual(sink.sites, wantSites) {
+		t.Errorf("sink site order %v, want site-list order %v", sink.sites, wantSites)
 	}
-	if len(sink.visits) != ds.Len() {
-		t.Fatalf("sink saw %d visits, dataset has %d", len(sink.visits), ds.Len())
-	}
-	for i, v := range sink.visits {
-		if onVisit[i] != v {
-			t.Fatalf("OnVisit order diverges from sink order at visit %d", i)
-		}
-	}
-	// The streamed bytes equal the buffered writer's bytes.
-	var streamed, buffered bytes.Buffer
-	sw := dataset.NewJSONLSiteWriter(&streamed)
-	start := 0
-	for _, site := range sink.sites {
-		end := start
-		for end < len(sink.visits) && sink.visits[end].Site == site {
-			end++
-		}
-		if err := sw.WriteSite(site, sink.visits[start:end]); err != nil {
-			t.Fatal(err)
-		}
-		start = end
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteJSONL(&buffered); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed.Bytes(), buffered.Bytes()) {
-		t.Errorf("streamed JSONL differs from buffered WriteJSONL")
+	if !bytes.Equal(sink.streamed(t), jsonlOf(t, want)) {
+		t.Errorf("streamed JSONL of the sink's %d visits differs from the sink-free run's dataset (%d visits)",
+			len(sink.visits), want.Len())
 	}
 }
 
-// TestDiscardDataset checks the streaming-only mode: with DiscardDataset
-// the returned dataset stays empty while the sink still receives every
-// visit.
+// TestDiscardDataset checks the streaming-only mode: with a sink attached
+// Run retains no dataset, while the sink still receives every visit a
+// sink-free run of the same config collects.
 func TestDiscardDataset(t *testing.T) {
 	cfg := smallCrawl(t, 5, 3)
+	want, _, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sink := &orderSink{}
 	cfg.Sink = sink
-	cfg.DiscardDataset = true
 	ds, stats, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != 0 {
-		t.Errorf("DiscardDataset kept %d visits in memory", ds.Len())
+	if ds != nil {
+		t.Errorf("Run with a sink kept a dataset of %d visits in memory", ds.Len())
 	}
-	if len(sink.visits) != stats.VisitsTotal {
-		t.Errorf("sink saw %d visits, stats count %d", len(sink.visits), stats.VisitsTotal)
+	if len(sink.visits) != stats.VisitsTotal || len(sink.visits) != want.Len() {
+		t.Errorf("sink saw %d visits, stats count %d, sink-free run collected %d",
+			len(sink.visits), stats.VisitsTotal, want.Len())
 	}
 }
 

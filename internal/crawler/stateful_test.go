@@ -1,8 +1,8 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
-	"sync"
 	"testing"
 
 	"webmeasure/internal/browser"
@@ -226,39 +226,33 @@ func TestEpochChangesCrawl(t *testing.T) {
 }
 
 // TestOnVisitStreamsEverything: the streaming sink sees exactly the visits
-// the dataset records, including reused checkpoint entries.
+// a sink-free run of the same config records, including reused checkpoint
+// entries on resume.
 func TestOnVisitStreamsEverything(t *testing.T) {
 	u := webgen.New(webgen.DefaultConfig(41))
 	list := tranco.Generate(6, 41)
-	var mu sync.Mutex
-	var streamed int
 	cfg := Config{
 		Universe: u, Sites: list.Entries(), MaxPages: 3,
 		Instances: 3, Seed: 41, Profiles: browser.DefaultProfiles()[:2],
-		OnVisit: func(v *measurement.Visit) {
-			mu.Lock()
-			streamed++
-			mu.Unlock()
-		},
 	}
-	ds, _, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != ds.Len() {
-		t.Errorf("streamed %d visits, dataset has %d", streamed, ds.Len())
-	}
-	// Resume path streams reused visits too.
-	streamed = 0
-	cfg.Resume = ds
-	ds2, st, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.VisitsReused == 0 {
-		t.Fatal("nothing reused")
-	}
-	if streamed != ds2.Len() {
-		t.Errorf("resume streamed %d visits, dataset has %d", streamed, ds2.Len())
+	for _, resume := range []bool{false, true} {
+		want, st, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resume && st.VisitsReused == 0 {
+			t.Fatal("nothing reused")
+		}
+		sink := &orderSink{}
+		cfg.Sink = sink
+		if _, _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sink.streamed(t), jsonlOf(t, want)) {
+			t.Errorf("resume=%v: sink streamed %d visits, differing from the sink-free dataset's %d",
+				resume, len(sink.visits), want.Len())
+		}
+		// The second pass resumes from this pass's sink-free dataset.
+		cfg.Sink, cfg.Resume = nil, want
 	}
 }

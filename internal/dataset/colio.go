@@ -49,29 +49,34 @@ func (d *Dataset) WriteCol(w io.Writer) error {
 // ReadCol loads a columnar dataset, restoring the original insertion
 // order from the per-visit sequence numbers.
 func ReadCol(r io.Reader) (*Dataset, error) {
+	d := New()
+	if err := ScanColSites(r, d, func(*colstore.SiteBlock) error { return nil }); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// ScanColSites reads a columnar dataset in one sequential pass, handing
+// fn each site block in file order as soon as it decodes, so a consumer
+// can work on one site while the rest of the file is still unread. Once
+// every block and the footer have been read and verified, it adds all
+// visits to d in their original insertion order, restored from the
+// per-visit sequence numbers; on any error d is left untouched.
+func ScanColSites(r io.Reader, d *Dataset, fn func(sb *colstore.SiteBlock) error) error {
 	var rows []colstore.VisitRow
 	if _, err := colstore.Scan(r, func(sb *colstore.SiteBlock) error {
 		for i, v := range sb.Visits {
 			rows = append(rows, colstore.VisitRow{Seq: sb.Seqs[i], Visit: v})
 		}
-		return nil
+		return fn(sb)
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	sort.Slice(rows, func(a, b int) bool { return rows[a].Seq < rows[b].Seq })
-	d := New()
-	for _, r := range rows {
-		d.Add(r.Visit)
+	for _, row := range rows {
+		d.Add(row.Visit)
 	}
-	return d, nil
-}
-
-// ScanColSites streams a columnar dataset site by site without holding
-// more than one site's visits in memory at once: fn receives each site's
-// visits in sequence order. The streaming analysis path uses this to
-// bound transient decode memory by the largest site block.
-func ScanColSites(r io.Reader, fn func(sb *colstore.SiteBlock) error) (*colstore.Index, error) {
-	return colstore.Scan(r, fn)
+	return nil
 }
 
 // DetectFormat sniffs the first bytes of r and reports which dataset
@@ -108,8 +113,9 @@ func ReadAuto(r io.Reader) (*Dataset, error) {
 }
 
 // OpenCol opens a columnar dataset for random access through its footer
-// index — the shard-worker path, which decodes only the blocks whose
-// page lists intersect the shard's assignment.
+// index, for callers that decode single blocks by position. The analysis
+// does not use it: every columnar input, seekable or not, is analyzed in
+// one ScanColSites pass in file order.
 func OpenCol(ra io.ReaderAt, size int64) (*colstore.Reader, error) {
 	return colstore.OpenReader(ra, size)
 }
@@ -130,11 +136,6 @@ func GroupVisits(visits []*measurement.Visit) []*PageVisits {
 		}
 		pv.ByProfile[v.Profile] = v
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Key.Site != out[b].Key.Site {
-			return out[a].Key.Site < out[b].Key.Site
-		}
-		return out[a].Key.PageURL < out[b].Key.PageURL
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].Key.Less(out[b].Key) })
 	return out
 }

@@ -22,6 +22,15 @@ type PageKey struct {
 	PageURL string `json:"page_url"`
 }
 
+// Less orders page keys by site, then page URL: the deterministic page
+// order every analysis export follows.
+func (k PageKey) Less(o PageKey) bool {
+	if k.Site != o.Site {
+		return k.Site < o.Site
+	}
+	return k.PageURL < o.PageURL
+}
+
 // PageVisits groups the visits every profile made to one page.
 type PageVisits struct {
 	Key       PageKey
@@ -91,12 +100,7 @@ func (d *Dataset) Pages() []*PageVisits {
 	for _, pv := range d.byPage {
 		out = append(out, pv)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Key.Site != out[b].Key.Site {
-			return out[a].Key.Site < out[b].Key.Site
-		}
-		return out[a].Key.PageURL < out[b].Key.PageURL
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].Key.Less(out[b].Key) })
 	return out
 }
 

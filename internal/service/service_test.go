@@ -84,8 +84,9 @@ func get(t *testing.T, url string) (int, []byte) {
 
 // TestSubmitPollFetchArtifacts is the happy path: submit → poll → fetch
 // every artifact, and cross-check the service's result.json against the
-// batch pipeline (cmd/analyze's LoadAndAnalyze) fed with the service's
-// own dataset download — the two paths must agree byte for byte.
+// batch pipeline (LoadAndAnalyzeContext, as cmd/analyze runs it) fed with
+// the service's own dataset download — the two paths must agree byte for
+// byte.
 func TestSubmitPollFetchArtifacts(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
@@ -128,7 +129,7 @@ func TestSubmitPollFetchArtifacts(t *testing.T) {
 
 	// Batch-path cross-check: analyzing the downloaded dataset with the
 	// same flags must reproduce the served result.json exactly.
-	res, err := webmeasure.LoadAndAnalyze(bytes.NewReader(jsonl), webmeasure.Config{
+	res, err := webmeasure.LoadAndAnalyzeContext(context.Background(), bytes.NewReader(jsonl), webmeasure.Config{
 		Seed: spec.Seed, Sites: spec.Sites, PagesPerSite: spec.PagesPerSite,
 	})
 	if err != nil {

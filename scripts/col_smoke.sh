@@ -30,8 +30,8 @@ jsonl_size=$(wc -c < "$WORKDIR/ds.jsonl")
 [ "$((col_size * 2))" -le "$jsonl_size" ] || {
     echo "columnar file ($col_size B) is not 2x smaller than JSONL ($jsonl_size B)"; exit 1; }
 
-# Both encodings must analyze to the same report, through the streaming
-# path and through the sharded footer-index path alike.
+# Both encodings must analyze to the same report, whole (one sequential
+# site stream) and through the in-process shard-and-merge path alike.
 "$ANALYZE" -i "$WORKDIR/ds.jsonl" -sites 5 -pages 2 -seed 7 -progress 0 \
     >"$WORKDIR/report.jsonl.txt" 2>/dev/null
 "$ANALYZE" -i "$WORKDIR/ds.col" -sites 5 -pages 2 -seed 7 -progress 0 \

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"webmeasure/internal/browser"
 	"webmeasure/internal/colstore"
@@ -183,6 +182,8 @@ func (c Config) validateShard() error {
 
 // Run executes the experiment: generate the universe, sample the ranked
 // site list, crawl with the five profiles of Table 1, vet, and analyze.
+// The crawl feeds the analysis one site at a time, as its sequencer emits
+// each site, so one site's analysis overlaps the next sites' crawl.
 // With Config.Shards > 1 the run restricts itself to shard ShardIndex's
 // slice of the page-key space — every visit is a pure function of (seed,
 // profile, page), so the shard's records are byte-identical to the full
@@ -197,15 +198,19 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, crawlStats, err := crawler.Run(ctx, ccfg)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: crawl: %w", err)
-	}
-	res, err := AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
+	var stats crawler.Stats
+	res, err := analyzeSites(ctx, cfg, u, sample, boundaries, dataset.New(), func(s *core.Stream) error {
+		ccfg.Sink = s
+		var err error
+		if _, stats, err = crawler.Run(ctx, ccfg); err != nil {
+			return fmt.Errorf("webmeasure: crawl: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.stats = crawlStats
+	res.stats = stats
 	return res, nil
 }
 
@@ -265,7 +270,7 @@ func (c Config) crawlerConfig(u *webgen.Universe, sample []tranco.Entry) (crawle
 // Run's dataset would hold (a dataset.SiteWriter therefore produces the
 // same bytes WriteDataset/WriteDatasetCol would); Close stays with the
 // caller. Analysis runs separately — feed the written file to
-// LoadAndAnalyze.
+// LoadAndAnalyzeContext.
 func CrawlStream(ctx context.Context, cfg Config, sink crawler.SiteSink) (crawler.Stats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateShard(); err != nil {
@@ -277,19 +282,11 @@ func CrawlStream(ctx context.Context, cfg Config, sink crawler.SiteSink) (crawle
 		return crawler.Stats{}, err
 	}
 	ccfg.Sink = sink
-	ccfg.DiscardDataset = true
 	_, stats, err := crawler.Run(ctx, ccfg)
 	if err != nil {
 		return stats, fmt.Errorf("webmeasure: crawl: %w", err)
 	}
 	return stats, nil
-}
-
-// Analyze runs the analysis over an existing dataset (e.g. one loaded with
-// LoadDataset). sample and boundaries supply the rank information for the
-// popularity analysis and may be nil.
-func Analyze(ds *dataset.Dataset, u *webgen.Universe, sample []tranco.Entry, boundaries []int, cfg Config) (*Results, error) {
-	return AnalyzeContext(context.Background(), ds, u, sample, boundaries, cfg)
 }
 
 // analysisEnv derives the analysis inputs every entry point shares from
@@ -315,10 +312,18 @@ func analysisEnv(u *webgen.Universe, sample []tranco.Entry, cfg Config) (*filter
 	return filter, ranks, names, nil
 }
 
-// analysisOptions assembles the core options shared by the batch and
-// streaming analysis paths.
-func analysisOptions(ctx context.Context, names []string, ranks map[string]int, cfg Config) core.Options {
-	return core.Options{
+// analyzeSites is the analysis behind every facade entry point: it
+// derives the analysis environment from the experiment frame once, opens
+// one core.Stream over ds, lets feed push the input's sites into it one
+// at a time, in whatever order the input holds them, and seals the
+// result.
+func analyzeSites(ctx context.Context, cfg Config, u *webgen.Universe, sample []tranco.Entry, boundaries []int,
+	ds *dataset.Dataset, feed func(*core.Stream) error) (*Results, error) {
+	filter, ranks, names, err := analysisEnv(u, sample, cfg)
+	if err != nil {
+		return nil, err
+	}
+	stream, err := core.NewStream(ds, filter, core.Options{
 		Profiles: names,
 		SiteRank: ranks,
 		Workers:  cfg.Workers,
@@ -328,18 +333,14 @@ func analysisOptions(ctx context.Context, names []string, ranks map[string]int, 
 		// One shard's slice can legitimately vet down to nothing; the
 		// coordinator judges emptiness after merging all shards.
 		AllowEmpty: cfg.Shards > 1,
-	}
-}
-
-// AnalyzeContext is Analyze with cancellation: the context aborts the
-// per-page analysis pool between pages (a canceled job server request
-// stops burning CPU mid-analysis).
-func AnalyzeContext(ctx context.Context, ds *dataset.Dataset, u *webgen.Universe, sample []tranco.Entry, boundaries []int, cfg Config) (*Results, error) {
-	filter, ranks, names, err := analysisEnv(u, sample, cfg)
+	})
 	if err != nil {
+		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
+	}
+	if err := feed(stream); err != nil {
 		return nil, err
 	}
-	analysis, err := core.New(ds, filter, analysisOptions(ctx, names, ranks, cfg))
+	analysis, err := stream.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
 	}
@@ -350,6 +351,28 @@ func AnalyzeContext(ctx context.Context, ds *dataset.Dataset, u *webgen.Universe
 		analysis:   analysis,
 		boundaries: boundaries,
 	}, nil
+}
+
+// AnalyzeContext runs the analysis over an existing dataset, one site at
+// a time. sample and boundaries supply the rank information for the
+// popularity analysis and may be nil. The context aborts the per-page
+// analysis pool between pages (a canceled job server request stops
+// burning CPU mid-analysis).
+func AnalyzeContext(ctx context.Context, ds *dataset.Dataset, u *webgen.Universe, sample []tranco.Entry, boundaries []int, cfg Config) (*Results, error) {
+	return analyzeSites(ctx, cfg, u, sample, boundaries, ds, func(s *core.Stream) error {
+		// ds.Pages() is sorted by site, so each site's pages are one run.
+		for pages := ds.Pages(); len(pages) > 0; {
+			n := 1
+			for n < len(pages) && pages[n].Key.Site == pages[0].Key.Site {
+				n++
+			}
+			if err := s.AddSite(pages[0].Key.Site, pages[:n], nil); err != nil {
+				return fmt.Errorf("webmeasure: analyze: %w", err)
+			}
+			pages = pages[n:]
+		}
+		return nil
+	})
 }
 
 func webgenConfig(cfg Config) webgen.Config {
@@ -533,150 +556,38 @@ func (r *Results) RankBoundaries() []int { return r.boundaries }
 // loaded rather than crawled).
 func (r *Results) CrawlStats() crawler.Stats { return r.stats }
 
-// LoadAndAnalyze reads a dataset written by WriteDataset or
+// LoadAndAnalyzeContext reads a dataset written by WriteDataset or
 // WriteDatasetCol — the format is auto-detected from the magic bytes —
-// and analyzes it. cfg must carry the same Seed/Sites/TrancoSize/
-// PagesPerSite the crawl used, so the universe (and with it the filter
-// list and rank sample) can be regenerated deterministically.
-func LoadAndAnalyze(datasetIn io.Reader, cfg Config) (*Results, error) {
-	return LoadAndAnalyzeContext(context.Background(), datasetIn, cfg)
-}
-
-// LoadAndAnalyzeContext is LoadAndAnalyze with cancellation (see
-// AnalyzeContext). A columnar dataset is analyzed site by site as it
-// decodes: each block's page groups enter the worker pool while only
-// that block occupies transient decode memory, and the retained visits
-// share the block's interned strings. A seekable columnar input (an
-// *os.File) is read through its footer index, whose blocks are listed in
-// ascending site order regardless of the order the crawl streamed them,
-// so block decode memory stays bounded even for files written in
-// crawl order by CrawlStream.
+// and analyzes it; the context cancels as in AnalyzeContext. cfg must
+// carry the same Seed/Sites/TrancoSize/PagesPerSite the crawl used, so
+// the universe (and with it the filter list and rank sample) can be
+// regenerated deterministically. A columnar dataset, seekable or not, is
+// analyzed in one sequential pass in file order: each site block enters
+// the analysis as it decodes, through the block's pre-interned key
+// cache, and the retained visits share the block's interned strings.
 func LoadAndAnalyzeContext(ctx context.Context, datasetIn io.Reader, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()
-	if ra, size, ok := readerAtSize(datasetIn); ok {
-		head := make([]byte, len(colstore.Magic))
-		if n, _ := ra.ReadAt(head, 0); colstore.Sniff(head[:n]) {
-			return loadAndAnalyzeColIndexed(ctx, ra, size, cfg)
-		}
-	}
 	format, rd, err := dataset.DetectFormat(datasetIn)
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
 	}
-	if format == dataset.FormatCol {
-		return loadAndAnalyzeCol(ctx, rd, cfg)
-	}
-	ds, err := dataset.ReadJSONL(rd)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
 	u, sample, boundaries := experimentFrame(cfg)
-	return AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
-}
-
-// colStream is the scaffolding the two columnar load paths share: the
-// regenerated experiment frame plus an open streaming analysis.
-type colStream struct {
-	u          *webgen.Universe
-	boundaries []int
-	ds         *dataset.Dataset
-	stream     *core.Stream
-	cfg        Config
-}
-
-func newColStream(ctx context.Context, cfg Config) (*colStream, error) {
-	u, sample, boundaries := experimentFrame(cfg)
-	filter, ranks, names, err := analysisEnv(u, sample, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ds := dataset.New()
-	stream, err := core.NewStream(ds, filter, analysisOptions(ctx, names, ranks, cfg))
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
-	}
-	return &colStream{u: u, boundaries: boundaries, ds: ds, stream: stream, cfg: cfg}, nil
-}
-
-// addBlock feeds one decoded site block to the analysis. Blocks must
-// arrive in ascending site order.
-func (cs *colStream) addBlock(sb *colstore.SiteBlock) error {
-	for _, v := range sb.Visits {
-		cs.ds.Add(v)
-	}
-	return cs.stream.AddSite(sb.Site, dataset.GroupVisits(sb.Visits), sb.KeyCache())
-}
-
-func (cs *colStream) finish() (*Results, error) {
-	analysis, err := cs.stream.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
-	}
-	return &Results{
-		cfg:        cs.cfg,
-		universe:   cs.u,
-		dataset:    cs.ds,
-		analysis:   analysis,
-		boundaries: cs.boundaries,
-	}, nil
-}
-
-// loadAndAnalyzeColIndexed streams a random-access columnar dataset
-// through the incremental analysis in footer-index order: decode one
-// site block, analyze its pages (through the block's pre-interned key
-// cache), move to the next. The decoded visits are retained — the
-// derived analyses read raw requests back after the page pool — but
-// they alias each block's string table, and no JSONL-sized row buffers
-// ever exist. The footer lists blocks in ascending site order whatever
-// order the body holds, so this path accepts crawl-order files at the
-// same bounded decode memory as site-sorted ones.
-func loadAndAnalyzeColIndexed(ctx context.Context, ra io.ReaderAt, size int64, cfg Config) (*Results, error) {
-	colr, err := dataset.OpenCol(ra, size)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	cs, err := newColStream(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for bi := range colr.Index().Blocks {
-		sb, err := colr.Block(bi)
+	if format == dataset.FormatJSONL {
+		ds, err := dataset.ReadJSONL(rd)
 		if err != nil {
 			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
 		}
-		if err := cs.addBlock(sb); err != nil {
-			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
+		return AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
+	}
+	ds := dataset.New()
+	return analyzeSites(ctx, cfg, u, sample, boundaries, ds, func(s *core.Stream) error {
+		if err := dataset.ScanColSites(rd, ds, func(sb *colstore.SiteBlock) error {
+			return s.AddSite(sb.Site, dataset.GroupVisits(sb.Visits), sb.KeyCache())
+		}); err != nil {
+			return fmt.Errorf("webmeasure: load dataset: %w", err)
 		}
-	}
-	return cs.finish()
-}
-
-// loadAndAnalyzeCol handles a non-seekable columnar stream. The body's
-// block order is not guaranteed (CrawlStream writes blocks in crawl
-// order) and the footer cannot be consulted first, so the blocks are
-// buffered, sorted by site, and then fed to the streaming analysis —
-// correct for any order, at the cost of holding every decoded block at
-// once. Seekable inputs take loadAndAnalyzeColIndexed instead, which
-// keeps decode memory bounded.
-func loadAndAnalyzeCol(ctx context.Context, r io.Reader, cfg Config) (*Results, error) {
-	cs, err := newColStream(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var blocks []*colstore.SiteBlock
-	if _, err := dataset.ScanColSites(r, func(sb *colstore.SiteBlock) error {
-		blocks = append(blocks, sb)
 		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Site < blocks[j].Site })
-	for _, sb := range blocks {
-		if err := cs.addBlock(sb); err != nil {
-			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-		}
-	}
-	return cs.finish()
+	})
 }
 
 // Partial exports this run's analysis as one shard's contribution to a
@@ -703,21 +614,9 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 		return nil, fmt.Errorf("webmeasure: AssembleFromPartials requires Shards > 1")
 	}
 	u, sample, boundaries := experimentFrame(cfg)
-	filter, skipped := filterlist.Parse(u.FilterListText())
-	if skipped != 0 {
-		return nil, fmt.Errorf("webmeasure: generated filter list has %d bad rules", skipped)
-	}
-	ranks := make(map[string]int, len(sample))
-	for _, e := range sample {
-		ranks[e.Site] = e.Rank
-	}
-	profs, err := selectProfiles(cfg.Profiles)
+	filter, ranks, names, err := analysisEnv(u, sample, cfg)
 	if err != nil {
 		return nil, err
-	}
-	names := make([]string, len(profs))
-	for i, p := range profs {
-		names[i] = p.Name
 	}
 	// The union dataset: every shard's visits, in shard order. Exports
 	// that depend on visit *grouping* use the page-key-sorted view, so
@@ -758,141 +657,51 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 	}, nil
 }
 
-// LoadAndAnalyzeSharded is LoadAndAnalyzeShardedContext with a background
-// context.
-func LoadAndAnalyzeSharded(datasetIn io.Reader, cfg Config) (*Results, error) {
-	return LoadAndAnalyzeShardedContext(context.Background(), datasetIn, cfg)
-}
-
 // LoadAndAnalyzeShardedContext analyzes a loaded dataset through the
-// distributed shard-and-merge pipeline inside one process: it splits the
-// dataset into Config.Shards slices of the page-key space, analyzes each
-// slice independently, round-trips every Partial through its wire
-// encoding, and assembles the merged Results — byte-identical in every
-// export to the unsharded analysis, which is what cmd/analyze -shards
-// exercises. Shards <= 1 falls back to LoadAndAnalyzeContext. The input
-// format is auto-detected; a seekable columnar input (an *os.File) is
-// read through its footer index, so each shard decodes only the blocks
-// whose page lists intersect its slice.
+// distributed shard-and-merge pipeline inside one process: it loads the
+// dataset once, analyzes each of Config.Shards slices of the page-key
+// space independently through AnalyzeContext, round-trips every Partial
+// through its wire encoding, and assembles the merged Results —
+// byte-identical in every export to the unsharded analysis, which is what
+// cmd/analyze -shards exercises. Shards <= 1 falls back to
+// LoadAndAnalyzeContext. The input format is auto-detected.
 func LoadAndAnalyzeShardedContext(ctx context.Context, datasetIn io.Reader, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards <= 1 {
 		return LoadAndAnalyzeContext(ctx, datasetIn, cfg)
 	}
-	if ra, size, ok := readerAtSize(datasetIn); ok {
-		head := make([]byte, len(colstore.Magic))
-		if n, _ := ra.ReadAt(head, 0); colstore.Sniff(head[:n]) {
-			return loadAndAnalyzeShardedCol(ctx, ra, size, cfg)
-		}
-	}
 	ds, err := dataset.ReadAuto(datasetIn)
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
 	}
+	u, sample, boundaries := experimentFrame(cfg)
 	plan := cfg.shardPlan()
 	parts := make([]*core.Partial, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
+	for i := range parts {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("webmeasure: sharded analysis canceled: %w", err)
+		}
 		keep := plan.Keep(i)
-		shardDS := ds.FilterPages(func(k dataset.PageKey) bool { return keep(k.Site, k.PageURL) })
-		if err := analyzeShard(ctx, cfg, i, shardDS, parts); err != nil {
+		shardCfg := cfg
+		shardCfg.ShardIndex = i
+		res, err := AnalyzeContext(ctx, ds.FilterPages(func(k dataset.PageKey) bool { return keep(k.Site, k.PageURL) }),
+			u, sample, boundaries, shardCfg)
+		if err != nil {
+			return nil, fmt.Errorf("webmeasure: shard %d/%d: %w", i, cfg.Shards, err)
+		}
+		part, err := res.Partial()
+		if err != nil {
+			return nil, err
+		}
+		// Round-trip through the wire form so the in-process path exercises
+		// exactly what a remote worker ships.
+		wire, err := part.Encode()
+		if err != nil {
+			return nil, err
+		}
+		if parts[i], err = core.DecodePartial(wire); err != nil {
 			return nil, err
 		}
 	}
 	return AssembleFromPartials(ctx, cfg, parts)
-}
-
-// loadAndAnalyzeShardedCol runs the in-process shard-and-merge pipeline
-// against a random-access columnar dataset: each shard consults the
-// footer index's per-block page lists and decodes only the blocks
-// holding pages of its slice — the I/O pattern a remote shard worker
-// with the file on shared storage would use.
-func loadAndAnalyzeShardedCol(ctx context.Context, ra io.ReaderAt, size int64, cfg Config) (*Results, error) {
-	colr, err := dataset.OpenCol(ra, size)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	plan := cfg.shardPlan()
-	parts := make([]*core.Partial, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		keep := plan.Keep(i)
-		shardDS := dataset.New()
-		for bi, meta := range colr.Index().Blocks {
-			hit := false
-			for _, page := range meta.Pages {
-				if keep(meta.Site, page) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			sb, err := colr.Block(bi)
-			if err != nil {
-				return nil, fmt.Errorf("webmeasure: shard %d/%d: %w", i, cfg.Shards, err)
-			}
-			for _, v := range sb.Visits {
-				if keep(v.Site, v.PageURL) {
-					shardDS.Add(v)
-				}
-			}
-		}
-		if err := analyzeShard(ctx, cfg, i, shardDS, parts); err != nil {
-			return nil, err
-		}
-	}
-	return AssembleFromPartials(ctx, cfg, parts)
-}
-
-// analyzeShard analyzes one shard's slice and stores its wire-round-
-// tripped Partial in parts[i].
-func analyzeShard(ctx context.Context, cfg Config, i int, shardDS *dataset.Dataset, parts []*core.Partial) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("webmeasure: sharded analysis canceled: %w", err)
-	}
-	shardCfg := cfg
-	shardCfg.ShardIndex = i
-	u, sample, boundaries := experimentFrame(shardCfg)
-	res, err := AnalyzeContext(ctx, shardDS, u, sample, boundaries, shardCfg)
-	if err != nil {
-		return fmt.Errorf("webmeasure: shard %d/%d: %w", i, cfg.Shards, err)
-	}
-	part, err := res.Partial()
-	if err != nil {
-		return err
-	}
-	// Round-trip through the wire form so the in-process path exercises
-	// exactly what a remote worker ships.
-	wire, err := part.Encode()
-	if err != nil {
-		return err
-	}
-	parts[i], err = core.DecodePartial(wire)
-	return err
-}
-
-// readerAtSize reports whether r supports random access from its start,
-// returning the ReaderAt view and total size. Only a reader positioned
-// at offset zero qualifies — a partially-consumed stream cannot be
-// safely re-read by offset.
-func readerAtSize(r io.Reader) (io.ReaderAt, int64, bool) {
-	ras, ok := r.(interface {
-		io.ReaderAt
-		io.Seeker
-	})
-	if !ok {
-		return nil, 0, false
-	}
-	cur, err := ras.Seek(0, io.SeekCurrent)
-	if err != nil || cur != 0 {
-		return nil, 0, false
-	}
-	size, err := ras.Seek(0, io.SeekEnd)
-	if err != nil {
-		return nil, 0, false
-	}
-	if _, err := ras.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, false
-	}
-	return ras, size, true
 }

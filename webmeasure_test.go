@@ -54,7 +54,7 @@ func TestDatasetRoundTripThroughFacade(t *testing.T) {
 	if err := res.WriteDataset(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadAndAnalyze(&buf, Config{Seed: 11, Sites: 25, PagesPerSite: 5})
+	loaded, err := LoadAndAnalyzeContext(context.Background(), &buf, Config{Seed: 11, Sites: 25, PagesPerSite: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestDatasetRoundTripThroughFacade(t *testing.T) {
 }
 
 func TestLoadAndAnalyzeBadInput(t *testing.T) {
-	if _, err := LoadAndAnalyze(strings.NewReader("{broken"), Config{}); err == nil {
+	if _, err := LoadAndAnalyzeContext(context.Background(), strings.NewReader("{broken"), Config{}); err == nil {
 		t.Error("broken dataset should error")
 	}
-	if _, err := LoadAndAnalyze(strings.NewReader(""), Config{}); err == nil {
+	if _, err := LoadAndAnalyzeContext(context.Background(), strings.NewReader(""), Config{}); err == nil {
 		t.Error("empty dataset should error (no vetted pages)")
 	}
 }
