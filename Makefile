@@ -3,12 +3,13 @@
 # service included), the race detector over the concurrent pipeline
 # (crawler clients, analysis worker pool, metrics, service queue), the
 # serve-smoke end-to-end boot of cmd/serve, the trace-smoke validation of
-# the span-trace exports, the per-package coverage floor (cover), and
-# the benchmark harness's own vet and tests (bench-harness).
+# the span-trace exports, the per-package coverage floor (cover), the
+# benchmark harness's own vet and tests (bench-harness), and the gofmt
+# check over every tracked Go file (fmt-check).
 
 GO ?= go
 
-.PHONY: all tier1 tier2 loc bench-harness bench bench-workers bench-service bench-throughput bench-json bench-dataset bench-crawl bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
+.PHONY: all tier1 tier2 fmt-check loc bench-harness bench bench-workers bench-service bench-throughput bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
 
 all: tier1
 
@@ -16,9 +17,14 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke bench-harness
+tier2: fmt-check serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke bench-harness
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+
+# Fail, listing the files, when any tracked Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Non-test Go lines outside benchmark/: the size figure each change
 # reports next to its benchmark result (see ROADMAP.md).
@@ -137,28 +143,6 @@ bench-service:
 # Job-server throughput (workers 1/4/8 × cache off/on), wall-clock.
 bench-throughput:
 	$(GO) test -run '^$$' -bench BenchmarkServiceThroughput -benchmem .
-
-# Tree-diff hot-path benchmarks recorded as machine-readable JSON
-# (BENCH_treediff.json), then shape-checked by TestBenchJSONWellFormed.
-bench-json:
-	sh scripts/bench_json.sh BENCH_treediff.json
-	$(GO) test -run '^TestBenchJSONWellFormed$$' .
-
-# Dataset-format measurements recorded as machine-readable JSON
-# (BENCH_dataset.json): decode MB/s, load-and-analyze wall time, and
-# peak RSS, JSONL vs columnar at 1x/4x/16x scale, each case in a fresh
-# process; see cmd/benchdataset.
-bench-dataset:
-	sh scripts/bench_dataset.sh BENCH_dataset.json
-	$(GO) test -run '^TestBenchDatasetJSONWellFormed$$' .
-
-# Site-parallel crawl measurements recorded as machine-readable JSON
-# (BENCH_crawl.json): wall time and peak RSS at site-worker counts
-# 1/2/4/8, clean and heavy-fault, streaming vs a buffered baseline, each
-# case in a fresh process; see cmd/benchcrawl.
-bench-crawl:
-	sh scripts/bench_crawl.sh BENCH_crawl.json
-	$(GO) test -run '^TestBenchCrawlJSONWellFormed$$' .
 
 # One iteration of every hot-path benchmark: catches benchmarks that no
 # longer compile or panic, without paying for a full timed run.

@@ -32,7 +32,36 @@ type Export struct {
 	StaticDynamic   StaticDynamicReport    `json:"static_dynamic"`
 	Timing          TimingReport           `json:"timing"`
 	SameConfig      SameConfigComparison   `json:"same_config"`
+
+	// Report-only results, left out of the JSON bundle.
+	DepthBreadth     *stats.Histogram2D      `json:"-"` // Fig. 1
+	SimDist          SimilarityDistribution  `json:"-"` // Fig. 2
+	TypeShares       []TypeShareBySimilarity `json:"-"` // Fig. 5: parent, then children
+	TypeDepth        []TypeDepthRow          `json:"-"` // Fig. 7
+	ChildrenByDepth  []ChildrenByDepthRow    `json:"-"` // Fig. 8
+	PairwiseProfiles []string                `json:"-"`
+	Pairwise         [][]float64             `json:"-"`
+	Attribution      AttributionReport       `json:"-"`
+	// RawTests keeps the test errors that Tests flattens to text, and
+	// RankBucketsErr the rank-bucket error stripped from RankBuckets.
+	RawTests       StatisticalTests `json:"-"`
+	RankBucketsErr error            `json:"-"`
 }
+
+// The fixed parameters of the paper's derivations.
+const (
+	// ReferenceProfile is Table 6's reference and the interaction side of
+	// the §4.4 Mann-Whitney test.
+	ReferenceProfile = "Sim1"
+	// SameConfigProfile is configured identically to ReferenceProfile
+	// (§4.4).
+	SameConfigProfile = "Sim2"
+	// NoActionProfile is the profile without user interaction (§4.4, §5.2).
+	NoActionProfile = "NoAction"
+	// PageTimeoutMS is the page timeout the timing section counts
+	// (Appendix C).
+	PageTimeoutMS = 30_000
+)
 
 // exportTests flattens StatisticalTests' error fields into strings so the
 // bundle marshals cleanly.
@@ -47,31 +76,12 @@ type exportTests struct {
 type ExportOptions struct {
 	// RankBoundaries enables the rank-bucket section.
 	RankBoundaries []int
-	// Reference is the Table 6 reference profile (default "Sim1").
-	Reference string
-	// NoAction names the no-interaction profile (default "NoAction").
-	NoAction string
-	// TimeoutMS is the page timeout used for the timing section
-	// (default 30000).
-	TimeoutMS int
 }
 
-func (o ExportOptions) withDefaults() ExportOptions {
-	if o.Reference == "" {
-		o.Reference = "Sim1"
-	}
-	if o.NoAction == "" {
-		o.NoAction = "NoAction"
-	}
-	if o.TimeoutMS == 0 {
-		o.TimeoutMS = 30_000
-	}
-	return o
-}
-
-// Export computes the full bundle.
+// Export computes every table and figure once; the JSON bundle, the text
+// report and the CSV tables are all views of the result, which callers
+// share and must not modify.
 func (a *Analysis) Export(opts ExportOptions) *Export {
-	opts = opts.withDefaults()
 	e := &Export{
 		CrawlSummary:    a.CrawlSummary(),
 		TreeOverview:    a.TreeOverview(),
@@ -79,30 +89,43 @@ func (a *Analysis) Export(opts ExportOptions) *Export {
 		ResourceChains:  a.ResourceChainTable(),
 		ChainStability:  a.ChainStability(),
 		ProfileTotals:   a.ProfileTotals(),
-		ProfilePairs:    a.ProfilePairTable(opts.Reference),
+		ProfilePairs:    a.ProfilePairTable(ReferenceProfile),
 		NodeTypeVolume:  a.NodeTypeVolume(),
 		SimByDepth:      a.SimilarityByDepth(),
 		ChildStats:      a.ChildStats(),
 		SubframeImpact:  a.SubframeImpact(),
 		PartyAppearance: a.PartyAppearance(),
 		UniqueNodes:     a.UniqueNodes(),
-		CookieStudy:     a.CookieStudy(opts.NoAction),
+		CookieStudy:     a.CookieStudy(NoActionProfile),
 		TrackingStudy:   a.TrackingStudy(),
 		Stability:       a.Stability(),
 		StaticDynamic:   a.StaticDynamic(),
-		Timing:          a.Timing(opts.TimeoutMS),
-		SameConfig:      a.CompareSameConfig("Sim1", "Sim2"),
+		Timing:          a.Timing(PageTimeoutMS),
+		SameConfig:      a.CompareSameConfig(ReferenceProfile, SameConfigProfile),
+
+		DepthBreadth: a.DepthBreadthHistogram(),
+		SimDist:      a.SimilarityDistribution(),
+		TypeShares: []TypeShareBySimilarity{
+			a.TypeSharesBySimilarity("parent", 8),
+			a.TypeSharesBySimilarity("children", 8),
+		},
+		TypeDepth:       a.TypeDepthSimilarity(8),
+		ChildrenByDepth: a.ChildrenByDepth(20, true),
+		Attribution:     a.Attribution(),
 	}
+	e.PairwiseProfiles, e.Pairwise = a.ProfilePairwiseMatrix()
 	if len(opts.RankBoundaries) > 0 {
 		rb := a.RankBuckets(opts.RankBoundaries)
 		// Error values do not marshal; surface them as text.
 		if rb.TestError != nil {
+			e.RankBucketsErr = rb.TestError
 			e.Tests.Errors = append(e.Tests.Errors, "rank buckets: "+rb.TestError.Error())
 			rb.TestError = nil
 		}
 		e.RankBuckets = &rb
 	}
-	tests := a.RunTests(opts.Reference, opts.NoAction)
+	tests := a.RunTests(ReferenceProfile, NoActionProfile)
+	e.RawTests = tests
 	if tests.ChildrenVsSimilarityErr == nil {
 		r := tests.ChildrenVsSimilarity
 		e.Tests.ChildrenVsSimilarity = &r

@@ -212,9 +212,9 @@ func TestConfigNormalize(t *testing.T) {
 	}
 
 	for name, bad := range map[string]Config{
-		"bad mode":    {Mode: "chaos"},
-		"bad loop":    {Loop: "spiral"},
-		"bad arrival": {Arrival: "stampede"},
+		"bad mode":            {Mode: "chaos"},
+		"bad loop":            {Loop: "spiral"},
+		"bad arrival":         {Arrival: "stampede"},
 		"live without target": {Mode: "live"},
 		"inverted bounds":     {Service: Service{MinWorkers: 8, MaxWorkers: 2}},
 		"share > 1":           {Mix: Mix{CachedShare: 1.5}},

@@ -54,9 +54,9 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(simEvent)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(simEvent)) }
+func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // simLRU is the simulated result cache: identical keying and eviction
 // order to the service's resultCache, holding only membership.
@@ -125,11 +125,11 @@ type sim struct {
 
 	endUS int64 // latest event time seen (the drain end)
 
-	cSubmitted, cCompleted, cRejected   *metrics.Counter
-	cCacheHits, cCacheMisses            *metrics.Counter
-	cScaleUp, cScaleDown                *metrics.Counter
-	gWorkers                            *metrics.Gauge
-	hQueueMS, hJobMS, hE2EMS            *metrics.Histogram
+	cSubmitted, cCompleted, cRejected *metrics.Counter
+	cCacheHits, cCacheMisses          *metrics.Counter
+	cScaleUp, cScaleDown              *metrics.Counter
+	gWorkers                          *metrics.Gauge
+	hQueueMS, hJobMS, hE2EMS          *metrics.Histogram
 }
 
 // simWaitRing matches the service pool's recent-sample window size.

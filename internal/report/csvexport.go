@@ -15,8 +15,8 @@ type CSVTable struct {
 	Rows    [][]string
 }
 
-// CSVTables materializes the analysis as the full set of CSV tables and
-// figures, in a fixed order:
+// CSVTables formats the derived analysis (Export) as the full set of CSV
+// tables and figures, in a fixed order:
 //
 //	vetting.csv
 //	table2_tree_overview.csv     table3_depth_similarity.csv
@@ -30,13 +30,13 @@ type CSVTable struct {
 // one file per table (WriteCSVFiles) and one concatenated stream
 // (WriteCSV) — render exactly this inventory.
 func (e *Experiment) CSVTables() []CSVTable {
-	a := e.Analysis
-	ff := func(x float64) string { return strconv.FormatFloat(x, 'f', 4, 64) }
+	x := e.Export()
+	ff := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 	ii := strconv.Itoa
 
 	var tables []CSVTable
 
-	vet := a.Vetting()
+	vet := x.CrawlSummary.Vetting
 	tables = append(tables, CSVTable{
 		Name:    "vetting.csv",
 		Headers: []string{"pages_seen", "pages_vetted", "excluded_missing", "excluded_failed", "excluded_degraded", "excluded_build", "exclusion_share"},
@@ -48,7 +48,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 		}},
 	})
 
-	ov := a.TreeOverview()
+	ov := x.TreeOverview
 	tables = append(tables, CSVTable{
 		Name:    "table2_tree_overview.csv",
 		Headers: []string{"metric", "avg", "sd", "min", "max"},
@@ -60,7 +60,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t3 [][]string
-	for _, r := range a.DepthSimilarityTable() {
+	for _, r := range x.DepthSim {
 		t3 = append(t3, []string{r.Label, string(r.Category), ff(r.Sim), ff(r.SD), ff(r.Max), ff(r.Min)})
 	}
 	tables = append(tables, CSVTable{
@@ -70,7 +70,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t4 [][]string
-	for _, r := range a.ResourceChainTable() {
+	for _, r := range x.ResourceChains {
 		t4 = append(t4, []string{r.Type.String(), ff(r.SameChainShare), ff(r.ParentSim), ii(r.N)})
 	}
 	tables = append(tables, CSVTable{
@@ -80,7 +80,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t5 [][]string
-	for _, r := range a.ProfileTotals() {
+	for _, r := range x.ProfileTotals {
 		t5 = append(t5, []string{r.Profile, ii(r.Nodes), ii(r.ThirdParty), ii(r.Tracker), ii(r.MaxDepth), ii(r.MaxBreadth)})
 	}
 	tables = append(tables, CSVTable{
@@ -90,7 +90,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t6 [][]string
-	for _, r := range a.ProfilePairTable(e.reference()) {
+	for _, r := range x.ProfilePairs {
 		t6 = append(t6, []string{
 			r.Other, ff(r.FPChildrenPerfect), ff(r.FPChildrenNone),
 			ff(r.TPChildrenPerfect), ff(r.TPChildrenNone),
@@ -109,10 +109,9 @@ func (e *Experiment) CSVTables() []CSVTable {
 		Rows: t6,
 	})
 
-	if len(e.RankBoundaries) > 0 {
-		res := a.RankBuckets(e.RankBoundaries)
+	if x.RankBuckets != nil {
 		var t7 [][]string
-		for _, r := range res.Rows {
+		for _, r := range x.RankBuckets.Rows {
 			t7 = append(t7, []string{r.Bucket, ff(r.MeanNodes), ff(r.ChildSim), ff(r.ParentSim), ii(r.Pages)})
 		}
 		tables = append(tables, CSVTable{
@@ -122,7 +121,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 		})
 	}
 
-	d := a.SimilarityDistribution()
+	d := x.SimDist
 	cf, pf := d.Children.RelativeFrequencies(), d.Parents.RelativeFrequencies()
 	var f2 [][]string
 	for i := range cf {
@@ -135,7 +134,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f3 [][]string
-	for _, r := range a.NodeTypeVolume() {
+	for _, r := range x.NodeTypeVolume {
 		f3 = append(f3, []string{r.Depth, ff(r.FirstParty), ff(r.ThirdParty), ff(r.Tracking), ff(r.NonTracking), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -145,7 +144,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f4 [][]string
-	for _, r := range a.SimilarityByDepth() {
+	for _, r := range x.SimByDepth {
 		f4 = append(f4, []string{r.Depth, ff(r.ChildSim), ff(r.ParentSim), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -155,7 +154,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f7 [][]string
-	for _, r := range a.TypeDepthSimilarity(8) {
+	for _, r := range x.TypeDepth {
 		f7 = append(f7, []string{r.Type.String(), ii(r.Depth), ff(r.ChildSim), ff(r.ParentSim), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -165,7 +164,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f8 [][]string
-	for _, r := range a.ChildrenByDepth(20, true) {
+	for _, r := range x.ChildrenByDepth {
 		f8 = append(f8, []string{ii(r.Depth), ff(r.Mean), ff(r.Median), ff(r.Q1), ff(r.Q3), ff(r.Max), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -189,9 +188,12 @@ func (e *Experiment) WriteCSVFiles(dir string) error {
 		if err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
-		CSV(f, t.Headers, t.Rows)
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("report: %w", err)
+		err = CSV(f, t.Headers, t.Rows)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("report: %s: %w", t.Name, err)
 		}
 	}
 	return nil
@@ -210,7 +212,9 @@ func (e *Experiment) WriteCSV(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# %s\n", t.Name); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
-		CSV(w, t.Headers, t.Rows)
+		if err := CSV(w, t.Headers, t.Rows); err != nil {
+			return fmt.Errorf("report: %s: %w", t.Name, err)
+		}
 	}
 	return nil
 }

@@ -4,43 +4,38 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"webmeasure/internal/browser"
 	"webmeasure/internal/core"
 	"webmeasure/internal/stats"
 )
 
-// Experiment names the analysis inputs the renderers need.
+// Experiment renders one analysis. The first section that needs data
+// derives every table and figure once (core.Analysis.Export); every later
+// call, from any goroutine, formats that same result.
 type Experiment struct {
 	Analysis *core.Analysis
 	// RankBoundaries for Table 7 (nil skips the bucket table).
 	RankBoundaries []int
-	// Reference profile for Table 6 (default "Sim1").
-	Reference string
-	// NoAction profile name for the §4.4/§5.2 comparisons.
-	NoAction string
-	// SameConfig pair for the §4.4 identical-setup comparison.
-	SameConfig [2]string
+
+	once   sync.Once
+	export *core.Export
 }
 
-func (e *Experiment) reference() string {
-	if e.Reference == "" {
-		return "Sim1"
-	}
-	return e.Reference
-}
-
-func (e *Experiment) noAction() string {
-	if e.NoAction == "" {
-		return "NoAction"
-	}
-	return e.NoAction
+// Export returns the derived tables and figures, computing them on first
+// use. The result is shared: callers must not modify it.
+func (e *Experiment) Export() *core.Export {
+	e.once.Do(func() {
+		e.export = e.Analysis.Export(core.ExportOptions{RankBoundaries: e.RankBoundaries})
+	})
+	return e.export
 }
 
 // WriteAll renders every table and figure in paper order.
 func (e *Experiment) WriteAll(w io.Writer) {
 	e.WriteCrawlSummary(w)
-	e.WriteTiming(w, 30000)
+	e.WriteTiming(w)
 	e.WriteTable1(w)
 	e.WriteTable2(w)
 	e.WriteFigure1(w)
@@ -73,7 +68,7 @@ func (e *Experiment) WriteAll(w io.Writer) {
 
 // WriteCrawlSummary prints the §4 dataset overview.
 func (e *Experiment) WriteCrawlSummary(w io.Writer) {
-	cs := e.Analysis.CrawlSummary()
+	cs := e.Export().CrawlSummary
 	fmt.Fprintf(w, "== Crawl summary (§4) ==\n")
 	fmt.Fprintf(w, "sites crawled: %s   distinct pages: %s   page visits: %s\n",
 		Count(cs.Sites), Count(cs.Pages), Count(cs.Visits))
@@ -115,7 +110,7 @@ func (e *Experiment) WriteTable1(w io.Writer) {
 
 // WriteTable2 prints the tree overview (Table 2).
 func (e *Experiment) WriteTable2(w io.Writer) {
-	ov := e.Analysis.TreeOverview()
+	ov := e.Export().TreeOverview
 	rows := [][]string{
 		{"nodes", F(ov.Nodes.Mean), F(ov.Nodes.SD), fmt.Sprintf("%.0f", ov.Nodes.Min), fmt.Sprintf("%.0f", ov.Nodes.Max)},
 		{"depth", F(ov.Depth.Mean), F(ov.Depth.SD), fmt.Sprintf("%.0f", ov.Depth.Min), fmt.Sprintf("%.0f", ov.Depth.Max)},
@@ -132,7 +127,7 @@ func (e *Experiment) WriteTable2(w io.Writer) {
 // WriteFigure1 prints the depth×breadth distribution (Fig. 1) as a coarse
 // text heatmap.
 func (e *Experiment) WriteFigure1(w io.Writer) {
-	h := e.Analysis.DepthBreadthHistogram()
+	h := e.Export().DepthBreadth
 	fmt.Fprintf(w, "== Figure 1: tree depth x breadth distribution (%d trees) ==\n", h.Total())
 	// Bucket breadth logarithmically for readability.
 	buckets := []int{1, 5, 10, 20, 40, 80, 160, 320, 1 << 30}
@@ -167,7 +162,7 @@ func (e *Experiment) WriteFigure1(w io.Writer) {
 
 // WriteFigure2 prints the similarity distributions (Fig. 2).
 func (e *Experiment) WriteFigure2(w io.Writer) {
-	d := e.Analysis.SimilarityDistribution()
+	d := e.Export().SimDist
 	fmt.Fprintf(w, "== Figure 2: distribution of node similarities ==\n")
 	cf, pf := d.Children.RelativeFrequencies(), d.Parents.RelativeFrequencies()
 	max := 0.0
@@ -189,7 +184,7 @@ func (e *Experiment) WriteFigure2(w io.Writer) {
 // WriteTable3 prints the per-depth similarities (Table 3).
 func (e *Experiment) WriteTable3(w io.Writer) {
 	var rows [][]string
-	for _, r := range e.Analysis.DepthSimilarityTable() {
+	for _, r := range e.Export().DepthSim {
 		rows = append(rows, []string{r.Label, string(r.Category), F(r.Sim), F(r.SD), F(r.Max), F(r.Min)})
 	}
 	Table(w, "== Table 3: similarity of nodes at different depths ==",
@@ -200,7 +195,7 @@ func (e *Experiment) WriteTable3(w io.Writer) {
 // WriteFigure3 prints the node-type volume per depth (Fig. 3).
 func (e *Experiment) WriteFigure3(w io.Writer) {
 	var rows [][]string
-	for _, r := range e.Analysis.NodeTypeVolume() {
+	for _, r := range e.Export().NodeTypeVolume {
 		rows = append(rows, []string{
 			r.Depth, Pct(r.FirstParty), Pct(r.ThirdParty), Pct(r.Tracking), Pct(r.NonTracking), Count(r.Nodes),
 		})
@@ -212,7 +207,7 @@ func (e *Experiment) WriteFigure3(w io.Writer) {
 
 // WriteTable4 prints the resource-type chain stability (Tables 4a/4b).
 func (e *Experiment) WriteTable4(w io.Writer) {
-	rows := e.Analysis.ResourceChainTable()
+	rows := e.Export().ResourceChains
 	var a [][]string
 	for i, r := range rows {
 		if i >= 5 {
@@ -238,7 +233,7 @@ func (e *Experiment) WriteTable4(w io.Writer) {
 
 // WriteChainStability prints the §4.2 headline chain numbers.
 func (e *Experiment) WriteChainStability(w io.Writer) {
-	c := e.Analysis.ChainStability()
+	c := e.Export().ChainStability
 	fmt.Fprintf(w, "== §4.2 dependency-chain stability (nodes in all trees) ==\n")
 	fmt.Fprintf(w, "same chains (all):  %s    same chains (depth ≥2): %s    unique chains: %s\n",
 		Pct(c.SameChainShareAll), Pct(c.SameChainShareDeep), Pct(c.UniqueChainShare))
@@ -250,7 +245,7 @@ func (e *Experiment) WriteChainStability(w io.Writer) {
 // WriteFigure4 prints similarity by depth (Fig. 4).
 func (e *Experiment) WriteFigure4(w io.Writer) {
 	var rows [][]string
-	for _, r := range e.Analysis.SimilarityByDepth() {
+	for _, r := range e.Export().SimByDepth {
 		rows = append(rows, []string{r.Depth, F(r.ChildSim), F(r.ParentSim), Count(r.Nodes)})
 	}
 	Table(w, "== Figure 4: similarity of children and parents by depth ==",
@@ -260,9 +255,8 @@ func (e *Experiment) WriteFigure4(w io.Writer) {
 
 // WriteFigure5 prints the resource-type shares by page similarity (Fig. 5).
 func (e *Experiment) WriteFigure5(w io.Writer) {
-	for _, kind := range []string{"parent", "children"} {
-		f := e.Analysis.TypeSharesBySimilarity(kind, 8)
-		fmt.Fprintf(w, "== Figure 5 (%s): resource-type share by average page similarity ==\n", kind)
+	for _, f := range e.Export().TypeShares {
+		fmt.Fprintf(w, "== Figure 5 (%s): resource-type share by average page similarity ==\n", f.Kind)
 		headers := []string{"Similarity bin"}
 		for _, s := range f.Series {
 			headers = append(headers, s.Type.String())
@@ -284,7 +278,7 @@ func (e *Experiment) WriteFigure5(w io.Writer) {
 
 // WriteSubframeImpact prints the §4.2 subframe effect.
 func (e *Experiment) WriteSubframeImpact(w io.Writer) {
-	s := e.Analysis.SubframeImpact()
+	s := e.Export().SubframeImpact
 	fmt.Fprintf(w, "== §4.2 subframe impact ==\n")
 	fmt.Fprintf(w, "pages with subframes: %s (parent sim %s, child sim %s)\n",
 		Count(s.WithSubframes), F(s.ParentSimWith), F(s.ChildSimWith))
@@ -295,7 +289,7 @@ func (e *Experiment) WriteSubframeImpact(w io.Writer) {
 // WriteTable5 prints the per-profile totals (Table 5).
 func (e *Experiment) WriteTable5(w io.Writer) {
 	var rows [][]string
-	for i, r := range e.Analysis.ProfileTotals() {
+	for i, r := range e.Export().ProfileTotals {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", i+1), r.Profile, Count(r.Nodes), Count(r.ThirdParty),
 			Count(r.Tracker), fmt.Sprintf("%d", r.MaxDepth), Count(r.MaxBreadth),
@@ -308,7 +302,7 @@ func (e *Experiment) WriteTable5(w io.Writer) {
 
 // WriteTable6 prints the profile differences vs the reference (Table 6).
 func (e *Experiment) WriteTable6(w io.Writer) {
-	rows := e.Analysis.ProfilePairTable(e.reference())
+	rows := e.Export().ProfilePairs
 	headers := []string{"Metric"}
 	for _, r := range rows {
 		headers = append(headers, r.Other)
@@ -338,24 +332,21 @@ func (e *Experiment) WriteTable6(w io.Writer) {
 	add("TP parent: no similarity", func(r core.ProfilePairRow) float64 { return r.TPParentNone }, true)
 	add("parent similarity (mean, depth>=2)", func(r core.ProfilePairRow) float64 { return r.MeanParentSim }, false)
 	add("child similarity (mean, >=1 child)", func(r core.ProfilePairRow) float64 { return r.MeanChildSim }, false)
-	Table(w, fmt.Sprintf("== Table 6: profile differences compared to %s ==", e.reference()), headers, body)
+	Table(w, "== Table 6: profile differences compared to "+core.ReferenceProfile+" ==", headers, body)
 	fmt.Fprintln(w)
 }
 
 // WriteSameConfig prints the identical-configuration comparison (§4.4).
 func (e *Experiment) WriteSameConfig(w io.Writer) {
-	pair := e.SameConfig
-	if pair[0] == "" {
-		pair = [2]string{"Sim1", "Sim2"}
-	}
-	sc := e.Analysis.CompareSameConfig(pair[0], pair[1])
-	fmt.Fprintf(w, "== §4.4 identical configuration (%s vs %s, %d pages) ==\n", pair[0], pair[1], sc.Pages)
+	sc := e.Export().SameConfig
+	fmt.Fprintf(w, "== §4.4 identical configuration (%s vs %s, %d pages) ==\n",
+		core.ReferenceProfile, core.SameConfigProfile, sc.Pages)
 	fmt.Fprintf(w, "upper levels (≤5): %s    deeper levels: %s\n\n", F(sc.UpperSim), F(sc.DeepSim))
 }
 
 // WriteStatisticalTests prints the three §3.1 tests.
 func (e *Experiment) WriteStatisticalTests(w io.Writer) {
-	res := e.Analysis.RunTests(e.reference(), e.noAction())
+	res := e.Export().RawTests
 	fmt.Fprintf(w, "== Statistical tests (α = .05) ==\n")
 	print := func(name string, r stats.TestResult, err error) {
 		if err != nil {
@@ -377,7 +368,7 @@ func (e *Experiment) WriteStatisticalTests(w io.Writer) {
 // WriteStaticDynamic prints the takeaway-3 contrast of static HTTP facets
 // against dynamic content facets.
 func (e *Experiment) WriteStaticDynamic(w io.Writer) {
-	r := e.Analysis.StaticDynamic()
+	r := e.Export().StaticDynamic
 	fmt.Fprintf(w, "== Static vs dynamic phenomena (takeaway 3, %s nodes) ==\n", Count(r.NodesCompared))
 	fmt.Fprintf(w, "static facets:  content type %s   status %s   body size (±25%%) %s\n",
 		Pct(r.ContentTypeStable), Pct(r.StatusStable), Pct(r.SizeStable))
@@ -389,7 +380,7 @@ func (e *Experiment) WriteStaticDynamic(w io.Writer) {
 
 // WriteStability prints the experiment-level fluctuation metric (takeaway 1).
 func (e *Experiment) WriteStability(w io.Writer) {
-	r := e.Analysis.Stability()
+	r := e.Export().Stability
 	fmt.Fprintf(w, "== Measurement stability metric (takeaway 1) ==\n")
 	fmt.Fprintf(w, "page stability: mean %.2f (SD %.2f) — %s high, %s medium, %s low\n",
 		r.PageStability.Mean, r.PageStability.SD,
@@ -406,7 +397,7 @@ func (e *Experiment) WriteStability(w io.Writer) {
 
 // WriteCase1UniqueNodes prints the §5.1 case study.
 func (e *Experiment) WriteCase1UniqueNodes(w io.Writer) {
-	u := e.Analysis.UniqueNodes()
+	u := e.Export().UniqueNodes
 	fmt.Fprintf(w, "== Case study §5.1: unique nodes ==\n")
 	fmt.Fprintf(w, "unique nodes: %s of %s (%s)\n", Count(u.UniqueNodes), Count(u.TotalNodes), Pct(u.UniqueShare))
 	fmt.Fprintf(w, "tracking: %s   third-party: %s   mean depth: %.1f (SD %.1f)   at depth one: %s\n",
@@ -431,7 +422,7 @@ func (e *Experiment) WriteCase1UniqueNodes(w io.Writer) {
 
 // WriteCase2Cookies prints the §5.2 case study.
 func (e *Experiment) WriteCase2Cookies(w io.Writer) {
-	c := e.Analysis.CookieStudy(e.noAction())
+	c := e.Export().CookieStudy
 	fmt.Fprintf(w, "== Case study §5.2: cookies ==\n")
 	fmt.Fprintf(w, "observations: %s   distinct (name,domain,path): %s\n",
 		Count(c.TotalObservations), Count(c.DistinctCookies))
@@ -445,13 +436,13 @@ func (e *Experiment) WriteCase2Cookies(w io.Writer) {
 	}
 	fmt.Fprintf(w, "in all profiles: %s   in one profile: %s\n", Pct(c.ShareInAllProfiles), Pct(c.ShareInOneProfile))
 	fmt.Fprintf(w, "per-page similarity: %.2f (SD %.2f)   vs %s only: %.2f\n",
-		c.MeanJaccard.Mean, c.MeanJaccard.SD, e.noAction(), c.InteractionVsNone.Mean)
+		c.MeanJaccard.Mean, c.MeanJaccard.SD, core.NoActionProfile, c.InteractionVsNone.Mean)
 	fmt.Fprintf(w, "cookies with differing security attributes: %s\n\n", Count(c.AttributeMismatch))
 }
 
 // WriteCase3Tracking prints the §5.3 case study.
 func (e *Experiment) WriteCase3Tracking(w io.Writer) {
-	tr := e.Analysis.TrackingStudy()
+	tr := e.Export().TrackingStudy
 	fmt.Fprintf(w, "== Case study §5.3: tracking requests ==\n")
 	fmt.Fprintf(w, "tracking nodes: %s of all nodes   per-page tracking-set similarity: %.2f (SD %.2f)\n",
 		Pct(tr.TrackingShare), tr.TrackingNodeSim.Mean, tr.TrackingNodeSim.SD)
@@ -474,7 +465,11 @@ func (e *Experiment) WriteCase3Tracking(w io.Writer) {
 
 // WriteTable7 prints the rank-bucket analysis (Table 7, Appendix F).
 func (e *Experiment) WriteTable7(w io.Writer) {
-	res := e.Analysis.RankBuckets(e.RankBoundaries)
+	x := e.Export()
+	var res core.RankBucketResult
+	if x.RankBuckets != nil {
+		res = *x.RankBuckets
+	}
 	var rows [][]string
 	for i, r := range res.Rows {
 		rows = append(rows, []string{
@@ -484,20 +479,19 @@ func (e *Experiment) WriteTable7(w io.Writer) {
 	}
 	Table(w, "== Table 7: tree size and similarity per rank bucket (Appendix F) ==",
 		[]string{"#", "Bucket", "mean nodes", "child sim", "parent sim", "pages"}, rows)
-	if res.TestError == nil {
+	if x.RankBucketsErr == nil {
 		fmt.Fprintf(w, "Kruskal-Wallis nodes: H=%.2f p=%.3g; similarity: H=%.2f p=%.3g; ε²=%.4f\n",
 			res.NodesTest.Statistic, res.NodesTest.P, res.SimTest.Statistic, res.SimTest.P, res.Epsilon2)
 	} else {
-		fmt.Fprintf(w, "Kruskal-Wallis unavailable: %v\n", res.TestError)
+		fmt.Fprintf(w, "Kruskal-Wallis unavailable: %v\n", x.RankBucketsErr)
 	}
 	fmt.Fprintln(w)
 }
 
 // WriteFigure7 prints the per-type per-depth similarities (Fig. 7).
 func (e *Experiment) WriteFigure7(w io.Writer) {
-	rows := e.Analysis.TypeDepthSimilarity(8)
 	var body [][]string
-	for _, r := range rows {
+	for _, r := range e.Export().TypeDepth {
 		body = append(body, []string{
 			r.Type.String(), fmt.Sprintf("%d", r.Depth), F(r.ChildSim), F(r.ParentSim), Count(r.Nodes),
 		})
@@ -510,7 +504,7 @@ func (e *Experiment) WriteFigure7(w io.Writer) {
 // WriteFigure8 prints children per depth (Fig. 8, Appendix E).
 func (e *Experiment) WriteFigure8(w io.Writer) {
 	var rows [][]string
-	for _, r := range e.Analysis.ChildrenByDepth(20, true) {
+	for _, r := range e.Export().ChildrenByDepth {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", r.Depth), F(r.Mean), F(r.Median), F(r.Q1), F(r.Q3),
 			fmt.Sprintf("%.0f", r.Max), Count(r.Nodes),
@@ -523,7 +517,8 @@ func (e *Experiment) WriteFigure8(w io.Writer) {
 
 // WritePairwiseMatrix prints the full profile×profile similarity matrix.
 func (e *Experiment) WritePairwiseMatrix(w io.Writer) {
-	names, m := e.Analysis.ProfilePairwiseMatrix()
+	x := e.Export()
+	names, m := x.PairwiseProfiles, x.Pairwise
 	headers := append([]string{"Profile"}, names...)
 	var rows [][]string
 	for i, name := range names {
@@ -538,8 +533,8 @@ func (e *Experiment) WritePairwiseMatrix(w io.Writer) {
 }
 
 // WriteTiming prints the Appendix C synchronization statistics.
-func (e *Experiment) WriteTiming(w io.Writer, timeoutMS int) {
-	rep := e.Analysis.Timing(timeoutMS)
+func (e *Experiment) WriteTiming(w io.Writer) {
+	rep := e.Export().Timing
 	fmt.Fprintf(w, "== Visit timing (Appendix C) ==\n")
 	fmt.Fprintf(w, "per-page start deviation between profiles: avg %.0fs (SD %.0fs, max %.0fs)\n",
 		rep.StartDeviation.Mean, rep.StartDeviation.SD, rep.StartDeviation.Max)
@@ -550,7 +545,7 @@ func (e *Experiment) WriteTiming(w io.Writer, timeoutMS int) {
 // WriteAttribution prints the ground-truth attribution evaluation (only
 // meaningful on simulated datasets; real captures carry no ground truth).
 func (e *Experiment) WriteAttribution(w io.Writer) {
-	r := e.Analysis.Attribution()
+	r := e.Export().Attribution
 	if r.Visits == 0 {
 		return
 	}
@@ -564,32 +559,22 @@ func (e *Experiment) WriteAttribution(w io.Writer) {
 // run's measured numbers attached — the one-pager a reader should leave
 // with.
 func (e *Experiment) WriteExecutiveSummary(w io.Writer) {
-	a := e.Analysis
-	ov := a.TreeOverview()
-	st := a.Stability()
-	sd := a.StaticDynamic()
-	chain := a.ChainStability()
-	sc := e.SameConfig
-	if sc[0] == "" {
-		sc = [2]string{"Sim1", "Sim2"}
-	}
-	same := a.CompareSameConfig(sc[0], sc[1])
-
+	x := e.Export()
 	fmt.Fprintf(w, "== Takeaways (§8), with this run's numbers ==\n")
 	fmt.Fprintf(w, "1. Assess variance: a node appears in %.1f of %d profiles on average;\n",
-		ov.MeanPresence, len(a.Profiles()))
-	fmt.Fprintf(w, "   one more measurement would surface ~%s new node mass —\n", Pct(st.ExpectedDiscovery))
+		x.TreeOverview.MeanPresence, len(e.Analysis.Profiles()))
+	fmt.Fprintf(w, "   one more measurement would surface ~%s new node mass —\n", Pct(x.Stability.ExpectedDiscovery))
 	fmt.Fprintf(w, "   plan for %d repetitions to push the unseen share below 1%%.\n",
-		st.RequiredMeasurements(0.01))
+		x.Stability.RequiredMeasurements(0.01))
 	fmt.Fprintf(w, "2. Loading dependencies fluctuate: only %s of nodes keep the same\n",
-		Pct(chain.SameChainShareDeep))
+		Pct(x.ChainStability.SameChainShareDeep))
 	fmt.Fprintf(w, "   dependency chain beyond depth one; conclusions built on chains are fragile.\n")
 	fmt.Fprintf(w, "3. Static vs dynamic: HTTP-level facets are %s–%s stable, content\n",
-		Pct(sd.SizeStable), Pct(sd.ContentTypeStable))
+		Pct(x.StaticDynamic.SizeStable), Pct(x.StaticDynamic.ContentTypeStable))
 	fmt.Fprintf(w, "   presence only %s — know which side your phenomenon lives on.\n",
-		Pct(sd.PresenceStable))
+		Pct(x.StaticDynamic.PresenceStable))
 	fmt.Fprintf(w, "4. Repeat with different profiles: even the identical %s/%s pair agrees\n",
-		sc[0], sc[1])
+		core.ReferenceProfile, core.SameConfigProfile)
 	fmt.Fprintf(w, "   only %s on upper tree levels (%s deeper).\n\n",
-		F(same.UpperSim), F(same.DeepSim))
+		F(x.SameConfig.UpperSim), F(x.SameConfig.DeepSim))
 }

@@ -47,24 +47,34 @@ func Table(w io.Writer, title string, headers []string, rows [][]string) {
 	}
 }
 
-// CSV writes rows as comma-separated values with minimal quoting.
-func CSV(w io.Writer, headers []string, rows [][]string) {
-	writeRow := func(cells []string) {
+// CSV writes rows as comma-separated values with minimal quoting, one
+// write per row, and returns the first write error.
+func CSV(w io.Writer, headers []string, rows [][]string) error {
+	var b strings.Builder
+	writeRow := func(cells []string) error {
+		b.Reset()
 		for i, c := range cells {
 			if i > 0 {
-				fmt.Fprint(w, ",")
+				b.WriteByte(',')
 			}
 			if strings.ContainsAny(c, ",\"\n") {
 				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
 			}
-			fmt.Fprint(w, c)
+			b.WriteString(c)
 		}
-		fmt.Fprintln(w)
+		b.WriteByte('\n')
+		_, err := io.WriteString(w, b.String())
+		return err
 	}
-	writeRow(headers)
+	if err := writeRow(headers); err != nil {
+		return err
+	}
 	for _, row := range rows {
-		writeRow(row)
+		if err := writeRow(row); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // Bar renders a horizontal bar of width proportional to value/max (max

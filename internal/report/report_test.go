@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,6 +46,67 @@ func TestCSVQuoting(t *testing.T) {
 	want := "a,b\n\"x,y\",\"q\"\"u\"\n"
 	if buf.String() != want {
 		t.Errorf("CSV = %q, want %q", buf.String(), want)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errWriterFull = errors.New("writer full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, errWriterFull
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// A writer that fails anywhere, even inside the last table, fails the
+// whole CSV export and names the table.
+func TestWriteCSVReturnsWriteErrors(t *testing.T) {
+	exp := &Experiment{Analysis: tinyExperiment(t), RankBoundaries: tranco.ScaledBoundaries(120)}
+	var full bytes.Buffer
+	if err := exp.WriteCSV(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, short := range []int{1, 5, 40, 200, full.Len() - 1} {
+		err := exp.WriteCSV(&failAfter{n: full.Len() - short})
+		if !errors.Is(err, errWriterFull) {
+			t.Errorf("writer failing %d bytes before the end: err = %v", short, err)
+			continue
+		}
+		if short < 40 && !strings.Contains(err.Error(), "fig8_children_by_depth.csv") {
+			t.Errorf("error does not name the last table: %v", err)
+		}
+	}
+	if err := CSV(&failAfter{n: 3}, []string{"a", "b"}, [][]string{{"1", "2"}}); !errors.Is(err, errWriterFull) {
+		t.Errorf("CSV: err = %v", err)
+	}
+}
+
+// The text report prints the raw test errors, which the JSON bundle
+// flattens or strips.
+func TestReportPrintsRawTestErrors(t *testing.T) {
+	exp := &Experiment{}
+	exp.once.Do(func() {})
+	exp.export = &core.Export{
+		RawTests:       core.StatisticalTests{TypeEffectErr: errors.New("too few groups")},
+		RankBucketsErr: errors.New("all ties"),
+		RankBuckets:    &core.RankBucketResult{},
+	}
+	var buf bytes.Buffer
+	exp.WriteStatisticalTests(&buf)
+	exp.WriteTable7(&buf)
+	for _, want := range []string{
+		"Kruskal-Wallis: resource type vs similarity    error: too few groups\n",
+		"Kruskal-Wallis unavailable: all ties\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -145,6 +207,12 @@ func TestWriteAllSkipsTable7WithoutBoundaries(t *testing.T) {
 	exp.WriteAll(&buf)
 	if strings.Contains(buf.String(), "Table 7") {
 		t.Error("Table 7 rendered without rank boundaries")
+	}
+	// Called directly, it renders an empty table.
+	buf.Reset()
+	exp.WriteTable7(&buf)
+	if !strings.Contains(buf.String(), "== Table 7") {
+		t.Errorf("Table 7 header missing:\n%s", buf.String())
 	}
 }
 

@@ -563,6 +563,12 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return render(r, tracer)
+}
+
+// render turns finished Results into a job's artifacts: report, JSON,
+// CSV and summary, plus the trace exports when tracer is non-nil.
+func render(r *webmeasure.Results, tracer *trace.Tracer) (*result, error) {
 	var rep, js, csv bytes.Buffer
 	r.WriteReport(&rep)
 	if err := r.WriteJSON(&js); err != nil {
@@ -681,41 +687,16 @@ func (s *Server) executeCoordinator(ctx context.Context, spec JobSpec) (*result,
 	if err != nil {
 		return nil, err
 	}
-	var rep, js, csv bytes.Buffer
-	res.WriteReport(&rep)
-	if err := res.WriteJSON(&js); err != nil {
-		return nil, fmt.Errorf("render json: %w", err)
-	}
-	if err := res.WriteCSV(&csv); err != nil {
-		return nil, fmt.Errorf("render csv: %w", err)
-	}
-	out := &result{
-		report:  rep.Bytes(),
-		json:    js.Bytes(),
-		csv:     csv.Bytes(),
-		dataset: res.Dataset(),
-		summary: res.Summary(),
-	}
+	var merged *trace.Tracer
 	if spec.TraceSample > 0 {
-		merged := trace.New(trace.Options{Seed: spec.Seed, SampleEvery: spec.TraceSample})
+		merged = trace.New(trace.Options{Seed: spec.Seed, SampleEvery: spec.TraceSample})
 		for _, part := range parts {
 			if err := merged.Import(part.Traces); err != nil {
 				return nil, err
 			}
 		}
-		var chrome, jsonl bytes.Buffer
-		if err := merged.WriteChromeTrace(&chrome); err != nil {
-			return nil, fmt.Errorf("render trace: %w", err)
-		}
-		if err := merged.WriteJSONL(&jsonl); err != nil {
-			return nil, fmt.Errorf("render trace jsonl: %w", err)
-		}
-		out.traceChrome = chrome.Bytes()
-		out.traceJSONL = jsonl.Bytes()
-		out.traceCount = merged.TraceCount()
-		out.spanCount = merged.SpanCount()
 	}
-	return out, nil
+	return render(res, merged)
 }
 
 // shardPartial obtains one shard's partial: result cache first, then the

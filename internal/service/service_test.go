@@ -366,9 +366,9 @@ func TestSubmitValidation(t *testing.T) {
 	defer ts.Close()
 
 	for name, body := range map[string]string{
-		"unknown field":   `{"sitez": 5}`,
-		"over max sites":  `{"sites": 999}`,
-		"over max pages":  `{"pages_per_site": 50}`,
+		"unknown field":         `{"sitez": 5}`,
+		"over max sites":        `{"sites": 999}`,
+		"over max pages":        `{"pages_per_site": 50}`,
 		"unknown profile":       `{"profiles": ["NoSuchBrowser"]}`,
 		"unknown fault profile": `{"fault_profile": "chaos"}`,
 		"negative epoch":        `{"epoch": -1}`,

@@ -8,11 +8,11 @@ import (
 	"webmeasure/internal/tree"
 )
 
-// The comparison kernel's perf trajectory is tracked by `make bench-json`
-// (BENCH_treediff.json) from this suite: Compare over three synthetic
+// The comparison kernel's micro-benchmarks: Compare over three synthetic
 // universe sizes, the per-depth similarity pass, and the pairwise Jaccard
-// primitive (internal/stats). EXPERIMENTS.md records the before/after
-// numbers of the interned-kernel rewrite.
+// primitive (internal/stats). `make bench-smoke` single-steps them;
+// EXPERIMENTS.md records the before/after numbers of the interned-kernel
+// rewrite.
 
 // name mirrors the historical node namer: letter+digit keeps the URLs
 // query-free for i < 260 (the medium universe), so node identities survive
@@ -40,8 +40,8 @@ func benchVisit(edges [][2]string, p int) *measurement.Visit {
 // profile-shifted gaps every `gap` nodes make the trees similar but not
 // identical, the first tenth hangs off the root, the rest nest under
 // earlier nodes. The medium shape (n=60, gap=13) is the pre-interning
-// BenchmarkCompare universe, kept identical so the trajectory in
-// BENCH_treediff.json stays comparable across the kernel rewrite.
+// BenchmarkCompare universe, kept identical so the numbers recorded in
+// EXPERIMENTS.md stay comparable across the kernel rewrite.
 func benchTrees(b *testing.B, n, gap int, namer func(int) string) []*tree.Tree {
 	b.Helper()
 	var trees []*tree.Tree

@@ -90,14 +90,14 @@ type Comparison struct {
 	// Interned core. Every key in any tree gets a dense id (first-seen
 	// order); all set similarities run over ascending []int32 views carved
 	// from arenas sized once per comparison.
-	keys     []string              // id → key
-	ids      map[string]int32      // key → id
-	infoByID []*NodeInfo           // id → aggregate
-	nodeID   map[*tree.Node]int32  // node → id (no string hashing in fill)
-	nodeByID [][]*tree.Node        // per tree: id → node, nil where absent
-	treeKeys [][]int32             // per tree: ascending ids, root included
-	nonRoot  [][]int32             // per tree: ascending ids, that tree's root excluded
-	byDepth  [][][]int32           // per tree, per depth ≥ 1: ascending ids
+	keys     []string             // id → key
+	ids      map[string]int32     // key → id
+	infoByID []*NodeInfo          // id → aggregate
+	nodeID   map[*tree.Node]int32 // node → id (no string hashing in fill)
+	nodeByID [][]*tree.Node       // per tree: id → node, nil where absent
+	treeKeys [][]int32            // per tree: ascending ids, root included
+	nonRoot  [][]int32            // per tree: ascending ids, that tree's root excluded
+	byDepth  [][][]int32          // per tree, per depth ≥ 1: ascending ids
 	maxDepth int
 }
 

@@ -147,14 +147,14 @@ func (c Config) shardPlan() core.ShardPlan {
 }
 
 // Results is a completed experiment: the collected dataset plus the full
-// analysis.
+// analysis. Every rendered artifact (report, JSON, CSV, Summary) formats
+// the one derivation its Experiment computes on first use.
 type Results struct {
-	cfg        Config
-	universe   *webgen.Universe
-	dataset    *dataset.Dataset
-	analysis   *core.Analysis
-	boundaries []int
-	stats      crawler.Stats
+	cfg      Config
+	universe *webgen.Universe
+	dataset  *dataset.Dataset
+	exp      *report.Experiment
+	stats    crawler.Stats
 }
 
 // experimentFrame regenerates the deterministic scaffolding every entry
@@ -345,11 +345,10 @@ func analyzeSites(ctx context.Context, cfg Config, u *webgen.Universe, sample []
 		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
 	}
 	return &Results{
-		cfg:        cfg,
-		universe:   u,
-		dataset:    ds,
-		analysis:   analysis,
-		boundaries: boundaries,
+		cfg:      cfg,
+		universe: u,
+		dataset:  ds,
+		exp:      &report.Experiment{Analysis: analysis, RankBoundaries: boundaries},
 	}, nil
 }
 
@@ -412,13 +411,7 @@ func selectProfiles(names []string) ([]browser.Profile, error) {
 }
 
 // WriteReport renders every table and figure of the paper to w.
-func (r *Results) WriteReport(w io.Writer) {
-	exp := &report.Experiment{
-		Analysis:       r.analysis,
-		RankBoundaries: r.boundaries,
-	}
-	exp.WriteAll(w)
-}
+func (r *Results) WriteReport(w io.Writer) { r.exp.WriteAll(w) }
 
 // WriteDataset streams the raw visit records as JSON Lines (the released
 // raw-data artifact of Appendix A).
@@ -436,30 +429,16 @@ func (r *Results) WriteDatasetCol(w io.Writer) error {
 
 // WriteJSON exports every analysis result as one machine-readable JSON
 // bundle (deterministic for a fixed seed — diffable in CI).
-func (r *Results) WriteJSON(w io.Writer) error {
-	return r.analysis.Export(core.ExportOptions{RankBoundaries: r.boundaries}).WriteJSON(w)
-}
+func (r *Results) WriteJSON(w io.Writer) error { return r.exp.Export().WriteJSON(w) }
 
 // WriteCSVFiles exports every table and figure as CSV files into dir for
 // external plotting.
-func (r *Results) WriteCSVFiles(dir string) error {
-	exp := &report.Experiment{
-		Analysis:       r.analysis,
-		RankBoundaries: r.boundaries,
-	}
-	return exp.WriteCSVFiles(dir)
-}
+func (r *Results) WriteCSVFiles(dir string) error { return r.exp.WriteCSVFiles(dir) }
 
 // WriteCSV streams every table and figure as one concatenated CSV
 // document ("# <name>" section headers), the single-response form served
 // over HTTP.
-func (r *Results) WriteCSV(w io.Writer) error {
-	exp := &report.Experiment{
-		Analysis:       r.analysis,
-		RankBoundaries: r.boundaries,
-	}
-	return exp.WriteCSV(w)
-}
+func (r *Results) WriteCSV(w io.Writer) error { return r.exp.WriteCSV(w) }
 
 // Summary is the headline outcome of an experiment.
 type Summary struct {
@@ -487,12 +466,10 @@ type Summary struct {
 
 // Summary computes the headline numbers.
 func (r *Results) Summary() Summary {
-	cs := r.analysis.CrawlSummary()
-	ov := r.analysis.TreeOverview()
-	tr := r.analysis.TrackingStudy()
-	un := r.analysis.UniqueNodes()
+	x := r.exp.Export()
+	cs, ov := x.CrawlSummary, x.TreeOverview
 	var fpSim, tpSim float64
-	for _, row := range r.analysis.DepthSimilarityTable() {
+	for _, row := range x.DepthSim {
 		switch row.Label {
 		case "first-party nodes":
 			fpSim = row.Sim
@@ -517,14 +494,14 @@ func (r *Results) Summary() Summary {
 
 		FirstPartyDepthSimilarity: fpSim,
 		ThirdPartyDepthSimilarity: tpSim,
-		TrackingShare:             tr.TrackingShare,
-		UniqueNodeShare:           un.UniqueShare,
+		TrackingShare:             x.TrackingStudy.TrackingShare,
+		UniqueNodeShare:           x.UniqueNodes.UniqueShare,
 	}
 }
 
 // Analysis exposes the full analysis for advanced consumers (examples, the
 // benchmark harness).
-func (r *Results) Analysis() *core.Analysis { return r.analysis }
+func (r *Results) Analysis() *core.Analysis { return r.exp.Analysis }
 
 // Universe exposes the generated web universe.
 func (r *Results) Universe() *webgen.Universe { return r.universe }
@@ -534,13 +511,13 @@ func (r *Results) Universe() *webgen.Universe { return r.universe }
 // persists and later diffs against other epochs of the same experiment.
 func (r *Results) DriftBaseline() *drift.Baseline {
 	cfg := r.cfg.withDefaults()
-	return drift.Snapshot(r.analysis, drift.Meta{
+	return drift.Snapshot(r.exp.Analysis, drift.Meta{
 		Epoch:        cfg.Epoch,
 		Seed:         cfg.Seed,
 		Sites:        cfg.Sites,
 		TrancoSize:   cfg.TrancoSize,
 		PagesPerSite: cfg.PagesPerSite,
-		Profiles:     r.analysis.Profiles(),
+		Profiles:     r.exp.Analysis.Profiles(),
 		FaultProfile: cfg.FaultProfile,
 	})
 }
@@ -550,7 +527,7 @@ func (r *Results) DriftBaseline() *drift.Baseline {
 func (r *Results) Dataset() *dataset.Dataset { return r.dataset }
 
 // RankBoundaries returns the rank-bucket boundaries used for sampling.
-func (r *Results) RankBoundaries() []int { return r.boundaries }
+func (r *Results) RankBoundaries() []int { return r.exp.RankBoundaries }
 
 // CrawlStats returns the crawler's bookkeeping (zero when the dataset was
 // loaded rather than crawled).
@@ -599,7 +576,7 @@ func (r *Results) Partial() (*core.Partial, error) {
 	if r.cfg.Shards <= 1 {
 		return nil, fmt.Errorf("webmeasure: Partial requires a sharded run (Shards > 1)")
 	}
-	return r.analysis.Partial(r.cfg.shardPlan(), r.cfg.ShardIndex)
+	return r.exp.Analysis.Partial(r.cfg.shardPlan(), r.cfg.ShardIndex)
 }
 
 // AssembleFromPartials merges one Partial per shard into full Results,
@@ -649,11 +626,10 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 		return nil, fmt.Errorf("webmeasure: assemble: %w", err)
 	}
 	return &Results{
-		cfg:        cfg,
-		universe:   u,
-		dataset:    ds,
-		analysis:   analysis,
-		boundaries: boundaries,
+		cfg:      cfg,
+		universe: u,
+		dataset:  ds,
+		exp:      &report.Experiment{Analysis: analysis, RankBoundaries: boundaries},
 	}, nil
 }
 
