@@ -78,6 +78,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecCanonical$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigParse$$' -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz '^FuzzBaselineDecode$$' -fuzztime $(FUZZTIME) ./internal/drift
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime $(FUZZTIME) ./internal/filterlist
+	$(GO) test -run '^$$' -fuzz '^FuzzListMatch$$' -fuzztime $(FUZZTIME) ./internal/filterlist
+	$(GO) test -run '^$$' -fuzz '^FuzzSortedMerge$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSetCookie$$' -fuzztime $(FUZZTIME) ./internal/cookies
 
 # Crawl with -trace, validate the Chrome trace-event export with
 # cmd/tracecheck (shape + per-stage span coverage), and require the trace

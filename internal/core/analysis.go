@@ -45,14 +45,13 @@ func (pa *PageAnalysis) TreeFor(profile string) *tree.Tree {
 // Analysis is the fully-computed experiment analysis.
 type Analysis struct {
 	ds       *dataset.Dataset
-	filter   *filterlist.List
 	profiles []string
 
 	pages   []*PageAnalysis
 	vetting Vetting
 	// rawURLIdentity records the tree builder's identity mode, under which
-	// attribution scoring resolves node keys. Only the mode is kept: the
-	// builder's filter-match memo must not outlive the per-page work.
+	// attribution scoring resolves node keys. Scoring classifies no
+	// tracking, so the mode is all it needs of the builder.
 	rawURLIdentity bool
 	// siteKeys retains each streamed site block's pre-interned key cache
 	// (columnar inputs only), so attribution scoring reuses the block's
@@ -176,7 +175,6 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 	}
 	a := &Analysis{
 		ds:       ds,
-		filter:   filter,
 		profiles: profiles,
 		siteRank: opts.SiteRank,
 		metrics:  opts.Metrics,

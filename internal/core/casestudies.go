@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"webmeasure/internal/measurement"
@@ -162,14 +163,14 @@ func (a *Analysis) CookieStudy(noActionProfile string) CookieStudyResult {
 	var pageSims, noneSims []float64
 
 	for _, pa := range a.pages {
-		sets := make([]map[string]bool, len(a.profiles))
+		sets := make([][]string, len(a.profiles))
 		for pi, prof := range a.profiles {
 			visit := a.visitFor(pa, prof)
-			set := map[string]bool{}
+			var ids []string
 			if visit != nil {
 				for _, c := range visit.Cookies {
 					id := c.ID()
-					set[id] = true
+					ids = append(ids, id)
 					distinct[id] = true
 					if presence[id] == nil {
 						presence[id] = map[string]bool{}
@@ -183,15 +184,16 @@ func (a *Analysis) CookieStudy(noActionProfile string) CookieStudyResult {
 					res.TotalObservations++
 				}
 			}
-			sets[pi] = set
+			slices.Sort(ids)
+			sets[pi] = ids
 		}
-		pageSims = append(pageSims, stats.PairwiseMeanJaccard(sets))
+		pageSims = append(pageSims, stats.PairwiseMeanJaccardSorted(sets))
 		if noIdx >= 0 {
 			for pi := range sets {
 				if pi == noIdx {
 					continue
 				}
-				noneSims = append(noneSims, stats.Jaccard(sets[pi], sets[noIdx]))
+				noneSims = append(noneSims, stats.JaccardSorted(sets[pi], sets[noIdx]))
 			}
 		}
 	}
@@ -271,15 +273,16 @@ func (a *Analysis) TrackingStudy() TrackingStudyResult {
 	for _, pa := range a.pages {
 		rootKey := pa.Trees[0].Root.Key
 		// Per-page presence similarity of tracking node sets.
-		sets := make([]map[string]bool, len(pa.Trees))
+		sets := make([][]string, len(pa.Trees))
 		for ti, t := range pa.Trees {
-			set := map[string]bool{}
+			var keys []string
 			for _, n := range t.Nodes() {
 				if n.Tracking {
-					set[n.Key] = true
+					keys = append(keys, n.Key)
 				}
 			}
-			sets[ti] = set
+			slices.Sort(keys)
+			sets[ti] = keys
 		}
 		hasTracking := false
 		for _, s := range sets {
@@ -288,7 +291,7 @@ func (a *Analysis) TrackingStudy() TrackingStudyResult {
 			}
 		}
 		if hasTracking {
-			trNodeSim = append(trNodeSim, stats.PairwiseMeanJaccard(sets))
+			trNodeSim = append(trNodeSim, stats.PairwiseMeanJaccardSorted(sets))
 		}
 
 		for key, ni := range pa.Cmp.Nodes {

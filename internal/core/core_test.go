@@ -17,9 +17,12 @@ var (
 	shared     *Analysis
 )
 
+// sharedSeed seeds the shared experiment's universe and crawl.
+const sharedSeed = 42
+
 func sharedExperiment(t testing.TB) *Analysis {
 	sharedOnce.Do(func() {
-		shared = runExperiment(t, 50, 8, 42)
+		shared = runExperiment(t, 50, 8, sharedSeed)
 	})
 	if shared == nil {
 		t.Fatal("shared experiment failed to build")

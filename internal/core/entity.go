@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"webmeasure/internal/stats"
 	"webmeasure/internal/tree"
 	"webmeasure/internal/urlutil"
@@ -37,11 +39,10 @@ func (a *Analysis) EntityStability(entityOf func(domain string) string) EntityRe
 	allEntities := map[string]bool{}
 
 	for _, pa := range a.pages {
-		domainSets := make([]map[string]bool, len(pa.Trees))
-		entitySets := make([]map[string]bool, len(pa.Trees))
+		domainSets := make([][]string, len(pa.Trees))
+		entitySets := make([][]string, len(pa.Trees))
 		for ti, t := range pa.Trees {
-			ds := map[string]bool{}
-			es := map[string]bool{}
+			var ds, es []string
 			for _, n := range t.Nodes() {
 				if n.Party != tree.ThirdParty {
 					continue
@@ -50,20 +51,22 @@ func (a *Analysis) EntityStability(entityOf func(domain string) string) EntityRe
 				if domain == "" {
 					continue
 				}
-				ds[domain] = true
+				ds = append(ds, domain)
 				allDomains[domain] = true
 				entity := entityOf(domain)
 				if entity == "" {
 					entity = domain
 				}
-				es[entity] = true
+				es = append(es, entity)
 				allEntities[entity] = true
 			}
+			slices.Sort(ds)
+			slices.Sort(es)
 			domainSets[ti] = ds
 			entitySets[ti] = es
 		}
-		dSim := stats.PairwiseMeanJaccard(domainSets)
-		eSim := stats.PairwiseMeanJaccard(entitySets)
+		dSim := stats.PairwiseMeanJaccardSorted(domainSets)
+		eSim := stats.PairwiseMeanJaccardSorted(entitySets)
 		domainSims = append(domainSims, dSim)
 		entitySims = append(entitySims, eSim)
 		if eSim > dSim {

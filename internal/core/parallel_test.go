@@ -4,15 +4,23 @@ import (
 	"reflect"
 	"testing"
 
+	"webmeasure/internal/filterlist"
 	"webmeasure/internal/metrics"
+	"webmeasure/internal/webgen"
 )
+
+// sharedFilter parses the shared experiment's filter list again.
+func sharedFilter() *filterlist.List {
+	l, _ := filterlist.Parse(webgen.New(webgen.DefaultConfig(sharedSeed)).FilterListText())
+	return l
+}
 
 // buildWith rebuilds the shared experiment's analysis with a given worker
 // count (and optional metrics registry).
 func buildWith(t testing.TB, workers int, m *metrics.Registry) *Analysis {
 	t.Helper()
 	a := sharedExperiment(t)
-	out, err := New(a.Dataset(), a.filter, Options{
+	out, err := New(a.Dataset(), sharedFilter(), Options{
 		Profiles: a.Profiles(),
 		SiteRank: a.siteRank,
 		Workers:  workers,
@@ -127,7 +135,7 @@ func TestWorkerPoolMetrics(t *testing.T) {
 // TestWorkerPoolOversizedWorkers exercises the workers > pages clamp.
 func TestWorkerPoolOversizedWorkers(t *testing.T) {
 	a := sharedExperiment(t)
-	out, err := New(a.Dataset(), a.filter, Options{
+	out, err := New(a.Dataset(), sharedFilter(), Options{
 		Profiles: a.Profiles(),
 		Workers:  10_000,
 	})

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"webmeasure/internal/dataset"
-	"webmeasure/internal/filterlist"
 	"webmeasure/internal/measurement"
 	"webmeasure/internal/metrics"
 	"webmeasure/internal/trace"
@@ -115,13 +114,14 @@ func DecodePartial(b []byte) (*Partial, error) {
 
 // NewFromPartials assembles a full Analysis from one partial per shard.
 // ds must be the union dataset (the coordinator rebuilds it from the
-// partials' visits or loads it independently); filter and opts play the
-// same roles as in New. The page lists arrive sorted per shard and the
-// plan makes them disjoint, so a k-way merge by (site, page URL) restores
-// exactly the order New produces; each page's trees are rebuilt from
-// their wire records and re-compared in parallel. The result is
+// partials' visits or loads it independently); opts plays the same role
+// as in New. No filter list is needed: the shards' tree records already
+// carry each node's tracking flag. The page lists arrive sorted per shard
+// and the plan makes them disjoint, so a k-way merge by (site, page URL)
+// restores exactly the order New produces; each page's trees are rebuilt
+// from their wire records and re-compared in parallel. The result is
 // indistinguishable from New over the union dataset.
-func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options, plan ShardPlan, parts []*Partial) (*Analysis, error) {
+func NewFromPartials(ds *dataset.Dataset, opts Options, plan ShardPlan, parts []*Partial) (*Analysis, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -164,7 +164,6 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 
 	a := &Analysis{
 		ds:             ds,
-		filter:         filter,
 		profiles:       profiles,
 		rawURLIdentity: opts.TreeBuilder != nil && opts.TreeBuilder.RawURLIdentity,
 		siteRank:       opts.SiteRank,

@@ -90,7 +90,7 @@ func TestMergeOfSplitEqualsDirect(t *testing.T) {
 	for _, count := range []int{1, 2, 4, 7} {
 		plan := ShardPlan{Count: count, Seed: 21}
 		parts := splitPartials(t, ds, filter, opts, plan)
-		merged, err := NewFromPartials(ds, filter, opts, plan, parts)
+		merged, err := NewFromPartials(ds, opts, plan, parts)
 		if err != nil {
 			t.Fatalf("%s: %v", plan, err)
 		}
@@ -112,7 +112,7 @@ func TestMergePermutationInvariant(t *testing.T) {
 	var want []byte
 	for _, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 		shuffled := []*Partial{parts[perm[0]], parts[perm[1]], parts[perm[2]]}
-		merged, err := NewFromPartials(ds, filter, opts, plan, shuffled)
+		merged, err := NewFromPartials(ds, opts, plan, shuffled)
 		if err != nil {
 			t.Fatalf("perm %v: %v", perm, err)
 		}
@@ -135,18 +135,18 @@ func TestMergeRejectsBadPartialSets(t *testing.T) {
 	plan := ShardPlan{Count: 2, Seed: 8}
 	parts := splitPartials(t, ds, filter, opts, plan)
 
-	if _, err := NewFromPartials(ds, filter, opts, plan, parts[:1]); err == nil {
+	if _, err := NewFromPartials(ds, opts, plan, parts[:1]); err == nil {
 		t.Error("short partial set accepted")
 	}
-	if _, err := NewFromPartials(ds, filter, opts, plan, []*Partial{parts[0], parts[0]}); err == nil {
+	if _, err := NewFromPartials(ds, opts, plan, []*Partial{parts[0], parts[0]}); err == nil {
 		t.Error("duplicate shard accepted")
 	}
 	other := *parts[1]
 	other.Plan = ShardPlan{Count: 2, Seed: 999}
-	if _, err := NewFromPartials(ds, filter, opts, plan, []*Partial{parts[0], &other}); err == nil {
+	if _, err := NewFromPartials(ds, opts, plan, []*Partial{parts[0], &other}); err == nil {
 		t.Error("partial from a different plan accepted")
 	}
-	if _, err := NewFromPartials(ds, filter, opts, plan, []*Partial{parts[0], nil}); err == nil {
+	if _, err := NewFromPartials(ds, opts, plan, []*Partial{parts[0], nil}); err == nil {
 		t.Error("nil partial accepted")
 	}
 }

@@ -215,7 +215,7 @@ func (a *Analysis) CompareSameConfig(p1, p2 string) SameConfigComparison {
 		}
 		var u, dp []float64
 		for d := 1; d <= maxD; d++ {
-			j := stats.Jaccard(t1.KeysAtDepth(d), t2.KeysAtDepth(d))
+			j := stats.JaccardSorted(t1.KeysAtDepth(d), t2.KeysAtDepth(d))
 			if d <= 5 {
 				u = append(u, j)
 			} else {

@@ -1,6 +1,8 @@
 package filterlist
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -227,59 +229,158 @@ func TestTokenIndexSoundness(t *testing.T) {
 	}
 }
 
-// Property: List.Matches is equivalent to linearly scanning all rules. This
-// guards the token index against missed matches on arbitrary inputs.
-func TestIndexEquivalentToLinearScan(t *testing.T) {
-	rules := []string{
-		"||ads-syndication.example^",
-		"/track/^$third-party",
-		"/pixel$image",
-		"banner*ad",
-		"|https://collect.",
-		".gif|",
-		"@@||ads-syndication.example/safe/",
-	}
-	text := strings.Join(rules, "\n")
-	l, skipped := Parse(text)
-	if skipped != 0 {
-		t.Fatalf("skipped = %d", skipped)
-	}
-	var parsed []*Rule
-	for _, line := range rules {
-		r, _ := ParseRule(line)
-		parsed = append(parsed, r)
-	}
-	linear := func(rq Request) bool {
-		blocked := false
-		for _, r := range parsed {
-			if !r.Exception && r.MatchRequest(rq) {
-				blocked = true
-				break
-			}
+// parseRules compiles text twice: as a List, and as the plain rule slice
+// linearMatch scans.
+func parseRules(text string) (*List, []*Rule) {
+	l, _ := Parse(text)
+	var rules []*Rule
+	for _, line := range strings.Split(text, "\n") {
+		if r, err := ParseRule(line); err == nil && r != nil {
+			rules = append(rules, r)
 		}
-		if !blocked {
+	}
+	return l, rules
+}
+
+// linearMatch is List.Matches without the token index or the shared
+// per-request state: every rule is evaluated on its own through
+// Rule.MatchRequest.
+func linearMatch(rules []*Rule, rq Request) bool {
+	blocked := false
+	for _, r := range rules {
+		if !r.Exception && r.MatchRequest(rq) {
+			blocked = true
+			break
+		}
+	}
+	if !blocked {
+		return false
+	}
+	for _, r := range rules {
+		if r.Exception && r.MatchRequest(rq) {
 			return false
 		}
-		for _, r := range parsed {
-			if r.Exception && r.MatchRequest(rq) {
-				return false
+	}
+	return true
+}
+
+// Property: List.Matches is equivalent to linearly scanning all rules. This
+// guards the token index against missed matches, and the one match context
+// a request shares across rules against answers a rule would not give on
+// its own.
+func TestIndexEquivalentToLinearScan(t *testing.T) {
+	t.Run("patterns", func(t *testing.T) {
+		l, parsed := parseRules(strings.Join([]string{
+			"||ads-syndication.example^",
+			"/track/^$third-party",
+			"/pixel$image",
+			"banner*ad",
+			"|https://collect.",
+			".gif|",
+			"@@||ads-syndication.example/safe/",
+		}, "\n"))
+		if len(parsed) != 7 {
+			t.Fatalf("%d of 7 rules parsed", len(parsed))
+		}
+		hosts := []string{"ads-syndication.example", "cdn.site.example", "collect.stats.net", "x.com"}
+		paths := []string{"/track/", "/pixel.gif", "/banner/big-ad.js", "/safe/lib.js", "/a.gif", "/app.js"}
+		types := []RequestType{TypeScript, TypeImage, TypeStylesheet, TypePing}
+		f := func(h, p, ty uint8) bool {
+			rq := Request{
+				URL:     "https://" + hosts[int(h)%len(hosts)] + paths[int(p)%len(paths)],
+				PageURL: "https://site.example/page",
+				Type:    types[int(ty)%len(types)],
+			}
+			return l.Matches(rq) == linearMatch(parsed, rq)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+			t.Error(err)
+		}
+	})
+	// Rules reading every part of the context, over requests that vary the
+	// page (including none) and the type (including 0).
+	t.Run("options", func(t *testing.T) {
+		l, parsed := parseRules(`
+/banner/ad
+||tracker.example^
+||cdn.example/pix$third-party
+/widget$domain=site.example|other.example
+/analytics$domain=~quiet.example
+/video$media
+@@||tracker.example/allowed^
+`)
+		if len(parsed) != 7 {
+			t.Fatalf("%d of 7 rules parsed", len(parsed))
+		}
+		urls := []string{
+			"https://a.example/banner/ad.png",
+			"https://tracker.example/t.js",
+			"https://tracker.example/allowed/t.js",
+			"https://cdn.example/pix.gif",
+			"https://site.example/widget.js",
+			"https://b.example/analytics.js",
+			"https://c.example/video.mp4",
+			"https://c.example/plain.css",
+		}
+		pages := []string{
+			"https://site.example/index",
+			"https://other.example/a",
+			"https://quiet.example/b",
+			"https://cdn.example/self",
+			"",
+		}
+		types := []RequestType{TypeScript, TypeImage, TypeMedia, TypeStylesheet, 0}
+		rng := rand.New(rand.NewSource(51))
+		matched := 0
+		for i := 0; i < 5000; i++ {
+			rq := Request{
+				URL:     urls[rng.Intn(len(urls))],
+				PageURL: pages[rng.Intn(len(pages))],
+				Type:    types[rng.Intn(len(types))],
+			}
+			got := l.Matches(rq)
+			if want := linearMatch(parsed, rq); got != want {
+				t.Fatalf("request %d (%+v): list %v, linear scan %v", i, rq, got, want)
+			}
+			if got {
+				matched++
 			}
 		}
-		return true
-	}
-	hosts := []string{"ads-syndication.example", "cdn.site.example", "collect.stats.net", "x.com"}
-	paths := []string{"/track/", "/pixel.gif", "/banner/big-ad.js", "/safe/lib.js", "/a.gif", "/app.js"}
-	types := []RequestType{TypeScript, TypeImage, TypeStylesheet, TypePing}
-	f := func(h, p, ty uint8) bool {
-		rq := Request{
-			URL:     "https://" + hosts[int(h)%len(hosts)] + paths[int(p)%len(paths)],
-			PageURL: "https://site.example/page",
-			Type:    types[int(ty)%len(types)],
+		if matched == 0 {
+			t.Error("no request matched: the input exercises nothing")
 		}
-		return l.Matches(rq) == linear(rq)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
-		t.Error(err)
+	})
+}
+
+// One request's match context is built once for all the rules its tokens
+// select, so List.Matches allocates no more with 100 candidate rules than
+// with one. Each family keeps every rule under the token "example" and
+// matches nothing; they fail on the pattern, on the page host and on the
+// third-party bit.
+func TestMatchesAllocsIndependentOfCandidates(t *testing.T) {
+	rq := Request{URL: "https://host.example/other.js", PageURL: "https://site.example/", Type: TypeScript}
+	for _, format := range []string{
+		"||host.example/p%dx^$third-party\n",
+		"||host.example^$domain=p%d.example\n",
+		"||host.example^$~third-party,domain=p%d.example\n",
+	} {
+		allocs := func(n int) float64 {
+			var sb strings.Builder
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&sb, format, i)
+			}
+			l, skipped := Parse(sb.String())
+			if skipped != 0 || len(l.indexed["example"]) != n {
+				t.Fatalf("%q: %d skipped, %d rules under the token", format, skipped, len(l.indexed["example"]))
+			}
+			if l.Matches(rq) {
+				t.Fatalf("%q: the request must not match", format)
+			}
+			return testing.AllocsPerRun(100, func() { l.Matches(rq) })
+		}
+		if one, hundred := allocs(1), allocs(100); hundred > one {
+			t.Errorf("%q: %v allocations per call with 100 candidate rules, %v with 1", format, hundred, one)
+		}
 	}
 }
 

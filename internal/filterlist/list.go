@@ -78,32 +78,42 @@ func Merge(lists ...*List) *List {
 // rule matches and no exception rule does. In the paper's usage a match
 // means "tracking request".
 func (l *List) Matches(req Request) bool {
-	if !l.anyBlockMatch(req) {
+	c := newMatchContext(req)
+	if !l.anyBlockMatch(c) {
 		return false
 	}
 	for _, r := range l.exceptions {
-		if r.MatchRequest(req) {
+		if r.match(c) {
 			return false
 		}
 	}
 	return true
 }
 
-func (l *List) anyBlockMatch(req Request) bool {
-	url := strings.ToLower(req.URL)
-	seen := map[*Rule]bool{}
-	for _, tok := range urlTokens(url) {
-		for _, r := range l.indexed[tok] {
-			if !seen[r] {
-				seen[r] = true
-				if r.MatchRequest(req) {
+// anyBlockMatch tries the block rules indexed under each token of the URL,
+// walking the URL's alphanumeric runs in place, then the untokenized rules.
+// Each rule is indexed under exactly one token, so only a token the URL
+// repeats tries a rule twice, and it gets the same answer.
+func (l *List) anyBlockMatch(c *matchContext) bool {
+	url, start := c.url, -1
+	for i := 0; i <= len(url); i++ {
+		if i < len(url) && isTokenByte(url[i]) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 && i-start >= minTokenLen {
+			for _, r := range l.indexed[url[start:i]] {
+				if r.match(c) {
 					return true
 				}
 			}
 		}
+		start = -1
 	}
 	for _, r := range l.untokenized {
-		if r.MatchRequest(req) {
+		if r.match(c) {
 			return true
 		}
 	}
@@ -146,26 +156,6 @@ func ruleToken(r *Rule) string {
 		return ""
 	}
 	return best
-}
-
-// urlTokens splits a lower-cased URL into its alphanumeric runs of at least
-// minTokenLen bytes.
-func urlTokens(url string) []string {
-	var toks []string
-	start := -1
-	for i := 0; i <= len(url); i++ {
-		alnum := i < len(url) && isTokenByte(url[i])
-		if alnum && start < 0 {
-			start = i
-		}
-		if !alnum && start >= 0 {
-			if i-start >= minTokenLen {
-				toks = append(toks, url[start:i])
-			}
-			start = -1
-		}
-	}
-	return toks
 }
 
 func isTokenByte(c byte) bool {

@@ -14,31 +14,60 @@ type Request struct {
 	Type    RequestType
 }
 
+// matchContext is one request as the rules see it. List.Matches builds one
+// per request and shares it with every rule it tries: the URL is
+// lower-cased once, and the page host and the third-party bit are worked
+// out the first time a rule's options ask for them.
+type matchContext struct {
+	req Request
+	url string // req.URL, lower-cased
+
+	pageHost            string
+	thirdParty          bool
+	haveHost, haveParty bool
+}
+
+func newMatchContext(req Request) *matchContext {
+	return &matchContext{req: req, url: strings.ToLower(req.URL)}
+}
+
+// host returns the issuing page's host.
+func (c *matchContext) host() string {
+	if !c.haveHost {
+		c.pageHost, c.haveHost = urlutil.Host(c.req.PageURL), true
+	}
+	return c.pageHost
+}
+
+// isThirdParty reports whether the request leaves the issuing page's site.
+func (c *matchContext) isThirdParty() bool {
+	if !c.haveParty {
+		c.thirdParty, c.haveParty = urlutil.IsThirdParty(c.req.URL, c.req.PageURL), true
+	}
+	return c.thirdParty
+}
+
 // MatchRequest reports whether the rule matches the request, considering the
 // pattern and all options.
-func (r *Rule) MatchRequest(req Request) bool {
-	if r.types&req.Type == 0 && req.Type != 0 {
+func (r *Rule) MatchRequest(req Request) bool { return r.match(newMatchContext(req)) }
+
+// match evaluates the rule against one request. The checks are a pure
+// conjunction, so their order changes no answer; the pattern goes before
+// the options that parse URLs, which most candidate rules then never reach.
+func (r *Rule) match(c *matchContext) bool {
+	if r.types&c.req.Type == 0 && c.req.Type != 0 {
 		return false
 	}
-	if r.thirdParty != 0 {
-		tp := urlutil.IsThirdParty(req.URL, req.PageURL)
-		if r.thirdParty == 1 && !tp {
-			return false
-		}
-		if r.thirdParty == 2 && tp {
-			return false
-		}
+	if !r.matchURL(c.url) {
+		return false
 	}
-	if len(r.includeDomains) > 0 || len(r.excludeDomains) > 0 {
-		host := urlutil.Host(req.PageURL)
-		if len(r.includeDomains) > 0 && !domainInList(host, r.includeDomains) {
-			return false
-		}
-		if domainInList(host, r.excludeDomains) {
-			return false
-		}
+	if r.thirdParty != 0 && c.isThirdParty() != (r.thirdParty == 1) {
+		return false
 	}
-	return r.matchURL(strings.ToLower(req.URL))
+	if len(r.includeDomains) > 0 && !domainInList(c.host(), r.includeDomains) {
+		return false
+	}
+	return len(r.excludeDomains) == 0 || !domainInList(c.host(), r.excludeDomains)
 }
 
 // domainInList reports whether host equals or is a subdomain of any entry.
@@ -55,18 +84,25 @@ func domainInList(host string, list []string) bool {
 func (r *Rule) matchURL(url string) bool {
 	switch {
 	case r.anchorStart:
-		end, ok := r.matchSegmentsAt(url, 0)
-		return ok && (!r.anchorEnd || end == len(url))
+		return r.matchAt(url, 0)
 	case r.anchorDomain:
-		for _, start := range domainAnchorPositions(url) {
-			if end, ok := r.matchSegmentsAt(url, start); ok && (!r.anchorEnd || end == len(url)) {
+		// A "||" rule may start at the beginning of the host or just past
+		// any dot inside it.
+		host := 0
+		if i := strings.Index(url, "://"); i >= 0 {
+			host = i + 3
+		}
+		for p := host; ; p++ {
+			if (p == host || url[p-1] == '.') && r.matchAt(url, p) {
 				return true
 			}
+			if p == len(url) || strings.IndexByte("/?:#", url[p]) >= 0 {
+				return false
+			}
 		}
-		return false
 	default:
 		for start := 0; start <= len(url); start++ {
-			if end, ok := r.matchSegmentsAt(url, start); ok && (!r.anchorEnd || end == len(url)) {
+			if r.matchAt(url, start) {
 				return true
 			}
 			// Only the first segment's first byte constrains the start; skip
@@ -84,6 +120,13 @@ func (r *Rule) matchURL(url string) bool {
 		}
 		return false
 	}
+}
+
+// matchAt reports whether the pattern matches from exactly pos, honouring
+// the end anchor.
+func (r *Rule) matchAt(url string, pos int) bool {
+	end, ok := r.matchSegmentsAt(url, pos)
+	return ok && (!r.anchorEnd || end == len(url))
 }
 
 // matchSegmentsAt matches all pattern segments beginning exactly at pos for
@@ -150,27 +193,4 @@ func isSeparator(c byte) bool {
 		return false
 	}
 	return true
-}
-
-// domainAnchorPositions returns the positions in url where a "||" rule may
-// start matching: the beginning of the host and after each dot inside it.
-func domainAnchorPositions(url string) []int {
-	hostStart := 0
-	if i := strings.Index(url, "://"); i >= 0 {
-		hostStart = i + 3
-	}
-	hostEnd := len(url)
-	for i := hostStart; i < len(url); i++ {
-		if c := url[i]; c == '/' || c == '?' || c == ':' || c == '#' {
-			hostEnd = i
-			break
-		}
-	}
-	positions := []int{hostStart}
-	for i := hostStart; i < hostEnd; i++ {
-		if url[i] == '.' {
-			positions = append(positions, i+1)
-		}
-	}
-	return positions
 }

@@ -1,10 +1,13 @@
 package stats
 
-import "slices"
-
 // Jaccard returns the Jaccard index J(A,B) = |A∩B| / |A∪B| of two string
 // sets. By the paper's convention two empty sets are perfectly similar
 // (J = 1): they agree that nothing was loaded.
+//
+// Jaccard and PairwiseMeanJaccard are the map-based reference kernels. The
+// analysis computes every similarity with JaccardSorted and
+// PairwiseMeanJaccardSorted; these stay only as the oracle that the stats
+// property tests and treediff's reference implementation compare against.
 func Jaccard(a, b map[string]bool) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -23,26 +26,12 @@ func Jaccard(a, b map[string]bool) float64 {
 	return float64(inter) / float64(union)
 }
 
-// JaccardSlices is Jaccard over slices, treating them as sets (duplicates
-// ignored). It sorts scratch copies and linear-merges them instead of
-// materializing two maps per call; the merge counts duplicate runs once,
-// so duplicate-bearing inputs score exactly as their set projections.
-func JaccardSlices(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	as := slices.Clone(a)
-	bs := slices.Clone(b)
-	slices.Sort(as)
-	slices.Sort(bs)
-	return JaccardSorted(as, bs)
-}
-
 // PairwiseMeanJaccard implements the paper's multi-set similarity: the
 // arithmetic mean of the Jaccard index over all unordered pairs of the given
 // sets (§3.2: "To compare five sets, we computed the pairwise similarity
 // between all sets and used the arithmetic mean value"). With fewer than two
 // sets it returns 1 (a single observation is trivially self-consistent).
+// It is the test reference for PairwiseMeanJaccardSorted (see Jaccard).
 func PairwiseMeanJaccard(sets []map[string]bool) float64 {
 	if len(sets) < 2 {
 		return 1

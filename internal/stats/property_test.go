@@ -131,27 +131,6 @@ func TestJaccardSharedElementMonotone(t *testing.T) {
 	}
 }
 
-func TestJaccardSlicesIgnoresDuplicates(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 300; i++ {
-		a, b := randSet(rng, 8), randSet(rng, 8)
-		var as, bs []string
-		for k := range a {
-			for r := 0; r <= rng.Intn(3); r++ {
-				as = append(as, k)
-			}
-		}
-		for k := range b {
-			for r := 0; r <= rng.Intn(3); r++ {
-				bs = append(bs, k)
-			}
-		}
-		if got, want := JaccardSlices(as, bs), Jaccard(a, b); got != want {
-			t.Fatalf("JaccardSlices %v != Jaccard %v", got, want)
-		}
-	}
-}
-
 func TestPairwiseMeanJaccardProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {

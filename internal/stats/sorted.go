@@ -3,9 +3,10 @@ package stats
 import "cmp"
 
 // The sorted-merge kernel: the allocation-free counterpart of the map-based
-// Jaccard above, used by the tree-diff hot loop on interned dense ids. Both
-// kernels compute the same integer (intersection, union) pair and divide
-// once, so their float64 results are bit-identical — the property suite and
+// reference Jaccard, and the one the analysis runs, on the tree-diff's
+// interned dense ids and on sorted string sets alike. Both kernels compute
+// the same integer (intersection, union) pair and divide once, so their
+// float64 results are bit-identical — the property suite and
 // FuzzSortedMerge pin that equivalence.
 
 // sortedInterUnion linear-merges two ascending slices and returns the

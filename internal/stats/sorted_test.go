@@ -102,34 +102,6 @@ func TestPairwiseMeanJaccardSortedMatchesMapKernel(t *testing.T) {
 	}
 }
 
-func TestJaccardSlicesMatchesSetProjection(t *testing.T) {
-	// The no-map JaccardSlices must keep the historical contract on
-	// duplicate-bearing and unsorted inputs: score the set projections.
-	rng := rand.New(rand.NewSource(34))
-	for i := 0; i < 500; i++ {
-		a, b := randSet(rng, 8), randSet(rng, 8)
-		var as, bs []string
-		for k := range a {
-			for r := 0; r <= rng.Intn(3); r++ {
-				as = append(as, k)
-			}
-		}
-		for k := range b {
-			for r := 0; r <= rng.Intn(3); r++ {
-				bs = append(bs, k)
-			}
-		}
-		rng.Shuffle(len(as), func(i, j int) { as[i], as[j] = as[j], as[i] })
-		rng.Shuffle(len(bs), func(i, j int) { bs[i], bs[j] = bs[j], bs[i] })
-		if got, want := JaccardSlices(as, bs), Jaccard(a, b); got != want {
-			t.Fatalf("JaccardSlices %v != Jaccard %v", got, want)
-		}
-	}
-	if JaccardSlices(nil, nil) != 1 {
-		t.Error("JaccardSlices(∅,∅) must be 1")
-	}
-}
-
 // FuzzSortedMerge cross-checks the linear-merge intersection/union counts
 // against a map reference on arbitrary (unsorted, duplicate-bearing) byte
 // strings, after sorting them as the kernel requires.

@@ -59,9 +59,6 @@ func TestJaccard(t *testing.T) {
 	if j := Jaccard(a, nil); j != 0 {
 		t.Errorf("J(A,∅) = %v, want 0", j)
 	}
-	if j := JaccardSlices([]string{"x", "x", "y"}, []string{"y", "x"}); j != 1 {
-		t.Errorf("duplicates should be ignored: %v", j)
-	}
 }
 
 // TestPairwiseMeanJaccardPaperExample checks the worked example from

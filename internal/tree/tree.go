@@ -9,7 +9,6 @@ package tree
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"webmeasure/internal/filterlist"
 	"webmeasure/internal/measurement"
@@ -204,12 +203,12 @@ func (t *Tree) AtDepth(d int) []*Node {
 	return out
 }
 
-// KeysAtDepth returns the node keys at a depth as a set.
-func (t *Tree) KeysAtDepth(d int) map[string]bool {
-	out := map[string]bool{}
-	for _, n := range t.nodes {
+// KeysAtDepth returns the node keys at a depth, ascending.
+func (t *Tree) KeysAtDepth(d int) []string {
+	var out []string
+	for _, n := range t.Nodes() { // (depth, key) order
 		if n.Depth == d {
-			out[n.Key] = true
+			out = append(out, n.Key)
 		}
 	}
 	return out
@@ -244,8 +243,9 @@ func (n *Node) childKeysSorted() []string {
 }
 
 // Builder constructs trees from visits. Filter may be nil (no tracking
-// classification). The two ablation switches alter the paper's method for
-// sensitivity analysis:
+// classification). A Builder holds no cache or other state that changes
+// while it builds, so one value is safe to share across goroutines. The
+// two ablation switches alter the paper's method for sensitivity analysis:
 //
 //   - RawURLIdentity keeps query values in node identities, so session IDs
 //     make equal resources look different (§3.2 argues against this);
@@ -255,23 +255,6 @@ type Builder struct {
 	Filter           *filterlist.List
 	RawURLIdentity   bool
 	IgnoreCallStacks bool
-
-	// memo caches Filter's match decisions across visits (and across the
-	// analysis worker pool sharing this builder), so a URL requested by
-	// every profile of every page pays the rule engine once.
-	memoMu sync.Mutex
-	memo   *filterlist.Memo
-}
-
-// matchMemo returns the builder's shared match memo for the current
-// Filter, creating it on first use and replacing it when Filter changed.
-func (b *Builder) matchMemo() *filterlist.Memo {
-	b.memoMu.Lock()
-	defer b.memoMu.Unlock()
-	if b.memo == nil || b.memo.List() != b.Filter {
-		b.memo = filterlist.NewMemo(b.Filter, filterlist.DefaultMemoSize)
-	}
-	return b.memo
 }
 
 // key computes a node identity under the builder's identity mode.
@@ -346,10 +329,6 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 		return nil, fmt.Errorf("tree: visit of %s by %s has no requests", v.PageURL, v.Profile)
 	}
 
-	var matcher *filterlist.Memo
-	if b.Filter != nil {
-		matcher = b.matchMemo()
-	}
 	t := &Tree{
 		Site:    v.Site,
 		PageURL: v.PageURL,
@@ -412,8 +391,8 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 			// extends in O(len) instead of re-walking to the root.
 			chainKey: parent.chainKey + key + "\x00",
 		}
-		if matcher != nil {
-			node.Tracking = matcher.Matches(filterlist.Request{
+		if b.Filter != nil {
+			node.Tracking = b.Filter.Matches(filterlist.Request{
 				URL:     req.URL,
 				PageURL: v.PageURL,
 				Type:    filterType(req.Type),

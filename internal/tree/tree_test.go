@@ -116,7 +116,7 @@ func TestBuildMetrics(t *testing.T) {
 	if got := len(tr.AtDepth(1)); got != 3 {
 		t.Errorf("AtDepth(1) = %d, want 3", got)
 	}
-	if got := tr.KeysAtDepth(5); len(got) != 1 || !got["https://partner-metrics.example/track/done"] {
+	if got := tr.KeysAtDepth(5); len(got) != 1 || got[0] != "https://partner-metrics.example/track/done" {
 		t.Errorf("KeysAtDepth(5) = %v", got)
 	}
 	// Normalization stripped: api?sid=123, sync?uid=a, sync?uid=b.

@@ -79,7 +79,7 @@ func refDepthSimilarity(trees []*tree.Tree, c *Comparison, f DepthFilter) (float
 		union := map[string]bool{}
 		for ti, t := range trees {
 			set := map[string]bool{}
-			for key := range t.KeysAtDepth(d) {
+			for _, key := range t.KeysAtDepth(d) {
 				ni := c.Nodes[key]
 				if ni != nil && f.admit(ni, len(trees)) {
 					set[key] = true

@@ -1,6 +1,8 @@
 package treediff
 
 import (
+	"slices"
+
 	"webmeasure/internal/stats"
 	"webmeasure/internal/tree"
 )
@@ -17,17 +19,18 @@ import (
 // score: sensitive to both presence and attribution changes, but unable to
 // say *which* nodes moved.
 func EdgeSimilarity(trees []*tree.Tree) float64 {
-	sets := make([]map[string]bool, len(trees))
+	sets := make([][]string, len(trees))
 	for i, t := range trees {
-		set := map[string]bool{}
+		var edges []string
 		for _, n := range t.Nodes() {
 			if n.Parent != nil {
-				set[n.Parent.Key+"\x00"+n.Key] = true
+				edges = append(edges, n.Parent.Key+"\x00"+n.Key)
 			}
 		}
-		sets[i] = set
+		slices.Sort(edges)
+		sets[i] = edges
 	}
-	return stats.PairwiseMeanJaccard(sets)
+	return stats.PairwiseMeanJaccardSorted(sets)
 }
 
 // HammingSimilarity aligns all trees on the union of node keys and scores

@@ -253,11 +253,13 @@ func (u *Universe) GenerateSite(entry tranco.Entry) *Site {
 	profile := buildSiteProfile(u, rng, entry.Site, entry.Rank)
 
 	// Number of subpages: most sites have plenty of links; some are
-	// link-poor (paper: min 0, avg 14.6 of 25).
+	// link-poor (paper: min 0, avg 14.6 of 25). The link-poor bound is
+	// clamped to 1 so a one-page budget draws 0 instead of panicking; it
+	// is unchanged, and so is the random stream, from two pages up.
 	nPages := u.cfg.PagesPerSite
 	switch {
 	case rng.Float64() < 0.08:
-		nPages = rng.Intn(u.cfg.PagesPerSite / 2)
+		nPages = rng.Intn(max(u.cfg.PagesPerSite/2, 1))
 	case rng.Float64() < 0.3:
 		nPages = u.cfg.PagesPerSite/2 + rng.Intn(u.cfg.PagesPerSite/2+1)
 	}

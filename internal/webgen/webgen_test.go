@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,6 +157,20 @@ func TestGenerateSiteShape(t *testing.T) {
 	}
 	if got := len(s.AllPages()); got != len(s.Pages)+1 {
 		t.Errorf("AllPages = %d", got)
+	}
+}
+
+// A one-page budget must generate every site: the link-poor branch (8% of
+// sites) used to draw from an empty range and panic.
+func TestGenerateSiteOnePagePerSite(t *testing.T) {
+	cfg := DefaultConfig(13)
+	cfg.PagesPerSite = 1
+	u := New(cfg)
+	for i := 0; i < 300; i++ {
+		s := u.GenerateSite(tranco.Entry{Rank: i + 1, Site: fmt.Sprintf("site-%03d.example", i)})
+		if len(s.Pages) > 1 {
+			t.Fatalf("%s: %d subpages, the budget is 1", s.Domain, len(s.Pages))
+		}
 	}
 }
 

@@ -290,38 +290,37 @@ func CrawlStream(ctx context.Context, cfg Config, sink crawler.SiteSink) (crawle
 }
 
 // analysisEnv derives the analysis inputs every entry point shares from
-// the regenerated universe: the filter list, the site→rank map, and the
-// ordered profile names.
-func analysisEnv(u *webgen.Universe, sample []tranco.Entry, cfg Config) (*filterlist.List, map[string]int, []string, error) {
-	filter, skipped := filterlist.Parse(u.FilterListText())
-	if skipped != 0 {
-		return nil, nil, nil, fmt.Errorf("webmeasure: generated filter list has %d bad rules", skipped)
-	}
+// the experiment frame: the site→rank map and the ordered profile names.
+func analysisEnv(sample []tranco.Entry, cfg Config) (map[string]int, []string, error) {
 	ranks := make(map[string]int, len(sample))
 	for _, e := range sample {
 		ranks[e.Site] = e.Rank
 	}
 	profs, err := selectProfiles(cfg.Profiles)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	names := make([]string, len(profs))
 	for i, p := range profs {
 		names[i] = p.Name
 	}
-	return filter, ranks, names, nil
+	return ranks, names, nil
 }
 
 // analyzeSites is the analysis behind every facade entry point: it
-// derives the analysis environment from the experiment frame once, opens
-// one core.Stream over ds, lets feed push the input's sites into it one
-// at a time, in whatever order the input holds them, and seals the
+// derives the analysis environment and the universe's filter list once,
+// opens one core.Stream over ds, lets feed push the input's sites into it
+// one at a time, in whatever order the input holds them, and seals the
 // result.
 func analyzeSites(ctx context.Context, cfg Config, u *webgen.Universe, sample []tranco.Entry, boundaries []int,
 	ds *dataset.Dataset, feed func(*core.Stream) error) (*Results, error) {
-	filter, ranks, names, err := analysisEnv(u, sample, cfg)
+	ranks, names, err := analysisEnv(sample, cfg)
 	if err != nil {
 		return nil, err
+	}
+	filter, skipped := filterlist.Parse(u.FilterListText())
+	if skipped != 0 {
+		return nil, fmt.Errorf("webmeasure: generated filter list has %d bad rules", skipped)
 	}
 	stream, err := core.NewStream(ds, filter, core.Options{
 		Profiles: names,
@@ -591,7 +590,7 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 		return nil, fmt.Errorf("webmeasure: AssembleFromPartials requires Shards > 1")
 	}
 	u, sample, boundaries := experimentFrame(cfg)
-	filter, ranks, names, err := analysisEnv(u, sample, cfg)
+	ranks, names, err := analysisEnv(sample, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +615,7 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 			ds.Add(v)
 		}
 	}
-	analysis, err := core.NewFromPartials(ds, filter, core.Options{
+	analysis, err := core.NewFromPartials(ds, core.Options{
 		Profiles: names,
 		SiteRank: ranks,
 		Workers:  cfg.Workers,
