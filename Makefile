@@ -118,8 +118,8 @@ shard-smoke:
 	rm -f ./shard-smoke-bin
 
 # Crawl to the columnar format, round-trip it through JSONL with
-# cmd/convert, and require byte-identical reports from both encodings
-# (whole and sharded); see scripts/col_smoke.sh.
+# cmd/convert, and require byte-identical reports from both encodings;
+# see scripts/col_smoke.sh.
 col-smoke:
 	$(GO) build -o ./col-smoke-crawl ./cmd/crawl
 	$(GO) build -o ./col-smoke-analyze ./cmd/analyze

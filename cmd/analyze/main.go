@@ -44,20 +44,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in        = fs.String("i", "dataset.jsonl", "input dataset (jsonl or columnar)")
-		format    = fs.String("format", "auto", "input dataset format: auto (sniff the magic bytes), jsonl, or col")
-		sites     = fs.Int("sites", 100, "sites used for the crawl")
-		pages     = fs.Int("pages", 10, "pages per site used for the crawl")
-		seed      = fs.Int64("seed", 1, "seed used for the crawl")
-		epoch     = fs.Int("epoch", 0, "epoch used for the crawl (0 = base snapshot)")
-		workers   = fs.Int("workers", 0, "analysis worker goroutines (0 = all CPUs)")
-		shards    = fs.Int("shards", 0, "run the shard-and-merge pipeline over N page-key shards (0/1 = single analysis; output is byte-identical either way)")
-		shardSeed = fs.Int64("shard-seed", 0, "seed of the shard plan's page-key hash (0 = -seed)")
-		progress  = fs.Duration("progress", 10*time.Second, "interval between progress lines on stderr (0 = off)")
-		csvDir    = fs.String("csv", "", "also export tables/figures as CSV files into this directory")
-		jsonOut   = fs.String("json", "", "also export all results as one JSON bundle to this file")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the analysis to this file (go tool pprof)")
-		memProf   = fs.String("memprofile", "", "write a heap profile after the analysis to this file (go tool pprof)")
+		in       = fs.String("i", "dataset.jsonl", "input dataset (jsonl or columnar)")
+		format   = fs.String("format", "auto", "input dataset format: auto (sniff the magic bytes), jsonl, or col")
+		sites    = fs.Int("sites", 100, "sites used for the crawl")
+		pages    = fs.Int("pages", 10, "pages per site used for the crawl")
+		seed     = fs.Int64("seed", 1, "seed used for the crawl")
+		epoch    = fs.Int("epoch", 0, "epoch used for the crawl (0 = base snapshot)")
+		workers  = fs.Int("workers", 0, "analysis worker goroutines (0 = all CPUs)")
+		progress = fs.Duration("progress", 10*time.Second, "interval between progress lines on stderr (0 = off)")
+		csvDir   = fs.String("csv", "", "also export tables/figures as CSV files into this directory")
+		jsonOut  = fs.String("json", "", "also export all results as one JSON bundle to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the analysis to this file (go tool pprof)")
+		memProf  = fs.String("memprofile", "", "write a heap profile after the analysis to this file (go tool pprof)")
 
 		baselineOut = fs.String("baseline-out", "", "write this run's drift baseline (per-site third parties, similarity summaries) to this JSON file")
 		driftFrom   = fs.String("drift-from", "", "compare against a prior baseline JSON file and print the drift section")
@@ -148,10 +146,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tracer = trace.New(trace.Options{Seed: *seed, SampleEvery: *traceSample, Metrics: reg})
 	}
 	stopProgress := metrics.StartProgress(ctx, stderr, reg, *progress)
-	res, err := webmeasure.LoadAndAnalyzeShardedContext(ctx, f, webmeasure.Config{
+	res, err := webmeasure.LoadAndAnalyzeContext(ctx, f, webmeasure.Config{
 		Seed: *seed, Sites: *sites, PagesPerSite: *pages, Epoch: *epoch,
 		Workers: *workers, Metrics: reg, Tracer: tracer,
-		Shards: *shards, ShardSeed: *shardSeed,
 	})
 	stopProgress()
 	if err != nil {

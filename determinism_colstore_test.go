@@ -84,19 +84,9 @@ type formatExport struct {
 }
 
 // analyzeArtifacts loads raw dataset bytes (either format — sniffed) and
-// exports every artifact. shards > 1 routes through the shard-and-merge
-// pipeline; a bytes.Reader input gives the columnar path random access,
-// so the sharded columnar run exercises the footer-index block seeks.
-func analyzeArtifacts(t *testing.T, raw []byte, cfg Config, shards int) formatExport {
+// exports every artifact, the span trace included.
+func analyzeArtifacts(t *testing.T, raw []byte, cfg Config) formatExport {
 	t.Helper()
-	cfg.Shards = shards
-	if shards > 1 {
-		res, err := LoadAndAnalyzeShardedContext(context.Background(), bytes.NewReader(raw), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return exportAll(t, res)
-	}
 	tc := trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1})
 	cfg.Tracer = tc
 	res, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(raw), cfg)
@@ -126,13 +116,12 @@ func exportAll(t *testing.T, res *Results) formatExport {
 }
 
 // TestAnalysisByteIdenticalAcrossFormats is the cross-format golden: the
-// same crawl analyzed from its JSONL file and from its columnar file —
-// including through the sharded pipeline, where the columnar input is
-// read via footer-index block seeks — must export byte-identical
-// reports, JSON bundles, CSV tables, and span traces. The columnar path
-// takes a different code route end to end (site-streamed decode, per-
-// block interned key caches, the tree builder's int32-id fast path), so
-// this golden pins the whole new subsystem to the existing one.
+// same crawl analyzed from its JSONL file and from its columnar file must
+// export byte-identical reports, JSON bundles, CSV tables, and span
+// traces. The columnar path takes a different code route end to end
+// (site-streamed decode, per-block interned key caches, the tree
+// builder's int32-id fast path), so this golden pins the whole new
+// subsystem to the existing one.
 func TestAnalysisByteIdenticalAcrossFormats(t *testing.T) {
 	for _, faults := range []string{"", "heavy"} {
 		name := faults
@@ -144,10 +133,8 @@ func TestAnalysisByteIdenticalAcrossFormats(t *testing.T) {
 			cfg := Config{Seed: 11, Sites: 8, PagesPerSite: 3, FaultProfile: faults}
 			jsonl, col := crawlBytes(t, cfg)
 
-			fromJSONL := analyzeArtifacts(t, jsonl, cfg, 0)
-			fromCol := analyzeArtifacts(t, col, cfg, 0)
-			jsonlSharded := analyzeArtifacts(t, jsonl, cfg, 4)
-			colSharded := analyzeArtifacts(t, col, cfg, 4)
+			fromJSONL := analyzeArtifacts(t, jsonl, cfg)
+			fromCol := analyzeArtifacts(t, col, cfg)
 
 			check := func(label string, a, b []byte) {
 				t.Helper()
@@ -162,12 +149,6 @@ func TestAnalysisByteIdenticalAcrossFormats(t *testing.T) {
 			if len(fromJSONL.traceJL) == 0 {
 				t.Error("trace export is empty")
 			}
-			check("report unsharded-vs-col-sharded", fromJSONL.report, colSharded.report)
-			check("json unsharded-vs-col-sharded", fromJSONL.json, colSharded.json)
-			check("csv unsharded-vs-col-sharded", fromJSONL.csv, colSharded.csv)
-			check("report jsonl-sharded-vs-col-sharded", jsonlSharded.report, colSharded.report)
-			check("json jsonl-sharded-vs-col-sharded", jsonlSharded.json, colSharded.json)
-			check("csv jsonl-sharded-vs-col-sharded", jsonlSharded.csv, colSharded.csv)
 		})
 	}
 }

@@ -197,6 +197,11 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// addBatch counts each dropped page under its reason; registering all
+	// four up front makes a reason nothing hit read 0 instead of missing.
+	for _, reason := range []string{ExcludeMissing, ExcludeFailed, ExcludeDegraded, ExcludeBuild} {
+		opts.Metrics.Counter("analysis.pages.excluded." + reason)
+	}
 	return &Stream{
 		a: a,
 		w: pageWorker{
@@ -274,6 +279,8 @@ func (s *Stream) addBatch(pages []*dataset.PageVisits, keys *urlutil.KeyCache) e
 		s.a.vetting.count(r.excluded)
 		if r.pa != nil {
 			s.a.pages = append(s.a.pages, r.pa)
+		} else {
+			s.opts.Metrics.Counter("analysis.pages.excluded." + r.excluded).Inc()
 		}
 	}
 	return nil
@@ -309,23 +316,20 @@ func forEachPage(ctx context.Context, workers, n int, fn func(i int)) {
 }
 
 // Finish seals the stream and returns the analysis, its vetted pages
-// sorted by (site, page URL).
+// sorted by (site, page URL). A page key added twice is an error.
 func (s *Stream) Finish() (*Analysis, error) {
 	if s.done {
 		return nil, fmt.Errorf("core: Finish called twice")
 	}
 	s.done = true
-	a, opts := s.a, s.opts
+	a := s.a
 	sort.Slice(a.pages, func(i, j int) bool { return a.pages[i].Key.Less(a.pages[j].Key) })
-	for reason, n := range map[string]int{
-		ExcludeMissing:  a.vetting.ExcludedMissing,
-		ExcludeFailed:   a.vetting.ExcludedFailed,
-		ExcludeDegraded: a.vetting.ExcludedDegraded,
-		ExcludeBuild:    a.vetting.ExcludedBuild,
-	} {
-		opts.Metrics.Counter("analysis.pages.excluded." + reason).Add(int64(n))
+	for i := 1; i < len(a.pages); i++ {
+		if k := a.pages[i].Key; k == a.pages[i-1].Key {
+			return nil, fmt.Errorf("core: page %s/%s added more than once", k.Site, k.PageURL)
+		}
 	}
-	if len(a.pages) == 0 && !opts.AllowEmpty {
+	if len(a.pages) == 0 && !s.opts.AllowEmpty {
 		return nil, fmt.Errorf("core: no page was crawled cleanly by all %d profiles (%d excluded: %d missing, %d failed, %d degraded, %d build)",
 			len(a.profiles), a.vetting.Excluded(), a.vetting.ExcludedMissing,
 			a.vetting.ExcludedFailed, a.vetting.ExcludedDegraded, a.vetting.ExcludedBuild)
@@ -572,15 +576,6 @@ func (a *Analysis) profileIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// eachNode visits every NodeInfo of every vetted page (including roots).
-func (a *Analysis) eachNode(fn func(pa *PageAnalysis, ni *treediff.NodeInfo)) {
-	for _, pa := range a.pages {
-		for _, ni := range pa.Cmp.Nodes {
-			fn(pa, ni)
-		}
-	}
 }
 
 // eachNonRootNode visits every non-root NodeInfo.

@@ -4,14 +4,14 @@ package core
 // A shard worker analyzes its slice of the page-key space and exports a
 // Partial: the vetted pages' trees in wire form, the vetting tally, the raw
 // visits, and optionally the worker's metrics dump and trace export. The
-// coordinator decodes one Partial per shard and NewFromPartials lifts the
-// sorted-page-key merge one level up — a k-way merge over the shards'
-// already-sorted page lists — rebuilding each page's trees and recomputing
-// its cross-comparison, so the merged Analysis renders report, JSON, and
-// CSV byte-identical to a single-process run over the whole dataset.
+// coordinator decodes one Partial per shard and NewFromPartials feeds each
+// into one Stream, the same one every other input goes through: the stream
+// rebuilds each page's trees, recomputes its cross-comparison, and sorts
+// the union into page-key order at Finish, so the merged Analysis renders
+// report, JSON, and CSV byte-identical to a single-process run over the
+// whole dataset.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -115,12 +115,12 @@ func DecodePartial(b []byte) (*Partial, error) {
 // NewFromPartials assembles a full Analysis from one partial per shard.
 // ds must be the union dataset (the coordinator rebuilds it from the
 // partials' visits or loads it independently); opts plays the same role
-// as in New. No filter list is needed: the shards' tree records already
-// carry each node's tracking flag. The page lists arrive sorted per shard
-// and the plan makes them disjoint, so a k-way merge by (site, page URL)
-// restores exactly the order New produces; each page's trees are rebuilt
-// from their wire records and re-compared in parallel. The result is
-// indistinguishable from New over the union dataset.
+// as in New, and opts.Context cancels the merge between pages. No filter
+// list is needed: the shards' tree records already carry each node's
+// tracking flag. Each partial feeds one Stream, which rebuilds the pages'
+// trees from their wire records, re-compares them, and sorts the union
+// into page-key order at Finish, so the result is indistinguishable from
+// New over the union dataset.
 func NewFromPartials(ds *dataset.Dataset, opts Options, plan ShardPlan, parts []*Partial) (*Analysis, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -162,94 +162,50 @@ func NewFromPartials(ds *dataset.Dataset, opts Options, plan ShardPlan, parts []
 		return nil, fmt.Errorf("core: partials carry no profiles")
 	}
 
-	a := &Analysis{
-		ds:             ds,
-		profiles:       profiles,
-		rawURLIdentity: opts.TreeBuilder != nil && opts.TreeBuilder.RawURLIdentity,
-		siteRank:       opts.SiteRank,
-		metrics:        opts.Metrics,
-	}
 	defer opts.Metrics.Histogram("analysis.merge_ms").Time()()
-	for _, p := range byShard {
-		a.vetting.PagesSeen += p.Vetting.PagesSeen
-		a.vetting.PagesVetted += p.Vetting.PagesVetted
-		a.vetting.ExcludedMissing += p.Vetting.ExcludedMissing
-		a.vetting.ExcludedFailed += p.Vetting.ExcludedFailed
-		a.vetting.ExcludedDegraded += p.Vetting.ExcludedDegraded
-		a.vetting.ExcludedBuild += p.Vetting.ExcludedBuild
-	}
-
-	merged, err := mergePages(byShard)
+	opts.Profiles = profiles
+	s, err := NewStream(ds, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts.Metrics.Counter("analysis.pages.merged").Add(int64(len(merged)))
-
-	// Rebuild trees and recompute comparisons in parallel; slot-indexed
-	// results keep the merged page-key order regardless of scheduling.
-	results := make([]*PageAnalysis, len(merged))
-	errs := make([]error, len(merged))
-	forEachPage(context.Background(), opts.Workers, len(merged), func(i int) {
-		pp := merged[i]
-		pa := &PageAnalysis{Key: pp.Key, Trees: make([]*tree.Tree, 0, len(pp.Trees))}
-		for _, tr := range pp.Trees {
-			t, err := tr.Tree()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			pa.Trees = append(pa.Trees, t)
-		}
-		pa.Cmp = treediff.Compare(pa.Trees)
-		results[i] = pa
-	})
-	for _, err := range errs {
-		if err != nil {
+	for _, p := range byShard {
+		if err := s.addPartial(p); err != nil {
 			return nil, err
 		}
 	}
-	a.pages = results
-	if len(a.pages) == 0 && !opts.AllowEmpty {
-		return nil, fmt.Errorf("core: no shard contributed a vetted page (%d seen, %d excluded)",
-			a.vetting.PagesSeen, a.vetting.Excluded())
-	}
-	return a, nil
+	opts.Metrics.Counter("analysis.pages.merged").Add(int64(len(s.a.pages)))
+	return s.Finish()
 }
 
-// mergePages k-way merges the shards' sorted page lists by (site, page
-// URL), validating per-shard order and cross-shard disjointness.
-func mergePages(byShard []*Partial) ([]PartialPage, error) {
-	heads := make([]int, len(byShard))
-	total := 0
-	for _, p := range byShard {
-		total += len(p.Pages)
-	}
-	out := make([]PartialPage, 0, total)
-	for len(out) < total {
-		best := -1
-		for s, p := range byShard {
-			if heads[s] >= len(p.Pages) {
-				continue
-			}
-			if best == -1 || p.Pages[heads[s]].Key.Less(byShard[best].Pages[heads[best]].Key) {
-				best = s
+// addPartial adds one shard's vetted pages and vetting tally: it rebuilds
+// each page's trees from their records and re-compares them on the page
+// pool. It publishes no per-page counter, since the shard's metrics dump
+// already holds them.
+func (s *Stream) addPartial(p *Partial) error {
+	pages := make([]*PageAnalysis, len(p.Pages))
+	errs := make([]error, len(p.Pages))
+	forEachPage(s.ctx, s.opts.Workers, len(p.Pages), func(i int) {
+		pp := p.Pages[i]
+		pa := &PageAnalysis{Key: pp.Key, Trees: make([]*tree.Tree, len(pp.Trees))}
+		for j, rec := range pp.Trees {
+			if pa.Trees[j], errs[i] = rec.Tree(); errs[i] != nil {
+				return
 			}
 		}
-		pick := byShard[best].Pages[heads[best]]
-		heads[best]++
-		if n := len(out); n > 0 {
-			prev := out[n-1].Key
-			if !prev.Less(pick.Key) {
-				if prev == pick.Key {
-					return nil, fmt.Errorf("core: page %s/%s appears in more than one partial", pick.Key.Site, pick.Key.PageURL)
-				}
-				return nil, fmt.Errorf("core: partial of shard %d lists pages out of order near %s/%s",
-					byShard[best].Shard, pick.Key.Site, pick.Key.PageURL)
-			}
-		}
-		out = append(out, pick)
+		pa.Cmp = treediff.Compare(pa.Trees)
+		pages[i] = pa
+	})
+	if err := s.ctx.Err(); err != nil {
+		return fmt.Errorf("core: analysis canceled: %w", err)
 	}
-	return out, nil
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	s.a.vetting.add(p.Vetting)
+	s.a.pages = append(s.a.pages, pages...)
+	return nil
 }
 
 func equalStrings(a, b []string) bool {

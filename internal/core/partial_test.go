@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"sort"
+	"strings"
 	"testing"
 
 	"webmeasure/internal/crawler"
@@ -38,17 +41,26 @@ func faultyExperiment(t testing.TB, seed int64, prof faults.Profile) (*dataset.D
 	return ds, filter, Options{Profiles: []string{"Old", "Sim1", "Sim2", "NoAction", "Headless"}}
 }
 
+// shardDataset returns the visits to the pages plan assigns to shard.
+func shardDataset(ds *dataset.Dataset, plan ShardPlan, shard int) *dataset.Dataset {
+	out := dataset.New()
+	for _, v := range ds.Visits() {
+		if plan.Assign(dataset.PageKey{Site: v.Site, PageURL: v.PageURL}) == shard {
+			out.Add(v)
+		}
+	}
+	return out
+}
+
 // splitPartials analyzes each shard's slice independently and round-trips
 // every partial through its wire encoding.
 func splitPartials(t testing.TB, ds *dataset.Dataset, filter *filterlist.List, opts Options, plan ShardPlan) []*Partial {
 	t.Helper()
 	parts := make([]*Partial, plan.Count)
 	for i := 0; i < plan.Count; i++ {
-		keep := plan.Keep(i)
-		shardDS := ds.FilterPages(func(k dataset.PageKey) bool { return keep(k.Site, k.PageURL) })
 		shardOpts := opts
 		shardOpts.AllowEmpty = true
-		a, err := New(shardDS, filter, shardOpts)
+		a, err := New(shardDataset(ds, plan, i), filter, shardOpts)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -128,8 +140,8 @@ func TestMergePermutationInvariant(t *testing.T) {
 }
 
 // TestMergeRejectsBadPartialSets: the merge must refuse incomplete,
-// duplicated, or cross-plan partial sets instead of silently producing a
-// partial answer.
+// duplicated, overlapping, or cross-plan partial sets instead of silently
+// producing a partial or inflated answer.
 func TestMergeRejectsBadPartialSets(t *testing.T) {
 	ds, filter, opts := shardExperiment(t, 8)
 	plan := ShardPlan{Count: 2, Seed: 8}
@@ -149,6 +161,33 @@ func TestMergeRejectsBadPartialSets(t *testing.T) {
 	if _, err := NewFromPartials(ds, opts, plan, []*Partial{parts[0], nil}); err == nil {
 		t.Error("nil partial accepted")
 	}
+	// A page both partials carry, inserted in key order so each partial
+	// stays sorted.
+	if len(parts[0].Pages) == 0 {
+		t.Fatal("shard 0 vetted no pages — pick another seed")
+	}
+	page := parts[0].Pages[0]
+	overlap := *parts[1]
+	at := sort.Search(len(overlap.Pages), func(i int) bool { return page.Key.Less(overlap.Pages[i].Key) })
+	overlap.Pages = append(append(append([]PartialPage(nil), overlap.Pages[:at]...), page), overlap.Pages[at:]...)
+	_, err := NewFromPartials(ds, opts, plan, []*Partial{parts[0], &overlap})
+	if err == nil || !strings.Contains(err.Error(), page.Key.PageURL) {
+		t.Errorf("page carried by two partials accepted (err %v)", err)
+	}
+}
+
+// TestMergeStopsOnCanceledContext: the merge runs on opts.Context, so a
+// coordinator whose job was canceled stops rebuilding pages.
+func TestMergeStopsOnCanceledContext(t *testing.T) {
+	ds, filter, opts := shardExperiment(t, 8)
+	plan := ShardPlan{Count: 2, Seed: 8}
+	parts := splitPartials(t, ds, filter, opts, plan)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts.Context = ctx
+	if _, err := NewFromPartials(ds, opts, plan, parts); !errors.Is(err, context.Canceled) {
+		t.Errorf("merge under a canceled context: err %v, want context.Canceled", err)
+	}
 }
 
 // TestPartialRejectsWrongShard: exporting an analysis as a shard it does
@@ -156,11 +195,9 @@ func TestMergeRejectsBadPartialSets(t *testing.T) {
 func TestPartialRejectsWrongShard(t *testing.T) {
 	ds, filter, opts := shardExperiment(t, 8)
 	plan := ShardPlan{Count: 2, Seed: 8}
-	keep := plan.Keep(0)
-	shardDS := ds.FilterPages(func(k dataset.PageKey) bool { return keep(k.Site, k.PageURL) })
 	shardOpts := opts
 	shardOpts.AllowEmpty = true
-	a, err := New(shardDS, filter, shardOpts)
+	a, err := New(shardDataset(ds, plan, 0), filter, shardOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,19 +37,6 @@ type PageVisits struct {
 	ByProfile map[string]*measurement.Visit
 }
 
-// AllSucceeded reports whether every one of the given profiles crawled the
-// page cleanly — the paper's vetting criterion (§3.2 "Comparing Request
-// Trees"). Degraded visits (fault-truncated observations) do not count.
-func (p *PageVisits) AllSucceeded(profiles []string) bool {
-	for _, name := range profiles {
-		v := p.ByProfile[name]
-		if v == nil || !v.Clean() {
-			return false
-		}
-	}
-	return true
-}
-
 // Dataset is a collection of visits. It is safe for concurrent Add.
 type Dataset struct {
 	mu     sync.Mutex
@@ -109,17 +96,6 @@ func (d *Dataset) PageGroup(key PageKey) *PageVisits {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.byPage[key]
-}
-
-// VettedPages returns the pages every given profile crawled successfully.
-func (d *Dataset) VettedPages(profiles []string) []*PageVisits {
-	var out []*PageVisits
-	for _, pv := range d.Pages() {
-		if pv.AllSucceeded(profiles) {
-			out = append(out, pv)
-		}
-	}
-	return out
 }
 
 // Profiles returns the distinct profile names present, sorted.
@@ -239,74 +215,4 @@ func ReadJSONL(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: line %d: read: %w", line+1, err)
 	}
 	return d, nil
-}
-
-// FilterProfiles returns a new dataset holding only the given profiles'
-// visits (e.g. to analyze a two-profile subset of a five-profile crawl).
-func (d *Dataset) FilterProfiles(profiles ...string) *Dataset {
-	keep := make(map[string]bool, len(profiles))
-	for _, p := range profiles {
-		keep[p] = true
-	}
-	out := New()
-	for _, v := range d.Visits() {
-		if keep[v.Profile] {
-			out.Add(v)
-		}
-	}
-	return out
-}
-
-// FilterPages returns a new dataset holding only visits to the pages the
-// keep predicate selects — e.g. one shard's slice of the page-key space
-// under a shard plan.
-func (d *Dataset) FilterPages(keep func(PageKey) bool) *Dataset {
-	out := New()
-	for _, v := range d.Visits() {
-		if keep(PageKey{Site: v.Site, PageURL: v.PageURL}) {
-			out.Add(v)
-		}
-	}
-	return out
-}
-
-// FilterSites returns a new dataset holding only visits to the given sites.
-func (d *Dataset) FilterSites(sites ...string) *Dataset {
-	keep := make(map[string]bool, len(sites))
-	for _, s := range sites {
-		keep[s] = true
-	}
-	out := New()
-	for _, v := range d.Visits() {
-		if keep[v.Site] {
-			out.Add(v)
-		}
-	}
-	return out
-}
-
-// Merge combines several datasets into a new one. Later datasets win when
-// the same (site, page, profile) visit appears twice (checkpoint merging).
-func Merge(sets ...*Dataset) *Dataset {
-	out := New()
-	seen := map[string]int{} // visit key → index in out.visits
-	for _, d := range sets {
-		if d == nil {
-			continue
-		}
-		for _, v := range d.Visits() {
-			key := v.Site + "\x00" + v.PageURL + "\x00" + v.Profile
-			if idx, ok := seen[key]; ok {
-				out.mu.Lock()
-				out.visits[idx] = v
-				pv := out.byPage[PageKey{Site: v.Site, PageURL: v.PageURL}]
-				pv.ByProfile[v.Profile] = v
-				out.mu.Unlock()
-				continue
-			}
-			out.Add(v)
-			seen[key] = out.Len() - 1
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -36,21 +35,6 @@ func TestAddAndGroup(t *testing.T) {
 	}
 	if len(pages[0].ByProfile) != 2 {
 		t.Errorf("grouping wrong: %d profiles", len(pages[0].ByProfile))
-	}
-}
-
-func TestVetting(t *testing.T) {
-	d := New()
-	profiles := []string{"Sim1", "Sim2"}
-	// Page 1: both succeed. Page 2: one fails. Page 3: one missing.
-	d.Add(visit("a.example", "https://a.example/1", "Sim1", true))
-	d.Add(visit("a.example", "https://a.example/1", "Sim2", true))
-	d.Add(visit("a.example", "https://a.example/2", "Sim1", true))
-	d.Add(visit("a.example", "https://a.example/2", "Sim2", false))
-	d.Add(visit("a.example", "https://a.example/3", "Sim1", true))
-	vetted := d.VettedPages(profiles)
-	if len(vetted) != 1 || vetted[0].Key.PageURL != "https://a.example/1" {
-		t.Errorf("vetted = %+v", vetted)
 	}
 }
 
@@ -133,100 +117,6 @@ func TestConcurrentAdd(t *testing.T) {
 	}
 	if d.Len() != 800 {
 		t.Errorf("Len = %d, want 800", d.Len())
-	}
-}
-
-func TestWriteHAR(t *testing.T) {
-	v := &measurement.Visit{
-		Site: "a.example", PageURL: "https://a.example/", Profile: "Sim1",
-		Success: true, DurationMS: 1234,
-		Requests: []measurement.Request{
-			{URL: "https://a.example/", Type: measurement.TypeMainFrame, Status: 200,
-				ContentType: "text/html", BodySize: 5000},
-			{URL: "https://trk-metrics.example/track/event?sid=x", Type: measurement.TypeBeacon,
-				Status: 204, ContentType: "image/gif", BodySize: 43, TimeOffsetMS: 250,
-				SetCookies: []string{"uid=abc; Path=/; Secure"}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteHAR(&buf, v); err != nil {
-		t.Fatal(err)
-	}
-	var parsed map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("HAR is not valid JSON: %v", err)
-	}
-	log := parsed["log"].(map[string]any)
-	if log["version"] != "1.2" {
-		t.Errorf("version = %v", log["version"])
-	}
-	entries := log["entries"].([]any)
-	if len(entries) != 2 {
-		t.Fatalf("entries = %d", len(entries))
-	}
-	beacon := entries[1].(map[string]any)
-	reqObj := beacon["request"].(map[string]any)
-	if reqObj["method"] != "POST" {
-		t.Errorf("beacon method = %v", reqObj["method"])
-	}
-	respObj := beacon["response"].(map[string]any)
-	if respObj["status"].(float64) != 204 {
-		t.Errorf("beacon status = %v", respObj["status"])
-	}
-	headers := respObj["headers"].([]any)
-	foundCookie := false
-	for _, h := range headers {
-		if h.(map[string]any)["name"] == "Set-Cookie" {
-			foundCookie = true
-		}
-	}
-	if !foundCookie {
-		t.Error("Set-Cookie header missing from HAR response")
-	}
-	// Failed visits cannot export.
-	if err := WriteHAR(&buf, &measurement.Visit{Success: false}); err == nil {
-		t.Error("failed visit must not export")
-	}
-}
-
-func TestFilterProfilesAndSites(t *testing.T) {
-	d := New()
-	d.Add(visit("a.example", "https://a.example/", "Sim1", true))
-	d.Add(visit("a.example", "https://a.example/", "Old", true))
-	d.Add(visit("b.example", "https://b.example/", "Sim1", false))
-
-	fp := d.FilterProfiles("Sim1")
-	if fp.Len() != 2 || len(fp.Profiles()) != 1 {
-		t.Errorf("FilterProfiles: %d visits, %v", fp.Len(), fp.Profiles())
-	}
-	fs := d.FilterSites("b.example")
-	if fs.Len() != 1 || fs.Sites()[0] != "b.example" {
-		t.Errorf("FilterSites: %d visits %v", fs.Len(), fs.Sites())
-	}
-	// Original untouched.
-	if d.Len() != 3 {
-		t.Error("filters must not mutate the source")
-	}
-}
-
-func TestMergeDatasets(t *testing.T) {
-	a := New()
-	a.Add(visit("a.example", "https://a.example/", "Sim1", false)) // failed first try
-	a.Add(visit("a.example", "https://a.example/p1", "Sim1", true))
-	b := New()
-	b.Add(visit("a.example", "https://a.example/", "Sim1", true)) // retried OK
-	b.Add(visit("c.example", "https://c.example/", "Old", true))
-
-	m := Merge(a, b, nil)
-	if m.Len() != 3 {
-		t.Fatalf("merged Len = %d, want 3", m.Len())
-	}
-	pv := m.PageGroup(PageKey{Site: "a.example", PageURL: "https://a.example/"})
-	if pv == nil || !pv.ByProfile["Sim1"].Success {
-		t.Error("later dataset must win on conflicts")
-	}
-	if len(m.Sites()) != 2 {
-		t.Errorf("sites = %v", m.Sites())
 	}
 }
 

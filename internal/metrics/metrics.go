@@ -25,6 +25,9 @@
 //	crawl.site_ms          wall-clock per completed site batch
 //	analysis.pages         page groups examined
 //	analysis.pages.vetted  pages passing the vetting rule
+//	analysis.pages.excluded.<reason>
+//	                       pages the vetting rule dropped, by reason
+//	                       (missing, failed, degraded, build)
 //	analysis.trees         trees built; only pages with enough eligible
 //	                       profiles build, so this is the vetted pages'
 //	                       trees plus those of pages a malformed visit

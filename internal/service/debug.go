@@ -61,9 +61,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 	if n := len(m.deltas); n > 0 {
 		view.LastDelta = m.deltas[n-1]
 	}
-	if n := len(m.pinned); n > 0 {
-		view.LastPinned = m.pinned[n-1]
-	}
+	view.LastPinned = m.lastPinned
 	if n := len(m.alerts); n > 0 {
 		lo := n - debugDriftAlerts
 		if lo < 0 {

@@ -94,11 +94,13 @@ type monitorState struct {
 	// aborts on it before the first epoch.
 	rulesErr error
 
-	baselines map[int]*drift.Baseline
-	deltas    []*drift.Delta // sequential epoch-over-epoch deltas
-	rows      []drift.CSVRow
-	alerts    []drift.Alert
-	pinned    []*drift.Delta // deltas vs the pinned baseline
+	// prev is the last folded epoch's baseline and pin the pinned
+	// epoch's, once reached; the state directory holds the others.
+	prev, pin  *drift.Baseline
+	deltas     []*drift.Delta // sequential epoch-over-epoch deltas
+	rows       []drift.CSVRow
+	alerts     []drift.Alert
+	lastPinned *drift.Delta // newest delta vs the pinned baseline
 
 	epochsDone   int
 	currentEpoch int // -1 when idle
@@ -285,17 +287,17 @@ func (s *Server) runEpoch(spec JobSpec, epoch int) (*drift.Baseline, error) {
 func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.baselines[epoch] = b
-	prev, hasPrev := m.baselines[m.lastEpoch]
-	if m.epochsDone == 0 {
-		hasPrev = false
+	prev := m.prev
+	m.prev = b
+	if epoch == m.cfg.PinEpoch {
+		m.pin = b
 	}
 	m.lastEpoch = epoch
 	m.epochsDone++
 	m.currentEpoch = -1
 	dir := m.cfg.StateDir
 
-	if hasPrev {
+	if prev != nil {
 		d, err := drift.Diff(prev, b)
 		if err != nil {
 			return err
@@ -313,12 +315,12 @@ func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) e
 		}
 		s.publishDriftMetrics(d)
 	}
-	if pin, ok := m.baselines[m.cfg.PinEpoch]; ok && epoch != m.cfg.PinEpoch {
-		d, err := drift.Diff(pin, b)
+	if m.pin != nil && epoch != m.cfg.PinEpoch {
+		d, err := drift.Diff(m.pin, b)
 		if err != nil {
 			return err
 		}
-		m.pinned = append(m.pinned, d)
+		m.lastPinned = d
 		data, err := d.Encode()
 		if err != nil {
 			return err

@@ -264,7 +264,6 @@ func New(cfg Config) *Server {
 			cfg:          mc,
 			engine:       eng,
 			rulesErr:     engErr,
-			baselines:    make(map[int]*drift.Baseline),
 			currentEpoch: -1,
 			lastEpoch:    -1,
 		}

@@ -9,10 +9,7 @@ package trace
 // disjoint; import + canonical export sorting make the merged JSONL and
 // Chrome renderings byte-identical to a single-process run.
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SpanData is the wire form of one span, carrying every field the
 // canonical exports read — including the sibling-disambiguation key the
@@ -103,15 +100,4 @@ func (t *Tracer) Import(data []TraceData) error {
 		}
 	}
 	return nil
-}
-
-// SortTraceData orders wire records canonically (Name, Key) — the helper
-// a coordinator uses before comparing or hashing partial trace sets.
-func SortTraceData(data []TraceData) {
-	sort.Slice(data, func(i, j int) bool {
-		if data[i].Name != data[j].Name {
-			return data[i].Name < data[j].Name
-		}
-		return data[i].Key < data[j].Key
-	})
 }

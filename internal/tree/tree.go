@@ -53,12 +53,10 @@ type Node struct {
 	Children []*Node
 	Depth    int
 
-	// chainKey and sortedChildKeys memoize the derived strings the
-	// cross-comparison reads once per (node, tree, comparison); both are
-	// fixed by Builder.Build before the tree is published, so reads are
-	// safe under concurrency.
-	chainKey        string
-	sortedChildKeys []string
+	// chainKey memoizes the derived string the cross-comparison reads
+	// once per (node, tree, comparison); Builder.Build fixes it before the
+	// tree is published, so reads are safe under concurrency.
+	chainKey string
 }
 
 // IsRoot reports whether the node is the visited page.
@@ -149,10 +147,9 @@ func (t *Tree) sortNodes() []*Node {
 	return out
 }
 
-// Finalize memoizes the derived views — the sorted node list, the max
-// depth, and each node's sorted child keys — once the tree's shape is
-// fixed. Builder.Build calls it before returning; mutating the tree
-// afterwards invalidates the memos.
+// Finalize memoizes the derived views — the sorted node list and the max
+// depth — once the tree's shape is fixed. Builder.Build calls it before
+// returning; mutating the tree afterwards invalidates the memos.
 func (t *Tree) Finalize() {
 	t.nodeList = t.sortNodes()
 	t.maxDepth = 0
@@ -160,7 +157,6 @@ func (t *Tree) Finalize() {
 		if n.Depth > t.maxDepth {
 			t.maxDepth = n.Depth
 		}
-		n.sortedChildKeys = n.childKeysSorted()
 	}
 }
 
@@ -220,25 +216,6 @@ func (n *Node) ChildKeys() map[string]bool {
 	for _, c := range n.Children {
 		out[c.Key] = true
 	}
-	return out
-}
-
-// SortedChildKeys returns the children keys ascending. Finalized trees
-// return a memoized slice (callers must not modify it); hand-built nodes
-// fall back to a fresh sorted copy.
-func (n *Node) SortedChildKeys() []string {
-	if n.sortedChildKeys != nil {
-		return n.sortedChildKeys
-	}
-	return n.childKeysSorted()
-}
-
-func (n *Node) childKeysSorted() []string {
-	out := make([]string, len(n.Children))
-	for i, c := range n.Children {
-		out[i] = c.Key
-	}
-	sort.Strings(out)
 	return out
 }
 

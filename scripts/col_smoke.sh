@@ -1,10 +1,10 @@
 #!/bin/sh
 # Smoke test for the columnar dataset path: crawl straight to the
 # columnar format, round-trip it through JSONL with cmd/convert (must
-# reproduce the columnar bytes exactly), and analyze both encodings —
-# whole and sharded — requiring byte-identical reports. Also asserts the
-# size win and that cmd/analyze refuses a -format assertion that
-# contradicts the magic bytes.
+# reproduce the columnar bytes exactly), and analyze both encodings,
+# requiring byte-identical reports. Also asserts the size win and that
+# cmd/analyze refuses a -format assertion that contradicts the magic
+# bytes.
 #
 # Usage: scripts/col_smoke.sh [crawl-binary] [analyze-binary] [convert-binary]
 set -eu
@@ -30,18 +30,13 @@ jsonl_size=$(wc -c < "$WORKDIR/ds.jsonl")
 [ "$((col_size * 2))" -le "$jsonl_size" ] || {
     echo "columnar file ($col_size B) is not 2x smaller than JSONL ($jsonl_size B)"; exit 1; }
 
-# Both encodings must analyze to the same report, whole (one sequential
-# site stream) and through the in-process shard-and-merge path alike.
+# Both encodings must analyze to the same report.
 "$ANALYZE" -i "$WORKDIR/ds.jsonl" -sites 5 -pages 2 -seed 7 -progress 0 \
     >"$WORKDIR/report.jsonl.txt" 2>/dev/null
 "$ANALYZE" -i "$WORKDIR/ds.col" -sites 5 -pages 2 -seed 7 -progress 0 \
     >"$WORKDIR/report.col.txt" 2>/dev/null
 cmp -s "$WORKDIR/report.jsonl.txt" "$WORKDIR/report.col.txt" || {
     echo "reports differ between jsonl and col inputs"; exit 1; }
-"$ANALYZE" -i "$WORKDIR/ds.col" -shards 3 -sites 5 -pages 2 -seed 7 -progress 0 \
-    >"$WORKDIR/report.col-sharded.txt" 2>/dev/null
-cmp -s "$WORKDIR/report.jsonl.txt" "$WORKDIR/report.col-sharded.txt" || {
-    echo "sharded columnar report differs from the whole-analysis report"; exit 1; }
 
 # A -format assertion contradicting the magic bytes must be refused.
 if "$ANALYZE" -i "$WORKDIR/ds.jsonl" -format col -sites 5 -pages 2 -seed 7 \

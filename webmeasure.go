@@ -94,8 +94,8 @@ type Config struct {
 	// for distributed shard-and-merge analysis (0 or 1 = the whole
 	// experiment in one process). With Shards > 1 the run covers only the
 	// slice ShardIndex selects; one Partial per shard is then assembled
-	// with AssembleFromPartials into results byte-identical to the
-	// single-process run.
+	// with AssembleFromPartials into results whose report, JSON, CSV, and
+	// Summary are byte-identical to the single-process run's.
 	Shards int
 	// ShardIndex selects this run's slice (0-based, < Shards) when Shards
 	// is set.
@@ -578,12 +578,13 @@ func (r *Results) Partial() (*core.Partial, error) {
 	return r.exp.Analysis.Partial(r.cfg.shardPlan(), r.cfg.ShardIndex)
 }
 
-// AssembleFromPartials merges one Partial per shard into full Results,
-// byte-identical in every export to a single-process run of the same
-// config. cfg must carry the same experiment parameters the shard workers
-// used (Seed, Sites, TrancoSize, PagesPerSite, Profiles, Shards,
-// ShardSeed); the union dataset is rebuilt from the partials' visits in
-// shard order.
+// AssembleFromPartials merges one Partial per shard into full Results
+// whose report, JSON, CSV, and Summary are byte-identical to a
+// single-process run of the same config; the dataset exports are not, as
+// the union dataset is rebuilt from the partials' visits in shard order.
+// cfg must carry the same experiment parameters the shard workers used
+// (Seed, Sites, TrancoSize, PagesPerSite, Profiles, Shards, ShardSeed).
+// The context cancels the merge between pages.
 func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial) (*Results, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards <= 1 {
@@ -620,6 +621,7 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 		SiteRank: ranks,
 		Workers:  cfg.Workers,
 		Metrics:  cfg.Metrics,
+		Context:  ctx,
 	}, cfg.shardPlan(), parts)
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: assemble: %w", err)
@@ -630,53 +632,4 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 		dataset:  ds,
 		exp:      &report.Experiment{Analysis: analysis, RankBoundaries: boundaries},
 	}, nil
-}
-
-// LoadAndAnalyzeShardedContext analyzes a loaded dataset through the
-// distributed shard-and-merge pipeline inside one process: it loads the
-// dataset once, analyzes each of Config.Shards slices of the page-key
-// space independently through AnalyzeContext, round-trips every Partial
-// through its wire encoding, and assembles the merged Results —
-// byte-identical in every export to the unsharded analysis, which is what
-// cmd/analyze -shards exercises. Shards <= 1 falls back to
-// LoadAndAnalyzeContext. The input format is auto-detected.
-func LoadAndAnalyzeShardedContext(ctx context.Context, datasetIn io.Reader, cfg Config) (*Results, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Shards <= 1 {
-		return LoadAndAnalyzeContext(ctx, datasetIn, cfg)
-	}
-	ds, err := dataset.ReadAuto(datasetIn)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	u, sample, boundaries := experimentFrame(cfg)
-	plan := cfg.shardPlan()
-	parts := make([]*core.Partial, cfg.Shards)
-	for i := range parts {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("webmeasure: sharded analysis canceled: %w", err)
-		}
-		keep := plan.Keep(i)
-		shardCfg := cfg
-		shardCfg.ShardIndex = i
-		res, err := AnalyzeContext(ctx, ds.FilterPages(func(k dataset.PageKey) bool { return keep(k.Site, k.PageURL) }),
-			u, sample, boundaries, shardCfg)
-		if err != nil {
-			return nil, fmt.Errorf("webmeasure: shard %d/%d: %w", i, cfg.Shards, err)
-		}
-		part, err := res.Partial()
-		if err != nil {
-			return nil, err
-		}
-		// Round-trip through the wire form so the in-process path exercises
-		// exactly what a remote worker ships.
-		wire, err := part.Encode()
-		if err != nil {
-			return nil, err
-		}
-		if parts[i], err = core.DecodePartial(wire); err != nil {
-			return nil, err
-		}
-	}
-	return AssembleFromPartials(ctx, cfg, parts)
 }
