@@ -94,11 +94,14 @@ trace-smoke:
 	rm -f ./trace-smoke-crawl ./trace-smoke-analyze ./trace-smoke-check
 
 # Boot the job server, submit a job over HTTP, assert the report artifact
-# comes back 200 + non-empty, and require a clean SIGINT drain.
+# comes back 200 + non-empty, require a columnar job's dataset.jsonl to
+# equal its dataset.col converted by cmd/convert, and require a clean
+# SIGINT drain.
 serve-smoke:
 	$(GO) build -o ./serve-smoke-bin ./cmd/serve
-	sh scripts/serve_smoke.sh ./serve-smoke-bin
-	rm -f ./serve-smoke-bin
+	$(GO) build -o ./serve-smoke-convert ./cmd/convert
+	sh scripts/serve_smoke.sh ./serve-smoke-bin ./serve-smoke-convert
+	rm -f ./serve-smoke-bin ./serve-smoke-convert
 
 # Boot cmd/serve in monitor mode for 3 epochs, wait for the drift
 # schedule to finish via /debug/drift, assert the state directory holds

@@ -35,7 +35,7 @@ type SiteBlock struct {
 // key ids the tree builder indexes directly instead of re-normalizing and
 // re-hashing every request of every visit.
 func (sb *SiteBlock) KeyCache() *urlutil.KeyCache {
-	return urlutil.BuildKeyCache(sb.Strings)
+	return urlutil.BuildKeyCache(sb.Strings, len(sb.Strings))
 }
 
 // Pages returns the block's distinct page URLs in ascending order.
@@ -52,13 +52,33 @@ func (sb *SiteBlock) Pages() []string {
 	return out
 }
 
-// encodeBlock serializes one site's visit rows as a block payload:
-// site, string table, then field-major columns. The table is built while
-// the columns encode (ids are first-seen order, so encoding is fully
-// deterministic) and prepended afterwards.
+// blockEncoder encodes site blocks. A Writer keeps one for its whole
+// file, so the interner's map and both buffers are allocated once and
+// reused by every block instead of regrown per site.
+type blockEncoder struct {
+	in   interner
+	head buf // site and string table
+	cols buf // field-major columns
+}
+
+// encodeBlock serializes one site's visit rows as a block payload.
 func encodeBlock(site string, rows []VisitRow) []byte {
-	in := newInterner()
-	var cols buf
+	var e blockEncoder
+	head, cols := e.encode(site, rows)
+	return append(head, cols...)
+}
+
+// encode serializes one site's visit rows as a block payload, returned in
+// two parts whose concatenation is the payload: the head (site and string
+// table) and the field-major columns. The table is built while the
+// columns encode (ids are first-seen order, so encoding is fully
+// deterministic) and precedes them in the payload. Both slices alias the
+// encoder's buffers and are valid until the next call.
+func (e *blockEncoder) encode(site string, rows []VisitRow) ([]byte, []byte) {
+	in := &e.in
+	in.reset()
+	cols := &e.cols
+	cols.b = cols.b[:0]
 
 	// Visit-level columns.
 	cols.uvarint(uint64(len(rows)))
@@ -177,15 +197,13 @@ func encodeBlock(site string, rows []VisitRow) []byte {
 		cols.byte(flags)
 	})
 
-	// Assemble: site, string table, columns.
-	var payload buf
-	payload.str(site)
-	payload.uvarint(uint64(len(in.strs)))
+	e.head.b = e.head.b[:0]
+	e.head.str(site)
+	e.head.uvarint(uint64(len(in.strs)))
 	for _, s := range in.strs {
-		payload.str(s)
+		e.head.str(s)
 	}
-	payload.b = append(payload.b, cols.bytes()...)
-	return payload.bytes()
+	return e.head.b, cols.b
 }
 
 // decodeBlock parses a block payload. Corrupted or truncated payloads

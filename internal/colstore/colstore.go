@@ -207,8 +207,14 @@ type interner struct {
 	strs []string
 }
 
-func newInterner() *interner {
-	return &interner{ids: map[string]uint64{"": 0}, strs: []string{""}}
+// reset empties the table for the next block, keeping its storage.
+func (in *interner) reset() {
+	if in.ids == nil {
+		in.ids = make(map[string]uint64)
+	}
+	clear(in.ids)
+	in.ids[""] = 0
+	in.strs = append(in.strs[:0], "")
 }
 
 func (in *interner) id(s string) uint64 {

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -230,6 +231,14 @@ func TestWriterScanReader(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sb.Pages(), meta.Pages) {
 			t.Errorf("block %d: pages %v vs index %v", i, sb.Pages(), meta.Pages)
+		}
+		// The Writer encodes every block with one reused encoder, yet each
+		// record must hold exactly the payload of its site encoded alone.
+		payload := encodeBlock(meta.Site, sites[meta.Site])
+		rec := data[meta.Offset : meta.Offset+meta.Length]
+		wantLen := len(blockMagic) + len(binary.AppendUvarint(nil, uint64(len(payload)))) + len(payload) + 4
+		if len(rec) != wantLen || !bytes.Equal(rec[len(rec)-4-len(payload):len(rec)-4], payload) {
+			t.Errorf("block %d (%s): record differs from its site's standalone payload", i, meta.Site)
 		}
 	}
 	if _, err := r.Block(3); err == nil {

@@ -17,6 +17,8 @@ import (
 // body was written in, so index lookups never depend on emission order.
 type Writer struct {
 	bw     *bufio.Writer
+	enc    blockEncoder
+	frame  buf // a record's header (magic, length), then its CRC
 	off    uint64
 	blocks []BlockMeta
 	seen   map[string]bool
@@ -57,8 +59,8 @@ func (w *Writer) WriteSite(site string, rows []VisitRow) error {
 		}
 		pages[r.Visit.PageURL] = true
 	}
-	payload := encodeBlock(site, rows)
-	length, err := w.writeRecord(blockMagic, payload)
+	head, cols := w.enc.encode(site, rows)
+	length, err := w.writeRecord(blockMagic, head, cols)
 	if err != nil {
 		return w.setErr(err)
 	}
@@ -128,24 +130,33 @@ func (w *Writer) setErr(err error) error {
 	return err
 }
 
-// writeRecord writes magic + uvarint(len) + payload + crc32 and returns
-// the record's total byte length.
-func (w *Writer) writeRecord(magic string, payload []byte) (uint64, error) {
-	var hdr buf
-	hdr.b = append(hdr.b, magic...)
-	hdr.uvarint(uint64(len(payload)))
-	if _, err := w.bw.Write(hdr.bytes()); err != nil {
+// writeRecord writes magic + uvarint(len) + payload + crc32, where the
+// payload is the concatenation of parts, and returns the record's total
+// byte length. The parts go out as they are: the CRC is folded over them
+// in turn rather than over a joined copy.
+func (w *Writer) writeRecord(magic string, parts ...[]byte) (uint64, error) {
+	n := 0
+	var crc uint32
+	for _, p := range parts {
+		n += len(p)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	w.frame.b = append(w.frame.b[:0], magic...)
+	w.frame.uvarint(uint64(n))
+	if _, err := w.bw.Write(w.frame.b); err != nil {
 		return 0, fmt.Errorf("colstore: write record header: %w", err)
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return 0, fmt.Errorf("colstore: write record payload: %w", err)
+	hdrLen := len(w.frame.b)
+	for _, p := range parts {
+		if _, err := w.bw.Write(p); err != nil {
+			return 0, fmt.Errorf("colstore: write record payload: %w", err)
+		}
 	}
-	var crc buf
-	crc.b = binary32le(crc.b, crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(crc.bytes()); err != nil {
+	w.frame.b = binary32le(w.frame.b[:0], crc)
+	if _, err := w.bw.Write(w.frame.b); err != nil {
 		return 0, fmt.Errorf("colstore: write record checksum: %w", err)
 	}
-	return uint64(len(hdr.b)) + uint64(len(payload)) + 4, nil
+	return uint64(hdrLen) + uint64(n) + 4, nil
 }
 
 func binary32le(b []byte, v uint32) []byte {

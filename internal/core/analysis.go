@@ -530,11 +530,14 @@ func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
 // pageKeys builds the transient URL table of one page's visits: every
 // string a tree build or attribution scoring resolves (page URL, request
 // URLs, redirect sources, last call-stack frames, frame URLs, ground-truth
-// parents).
+// parents). The profiles' visits to one page mostly request the same
+// URLs, so the table is sized for twice the largest visit's requests
+// rather than for every occurrence.
 func pageKeys(visits []*measurement.Visit) *urlutil.KeyCache {
-	n := 0
+	n, most := 0, 0
 	for _, v := range visits {
 		n += 1 + 2*len(v.Requests)
+		most = max(most, len(v.Requests))
 	}
 	raws := make([]string, 0, n)
 	for _, v := range visits {
@@ -552,7 +555,7 @@ func pageKeys(visits []*measurement.Visit) *urlutil.KeyCache {
 			}
 		}
 	}
-	return urlutil.BuildKeyCache(raws)
+	return urlutil.BuildKeyCache(raws, 2*most+1)
 }
 
 // Profiles returns the profile order used for tree indexing.

@@ -106,6 +106,7 @@ var helpText = map[string]string{
 	"service.jobs.total":           "Jobs accepted by the service.",
 	"service.cache_hits":           "Jobs served from the result cache.",
 	"service.workers_current":      "Current size of the autoscaling job worker pool.",
+	"service.results.bytes":        "Artifact bytes held by jobs that finished by running.",
 	"service.scale_events.total":   "Applied autoscaling decisions, by direction.",
 	"go.goroutines":                "Number of live goroutines, sampled at scrape time.",
 	"go.heap_inuse_bytes":          "Bytes of heap memory in use, sampled at scrape time.",

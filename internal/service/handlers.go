@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"webmeasure/internal/dataset"
 	"webmeasure/internal/version"
 )
 
@@ -191,36 +193,43 @@ func (s *Server) artifact(pick func(*result) ([]byte, string)) http.HandlerFunc 
 	}
 }
 
+// handleDataset serves the job's visits as JSON Lines, decoded from the
+// held columnar bytes on every download and streamed with periodic
+// flushes.
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	res, ok := s.finishedResult(w, r)
 	if !ok {
 		return
 	}
-	if res.dataset == nil {
+	if res.datasetCol == nil {
 		// e.g. a shard result cached from a remote dispatch: the
 		// coordinator stored the partial bytes, never the visits.
 		writeError(w, http.StatusNotFound, "job holds no dataset")
 		return
 	}
+	ds, err := dataset.ReadCol(bytes.NewReader(res.datasetCol))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "decode held dataset: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = res.dataset.StreamJSONL(w, datasetFlushEvery)
+	_ = ds.StreamJSONL(w, datasetFlushEvery)
 }
 
-// handleDatasetCol serves the job's visits in the compact columnar
-// format — available for every job that holds a dataset, whatever its
-// requested DatasetFormat, since the encoding is a pure function of the
-// visits.
+// handleDatasetCol serves the job's held columnar bytes — available for
+// every job that holds a dataset, whatever its requested DatasetFormat,
+// since the encoding is a pure function of the visits.
 func (s *Server) handleDatasetCol(w http.ResponseWriter, r *http.Request) {
 	res, ok := s.finishedResult(w, r)
 	if !ok {
 		return
 	}
-	if res.dataset == nil {
+	if res.datasetCol == nil {
 		writeError(w, http.StatusNotFound, "job holds no dataset")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_ = res.dataset.WriteCol(w)
+	_, _ = w.Write(res.datasetCol)
 }
 
 // handlePartial serves a shard job's encoded partial. Whole-experiment

@@ -253,16 +253,19 @@ func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// result holds a finished job's rendered artifacts. The text artifacts
-// are rendered once and held as bytes (a cache hit serves the exact same
-// bytes); the dataset stays structured so downloads can stream with
-// periodic flushes. The trace fields are nil/zero for untraced jobs.
+// result holds a finished job's artifacts, each rendered or encoded once
+// and held as bytes, so a cache hit serves the exact same bytes and no
+// finished job keeps its visits in memory. The dataset is held as its
+// columnar encoding: dataset.col downloads write those bytes, and
+// dataset.jsonl downloads decode them and stream the JSONL form, which
+// the columnar round trip reproduces byte for byte. The trace fields are
+// nil/zero for untraced jobs.
 type result struct {
-	report  []byte
-	json    []byte
-	csv     []byte
-	dataset *dataset.Dataset
-	summary webmeasure.Summary
+	report     []byte
+	json       []byte
+	csv        []byte
+	datasetCol []byte
+	summary    webmeasure.Summary
 
 	traceChrome []byte // Chrome trace-event JSON (nil = job ran untraced)
 	traceJSONL  []byte // one span per line, canonical order
@@ -272,6 +275,15 @@ type result struct {
 	// partial is the encoded core.Partial of a shard job (nil for whole
 	// and coordinator jobs, whose artifacts are the rendered text above).
 	partial []byte
+}
+
+// size is the byte length of every artifact the result holds.
+func (r *result) size() int64 {
+	n := 0
+	for _, b := range [][]byte{r.report, r.json, r.csv, r.datasetCol, r.traceChrome, r.traceJSONL, r.partial} {
+		n += len(b)
+	}
+	return int64(n)
 }
 
 // Job is one submitted measurement. All mutable fields are guarded by the
@@ -365,7 +377,7 @@ func (j *Job) view() jobJSON {
 			v.Artifacts["json"] = base + "result.json"
 			v.Artifacts["csv"] = base + "result.csv"
 		}
-		if j.res.dataset != nil {
+		if j.res.datasetCol != nil {
 			v.Artifacts["dataset"] = base + "dataset.jsonl"
 			if j.Spec.DatasetFormat == dataset.FormatCol {
 				v.Artifacts["dataset_col"] = base + "dataset.col"

@@ -209,6 +209,9 @@ type Server struct {
 	mRejected, mCacheHits, mCacheMisses          *metrics.Counter
 	mShardRemote, mShardRetries, mShardFallbacks *metrics.Counter
 	mJobMS, mQueueMS                             *metrics.Histogram
+	// mResultBytes sums the artifact bytes of every job that finished by
+	// running; cache hits share their source's result and add nothing.
+	mResultBytes *metrics.Gauge
 }
 
 // New creates the server and starts its worker pool.
@@ -238,6 +241,7 @@ func New(cfg Config) *Server {
 		mShardFallbacks: cfg.Metrics.Counter("service.shard.local_fallbacks"),
 		mJobMS:          cfg.Metrics.Histogram("service.job_ms"),
 		mQueueMS:        cfg.Metrics.Histogram("service.queue_wait_ms"),
+		mResultBytes:    cfg.Metrics.Gauge("service.results.bytes"),
 	}
 	if len(cfg.ShardWorkers) > 0 {
 		s.shard = newShardClient(cfg.ShardWorkers, cfg.ShardAttempts, cfg.ShardPoll, cfg.Logger, s.mShardRetries)
@@ -500,6 +504,7 @@ func (s *Server) runJob(job *Job) {
 			job.res = res
 			s.cache.put(job.key, res)
 			s.mCompleted.Inc()
+			s.mResultBytes.Add(res.size())
 			if res.traceChrome != nil {
 				s.traces = append([]traceEntry{{
 					JobID:       job.ID,
@@ -576,12 +581,16 @@ func render(r *webmeasure.Results, tracer *trace.Tracer) (*result, error) {
 	if err := r.WriteCSV(&csv); err != nil {
 		return nil, fmt.Errorf("render csv: %w", err)
 	}
+	col, err := encodeDataset(r)
+	if err != nil {
+		return nil, err
+	}
 	res := &result{
-		report:  rep.Bytes(),
-		json:    js.Bytes(),
-		csv:     csv.Bytes(),
-		dataset: r.Dataset(),
-		summary: r.Summary(),
+		report:     rep.Bytes(),
+		json:       js.Bytes(),
+		csv:        csv.Bytes(),
+		datasetCol: col,
+		summary:    r.Summary(),
 	}
 	if tracer != nil {
 		var chrome, jsonl bytes.Buffer
@@ -597,6 +606,16 @@ func render(r *webmeasure.Results, tracer *trace.Tracer) (*result, error) {
 		res.spanCount = tracer.SpanCount()
 	}
 	return res, nil
+}
+
+// encodeDataset returns an exact-size copy of the run's columnar dataset:
+// the only form of its visits a finished job keeps.
+func encodeDataset(r *webmeasure.Results) ([]byte, error) {
+	var col bytes.Buffer
+	if err := r.WriteDatasetCol(&col); err != nil {
+		return nil, fmt.Errorf("encode dataset: %w", err)
+	}
+	return bytes.Clone(col.Bytes()), nil
 }
 
 // executeShard runs one shard job: a shard-restricted measurement whose
@@ -635,12 +654,16 @@ func (s *Server) executeShard(ctx context.Context, spec JobSpec) (*result, error
 	if err != nil {
 		return nil, err
 	}
+	col, err := encodeDataset(r)
+	if err != nil {
+		return nil, err
+	}
 	// Shard summaries report only crawl-level facts: a slice can hold zero
 	// vetted pages, where the tree-derived means are undefined.
 	cs := r.Analysis().CrawlSummary()
 	return &result{
-		partial: wire,
-		dataset: r.Dataset(),
+		partial:    wire,
+		datasetCol: col,
 		summary: webmeasure.Summary{
 			Sites:            cs.Sites,
 			Pages:            cs.Pages,

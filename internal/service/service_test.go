@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"webmeasure"
+	"webmeasure/internal/dataset"
+	"webmeasure/internal/metrics"
 )
 
 // tinySpec is the spec every fast test submits: a five-site universe
@@ -200,6 +203,127 @@ func TestCacheHitServesSameBytes(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, prom)
 		}
 	}
+}
+
+// TestServedDatasetsMatchRun downloads both dataset encodings of finished
+// jobs. A whole columnar job's downloads must equal webmeasure.Run's own
+// exports for the same config, clean and under heavy faults, and its
+// cache-hit resubmission must serve the same bytes. A coordinator's and a
+// shard job's dataset.jsonl must equal their dataset.col decoded and
+// written back as JSONL.
+func TestServedDatasetsMatchRun(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	download := func(id string) (jsonl, col []byte) {
+		t.Helper()
+		code, jsonl := get(t, ts.URL+"/v1/jobs/"+id+"/dataset.jsonl")
+		if code != 200 {
+			t.Fatalf("job %s dataset.jsonl: code %d", id, code)
+		}
+		code, col = get(t, ts.URL+"/v1/jobs/"+id+"/dataset.col")
+		if code != 200 {
+			t.Fatalf("job %s dataset.col: code %d", id, code)
+		}
+		return jsonl, col
+	}
+
+	for _, fault := range []string{"", "heavy"} {
+		spec := JobSpec{Seed: 31, Sites: 5, PagesPerSite: 2, Workers: 2, FaultProfile: fault, DatasetFormat: "col"}
+		v := runToDone(t, s, ts, spec)
+		if v.Artifacts["dataset_col"] == "" {
+			t.Fatalf("faults %q: columnar job lists no dataset_col artifact: %v", fault, v.Artifacts)
+		}
+		jsonl, col := download(v.ID)
+
+		r, err := webmeasure.Run(context.Background(), normalized(t, spec).config(metrics.New()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantJSONL, wantCol bytes.Buffer
+		if err := r.WriteDataset(&wantJSONL); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteDatasetCol(&wantCol); err != nil {
+			t.Fatal(err)
+		}
+		if wantJSONL.Len() == 0 {
+			t.Fatalf("faults %q: Run wrote an empty dataset", fault)
+		}
+		if !bytes.Equal(jsonl, wantJSONL.Bytes()) {
+			t.Errorf("faults %q: dataset.jsonl (%d bytes) differs from Run's WriteDataset (%d bytes)", fault, len(jsonl), wantJSONL.Len())
+		}
+		if !bytes.Equal(col, wantCol.Bytes()) {
+			t.Errorf("faults %q: dataset.col (%d bytes) differs from Run's WriteDatasetCol (%d bytes)", fault, len(col), wantCol.Len())
+		}
+
+		hit, code := postJob(t, ts, spec)
+		if code != http.StatusOK || !hit.CacheHit {
+			t.Fatalf("faults %q: resubmission not a cache hit (code %d): %+v", fault, code, hit)
+		}
+		hitJSONL, hitCol := download(hit.ID)
+		if !bytes.Equal(hitJSONL, jsonl) || !bytes.Equal(hitCol, col) {
+			t.Errorf("faults %q: cache hit served different dataset bytes", fault)
+		}
+	}
+
+	for _, spec := range []JobSpec{
+		{Seed: 37, Sites: 6, PagesPerSite: 2, Workers: 2, FaultProfile: "heavy", Shards: 3},
+		{Seed: 39, Sites: 6, PagesPerSite: 2, Workers: 2, FaultProfile: "heavy", Shards: 3, Shard: 2},
+	} {
+		v := runToDone(t, s, ts, spec)
+		jsonl, col := download(v.ID)
+		ds, err := dataset.ReadCol(bytes.NewReader(col))
+		if err != nil {
+			t.Fatalf("shards %d shard %d: dataset.col does not decode: %v", spec.Shards, spec.Shard, err)
+		}
+		var want bytes.Buffer
+		if err := ds.WriteJSONL(&want); err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 || !bytes.Equal(jsonl, want.Bytes()) {
+			t.Errorf("shards %d shard %d: dataset.jsonl (%d bytes) differs from decoded dataset.col (%d bytes)",
+				spec.Shards, spec.Shard, len(jsonl), want.Len())
+		}
+	}
+}
+
+// TestResultBytesGauge: service.results.bytes sums the artifacts held by
+// the jobs that finished by running (for an untraced whole job: report,
+// result.json, result.csv and dataset.col), and a cache hit, which shares
+// its source's result, leaves it where it was.
+func TestResultBytesGauge(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	held := 0
+	for _, seed := range []int64{41, 43} {
+		v := runToDone(t, s, ts, tinySpec(seed))
+		for _, name := range []string{"report", "result.json", "result.csv", "dataset.col"} {
+			code, body := get(t, ts.URL+"/v1/jobs/"+v.ID+"/"+name)
+			if code != 200 {
+				t.Fatalf("job %s %s: code %d", v.ID, name, code)
+			}
+			held += len(body)
+		}
+	}
+	want := fmt.Sprintf("\nservice_results_bytes %d\n", held)
+	scrape := func(when string) {
+		t.Helper()
+		code, prom := get(t, ts.URL+"/metrics")
+		if code != 200 || !strings.Contains(string(prom), want) {
+			t.Fatalf("%s: /metrics (code %d) lacks %q", when, code, strings.TrimSpace(want))
+		}
+	}
+	scrape("after two fresh jobs")
+	if hit, code := postJob(t, ts, tinySpec(41)); code != http.StatusOK || !hit.CacheHit {
+		t.Fatalf("resubmission not a cache hit (code %d): %+v", code, hit)
+	}
+	scrape("after a cache hit")
 }
 
 // blockingServer builds a server whose runner parks until release is

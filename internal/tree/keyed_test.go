@@ -28,7 +28,8 @@ func visitStrings(v *measurement.Visit) []string {
 // flag — to the string-keyed Build, across the ablation variants.
 func TestBuildKeyedMatchesBuild(t *testing.T) {
 	v := visitFixture()
-	cache := urlutil.BuildKeyCache(visitStrings(v))
+	strs := visitStrings(v)
+	cache := urlutil.BuildKeyCache(strs, len(strs))
 	builders := map[string]*Builder{
 		"default":           {Filter: testFilter(t)},
 		"no-filter":         {},
@@ -65,7 +66,7 @@ func TestBuildKeyedMatchesBuild(t *testing.T) {
 // block-derived one) must fall back to direct normalization.
 func TestBuildKeyedPartialCache(t *testing.T) {
 	v := visitFixture()
-	cache := urlutil.BuildKeyCache([]string{v.PageURL}) // deliberately incomplete
+	cache := urlutil.BuildKeyCache([]string{v.PageURL}, 1) // deliberately incomplete
 	b := &Builder{Filter: testFilter(t)}
 	plain, err := b.Build(v)
 	if err != nil {

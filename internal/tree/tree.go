@@ -62,24 +62,11 @@ type Node struct {
 // IsRoot reports whether the node is the visited page.
 func (n *Node) IsRoot() bool { return n.Parent == nil }
 
-// Chain returns the node's dependency chain: the keys from the root down
-// to the node itself.
-func (n *Node) Chain() []string {
-	var rev []string
-	for cur := n; cur != nil; cur = cur.Parent {
-		rev = append(rev, cur.Key)
-	}
-	out := make([]string, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// ChainKey returns the chain as a single comparable string. Builder.Build
-// memoizes it at construction (each node extends its parent's chain), so
-// the usual call is a field read; nodes assembled by hand fall back to the
-// walk without caching.
+// ChainKey returns the node's dependency chain — the keys from the root
+// down to the node itself, each followed by a NUL — as one comparable
+// string. Builder.Build memoizes it at construction (each node extends its
+// parent's chain), so the usual call is a field read; nodes assembled by
+// hand fall back to the walk without caching.
 func (n *Node) ChainKey() string {
 	if n.chainKey != "" {
 		return n.chainKey
@@ -116,9 +103,6 @@ type Tree struct {
 
 // Node returns the node with the given normalized-URL key, or nil.
 func (t *Tree) Node(key string) *Node { return t.nodes[key] }
-
-// Contains reports whether a key is present.
-func (t *Tree) Contains(key string) bool { return t.nodes[key] != nil }
 
 // NodeCount returns the number of nodes including the root.
 func (t *Tree) NodeCount() int { return len(t.nodes) }
@@ -185,18 +169,6 @@ func (t *Tree) Breadth() int {
 		}
 	}
 	return best
-}
-
-// AtDepth returns the nodes at the given depth, sorted by key.
-func (t *Tree) AtDepth(d int) []*Node {
-	var out []*Node
-	for _, n := range t.nodes {
-		if n.Depth == d {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
-	return out
 }
 
 // KeysAtDepth returns the node keys at a depth, ascending.

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"strings"
 	"testing"
 
 	"webmeasure/internal/filterlist"
@@ -113,8 +114,8 @@ func TestBuildMetrics(t *testing.T) {
 	if b := tr.Breadth(); b != 3 {
 		t.Errorf("Breadth = %d, want 3 (depth 1 and 2 have 3 nodes)", b)
 	}
-	if got := len(tr.AtDepth(1)); got != 3 {
-		t.Errorf("AtDepth(1) = %d, want 3", got)
+	if got := len(tr.KeysAtDepth(1)); got != 3 {
+		t.Errorf("len(KeysAtDepth(1)) = %d, want 3", got)
 	}
 	if got := tr.KeysAtDepth(5); len(got) != 1 || got[0] != "https://partner-metrics.example/track/done" {
 		t.Errorf("KeysAtDepth(5) = %v", got)
@@ -156,8 +157,7 @@ func TestPartyAndTracking(t *testing.T) {
 func TestChain(t *testing.T) {
 	tr := build(t)
 	n := tr.Node("https://partner-metrics.example/track/done")
-	chain := n.Chain()
-	want := []string{
+	chain := []string{
 		page,
 		"https://news.example/js/app.js",
 		"https://trk-metrics.example/js/analytics.js",
@@ -165,13 +165,13 @@ func TestChain(t *testing.T) {
 		"https://partner-metrics.example/sync?uid=",
 		"https://partner-metrics.example/track/done",
 	}
-	if len(chain) != len(want) {
-		t.Fatalf("chain = %v", chain)
+	want := strings.Join(chain, "\x00") + "\x00"
+	if got := n.ChainKey(); got != want {
+		t.Fatalf("ChainKey = %q, want %q", got, want)
 	}
-	for i := range want {
-		if chain[i] != want[i] {
-			t.Fatalf("chain[%d] = %q, want %q", i, chain[i], want[i])
-		}
+	// A hand-assembled node has no memo and walks its parents instead.
+	if got := (&Node{Key: n.Key, Parent: n.Parent}).ChainKey(); got != want {
+		t.Fatalf("walked ChainKey = %q, want %q", got, want)
 	}
 	if tr.Root.ChainKey() == n.ChainKey() {
 		t.Error("chain keys must differ")

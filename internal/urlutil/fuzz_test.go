@@ -76,7 +76,7 @@ func FuzzKeyCache(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b, c string) {
 		raws := []string{a, b, c}
-		cache := BuildKeyCache(raws)
+		cache := BuildKeyCache(raws, len(raws))
 		for _, raw := range raws {
 			key, id, stripped, ok := cache.Lookup(raw)
 			if !ok {

@@ -33,11 +33,13 @@ type keyRef struct {
 // the distinct normalized keys in first-seen order. Non-URL strings in
 // the input (profile names, header values) simply normalize to themselves
 // and cost one table entry; callers pass whatever string universe their
-// visits reference. Each new key's eTLD+1 comes from the host of the
-// normalizing parse, resolved once per distinct host.
-func BuildKeyCache(raws []string) *KeyCache {
-	c := &KeyCache{refs: make(map[string]keyRef, len(raws))}
-	ids := make(map[string]int32, len(raws))
+// visits reference, repeats included. distinct is the caller's estimate of
+// how many distinct strings raws holds; it only sizes the tables. Each new
+// key's eTLD+1 comes from the host of the normalizing parse, resolved once
+// per distinct host.
+func BuildKeyCache(raws []string, distinct int) *KeyCache {
+	c := &KeyCache{refs: make(map[string]keyRef, distinct)}
+	ids := make(map[string]int32, distinct)
 	hostSites := make(map[string]string)
 	for _, raw := range raws {
 		if _, ok := c.refs[raw]; ok {

@@ -521,8 +521,9 @@ func (r *Results) DriftBaseline() *drift.Baseline {
 	})
 }
 
-// Dataset exposes the collected visits, e.g. for streaming JSONL
-// downloads (dataset.StreamJSONL) from a serving layer.
+// Dataset exposes the collected visits in memory, for callers that
+// query or re-encode them (WriteDataset and WriteDatasetCol write the
+// same visits).
 func (r *Results) Dataset() *dataset.Dataset { return r.dataset }
 
 // RankBoundaries returns the rank-bucket boundaries used for sampling.
