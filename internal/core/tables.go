@@ -328,74 +328,53 @@ type ProfilePairRow struct {
 
 // ProfilePairTable computes Table 6: every profile against the reference
 // (by name, typically "Sim1"). Pairs are compared on nodes present in both
-// trees of a page.
+// trees of a page, through the pair view of the page's comparison.
 func (a *Analysis) ProfilePairTable(reference string) []ProfilePairRow {
 	if a.profileIndex(reference) < 0 {
 		return nil
+	}
+	// pairTally counts one party's nodes and their perfect (1) and
+	// disjoint (0) child and parent similarities.
+	type pairTally struct {
+		n, childPerfect, childNone, parentPerfect, parentNone int
 	}
 	var rows []ProfilePairRow
 	for _, other := range a.profiles {
 		if other == reference {
 			continue
 		}
-		row := ProfilePairRow{Other: other}
-		var fpChildPerfect, fpChildNone, fpChildN int
-		var tpChildPerfect, tpChildNone, tpChildN int
-		var fpParPerfect, fpParNone, fpParN int
-		var tpParPerfect, tpParNone, tpParN int
+		var fp, tp pairTally
 		var parentSims, childSims []float64
-
 		for _, pa := range a.pages {
-			ref, oth := pa.TreeFor(reference), pa.TreeFor(other)
-			if ref == nil || oth == nil {
+			ri, oi := pa.treeIndex(reference), pa.treeIndex(other)
+			if ri < 0 || oi < 0 {
 				continue
 			}
-			pair := treediff.Compare([]*tree.Tree{ref, oth})
-			rootKey := ref.Root.Key
-			for key, ni := range pair.Nodes {
-				if key == rootKey || ni.Presence != 2 {
-					continue
+			pa.Cmp.EachPair(ri, oi, func(ref, oth *tree.Node, childJ, parJ float64) {
+				t := &tp
+				if ref.Party == tree.FirstParty {
+					t = &fp
 				}
-				childJ := ni.ChildSim
-				parJ := ni.ParentSim
-				if ni.Party == tree.FirstParty {
-					fpChildN++
-					if childJ == 1 {
-						fpChildPerfect++
-					}
-					if childJ == 0 {
-						fpChildNone++
-					}
-					fpParN++
-					if parJ == 1 {
-						fpParPerfect++
-					}
-					if parJ == 0 {
-						fpParNone++
-					}
-				} else {
-					tpChildN++
-					if childJ == 1 {
-						tpChildPerfect++
-					}
-					if childJ == 0 {
-						tpChildNone++
-					}
-					tpParN++
-					if parJ == 1 {
-						tpParPerfect++
-					}
-					if parJ == 0 {
-						tpParNone++
-					}
+				t.n++
+				if childJ == 1 {
+					t.childPerfect++
 				}
-				if ni.MeanDepth() >= 2 {
+				if childJ == 0 {
+					t.childNone++
+				}
+				if parJ == 1 {
+					t.parentPerfect++
+				}
+				if parJ == 0 {
+					t.parentNone++
+				}
+				if float64(ref.Depth+oth.Depth)/2 >= 2 {
 					parentSims = append(parentSims, parJ)
 				}
-				if ni.HasChildAnywhere {
+				if len(ref.Children) > 0 || len(oth.Children) > 0 {
 					childSims = append(childSims, childJ)
 				}
-			}
+			})
 		}
 		share := func(n, d int) float64 {
 			if d == 0 {
@@ -403,17 +382,21 @@ func (a *Analysis) ProfilePairTable(reference string) []ProfilePairRow {
 			}
 			return float64(n) / float64(d)
 		}
-		row.FPChildrenPerfect = share(fpChildPerfect, fpChildN)
-		row.FPChildrenNone = share(fpChildNone, fpChildN)
-		row.TPChildrenPerfect = share(tpChildPerfect, tpChildN)
-		row.TPChildrenNone = share(tpChildNone, tpChildN)
-		row.FPParentPerfect = share(fpParPerfect, fpParN)
-		row.FPParentNone = share(fpParNone, fpParN)
-		row.TPParentPerfect = share(tpParPerfect, tpParN)
-		row.TPParentNone = share(tpParNone, tpParN)
-		row.MeanParentSim = stats.Mean(parentSims)
-		row.MeanChildSim = stats.Mean(childSims)
-		rows = append(rows, row)
+		rows = append(rows, ProfilePairRow{
+			Other:             other,
+			FPChildrenPerfect: share(fp.childPerfect, fp.n),
+			FPChildrenNone:    share(fp.childNone, fp.n),
+			TPChildrenPerfect: share(tp.childPerfect, tp.n),
+			TPChildrenNone:    share(tp.childNone, tp.n),
+			FPParentPerfect:   share(fp.parentPerfect, fp.n),
+			FPParentNone:      share(fp.parentNone, fp.n),
+			TPParentPerfect:   share(tp.parentPerfect, tp.n),
+			TPParentNone:      share(tp.parentNone, tp.n),
+			// stats.Mean sorts before it sums, so the pair view's key order
+			// cannot move the means.
+			MeanParentSim: stats.Mean(parentSims),
+			MeanChildSim:  stats.Mean(childSims),
+		})
 	}
 	return rows
 }

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"sync"
+
 	"webmeasure/internal/measurement"
 	"webmeasure/internal/urlutil"
 )
@@ -45,6 +47,11 @@ func (b *Builder) EvaluateAttribution(v *measurement.Visit) (AttributionAccuracy
 	return b.ScoreAttribution(t, v, nil), nil
 }
 
+// seenPool recycles ScoreAttribution's per-visit set of keys already
+// scored. The analysis scores every vetted visit, concurrently across
+// pages, so the pool hands each call a cleared map instead of a new one.
+var seenPool = sync.Pool{New: func() any { return make(map[string]bool) }}
+
 // ScoreAttribution scores every request's reconstructed parent in t — the
 // tree b built from v — against measurement.Request.TrueParentURL. keys,
 // when non-nil, resolves node identities through a pre-interned key cache
@@ -62,7 +69,12 @@ func (b *Builder) ScoreAttribution(t *Tree, v *measurement.Visit, keys *urlutil.
 		}
 	}
 	rootKey := t.Root.Key
-	seen := map[string]bool{rootKey: true}
+	seen := seenPool.Get().(map[string]bool)
+	defer func() {
+		clear(seen)
+		seenPool.Put(seen)
+	}()
+	seen[rootKey] = true
 	for _, req := range v.Requests {
 		key, _ := lookup(req.URL)
 		if key == rootKey || req.TrueParentURL == "" {

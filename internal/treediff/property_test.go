@@ -127,6 +127,54 @@ func TestPairwisePresenceSymmetric(t *testing.T) {
 	}
 }
 
+// TestEachPairMatchesTwoTreeCompare: the pair view of a many-tree
+// comparison must visit, for every ordered pair of trees, exactly the
+// keys a two-tree Compare of that pair finds in both (its first tree's
+// root aside), with the same child and parent similarities, and nodes
+// whose depths, children and party give that Compare's mean depth,
+// child flag and party — everything Table 6 reads.
+func TestEachPairMatchesTwoTreeCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for iter := 0; iter < 150; iter++ {
+		c := Compare(randTrees(t, rng, 2+rng.Intn(4)))
+		for i, ti := range c.Trees {
+			for j, tj := range c.Trees {
+				if i == j {
+					continue
+				}
+				pair := Compare([]*tree.Tree{ti, tj})
+				rootKey := ti.Root.Key
+				want := 0
+				for key, ni := range pair.Nodes {
+					if key != rootKey && ni.Presence == 2 {
+						want++
+					}
+				}
+				got := 0
+				c.EachPair(i, j, func(a, b *tree.Node, childSim, parentSim float64) {
+					got++
+					ni := pair.Nodes[a.Key]
+					switch {
+					case a.Key == rootKey || ni == nil || ni.Presence != 2:
+						t.Fatalf("EachPair(%d,%d) visited %s, which the pair compare does not hold in both trees", i, j, a.Key)
+					case a != ti.Node(a.Key) || b != tj.Node(a.Key):
+						t.Fatalf("EachPair(%d,%d) passed foreign nodes for %s", i, j, a.Key)
+					case childSim != ni.ChildSim || parentSim != ni.ParentSim:
+						t.Fatalf("EachPair(%d,%d) %s: child %v parent %v, pair compare %v %v", i, j, a.Key, childSim, parentSim, ni.ChildSim, ni.ParentSim)
+					case float64(a.Depth+b.Depth)/2 != ni.MeanDepth(),
+						(len(a.Children) > 0 || len(b.Children) > 0) != ni.HasChildAnywhere,
+						a.Party != ni.Party:
+						t.Fatalf("EachPair(%d,%d) %s: nodes disagree with the pair compare's %+v", i, j, a.Key, ni)
+					}
+				})
+				if got != want {
+					t.Fatalf("EachPair(%d,%d) visited %d keys, pair compare holds %d in both trees", i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCompareDepthsConsistent: every recorded depth must match the
 // observed presence bookkeeping — -1 exactly where the tree lacks the
 // node, non-negative elsewhere.

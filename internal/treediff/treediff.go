@@ -259,27 +259,21 @@ func (c *Comparison) fill(id int32, ni *NodeInfo, s *fillScratch) {
 			s.chains[ti] = ""
 			continue
 		}
-		// Child set of the containing tree (horizontal): ids of the
-		// children, sorted in place inside the arena.
+		// Child set of the containing tree (horizontal), sorted in place
+		// inside the arena.
 		start := len(buf)
-		for _, ch := range n.Children {
-			buf = append(buf, c.nodeID[ch])
-		}
-		set := buf[start:len(buf):len(buf)]
-		slices.Sort(set)
-		s.childSets = append(s.childSets, set)
+		buf = c.appendChildIDs(buf, n)
+		s.childSets = append(s.childSets, buf[start:len(buf):len(buf)])
 		// Parent set (vertical): 0-or-1 keys, so an id with -1 for "empty"
 		// replaces the historical single-element map.
-		if n.Parent != nil {
-			pid := c.nodeID[n.Parent]
-			s.parentIDs[ti] = pid
+		pid := c.parentID(n)
+		s.parentIDs[ti] = pid
+		if pid >= 0 {
 			if !haveParent {
 				firstParent, haveParent = pid, true
 			} else if pid != firstParent {
 				sameParent = false
 			}
-		} else {
-			s.parentIDs[ti] = -1
 		}
 		s.chains[ti] = n.ChainKey()
 	}
@@ -331,6 +325,26 @@ func (c *Comparison) fill(id int32, ni *NodeInfo, s *fillScratch) {
 		}
 	}
 	ni.ChainEqualAll = ni.Presence == nt && distinct == 1 && nt > 0
+}
+
+// appendChildIDs appends the ids of n's children to dst and sorts the
+// appended run: n's child-key set in the comparison's id space.
+func (c *Comparison) appendChildIDs(dst []int32, n *tree.Node) []int32 {
+	start := len(dst)
+	for _, ch := range n.Children {
+		dst = append(dst, c.nodeID[ch])
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// parentID is the id of n's parent, -1 for a root: the node's 0-or-1
+// element parent set.
+func (c *Comparison) parentID(n *tree.Node) int32 {
+	if n.Parent == nil {
+		return -1
+	}
+	return c.nodeID[n.Parent]
 }
 
 // DepthFilter selects the node population for per-depth similarity
@@ -469,6 +483,46 @@ func (c *Comparison) HorizontalSimilarities() map[string]float64 {
 
 func isRootKey(c *Comparison, key string) bool {
 	return len(c.Trees) > 0 && c.Trees[0].Root != nil && c.Trees[0].Root.Key == key
+}
+
+// EachPair is the two-tree view of the comparison. For every key other
+// than tree i's root that trees i and j both hold, it calls fn with the
+// key's node in each tree, the Jaccard of their child-key sets and their
+// parent similarity: 1 when both nodes have the same parent (or neither
+// has one), else 0. These are the ChildSim and ParentSim that
+// Compare(Trees[i], Trees[j]) computes for the key, read off this
+// comparison's ids instead of a second interning. Keys arrive in id
+// order.
+func (c *Comparison) EachPair(i, j int, fn func(a, b *tree.Node, childSim, parentSim float64)) {
+	rootID := int32(-1)
+	if r := c.Trees[i].Root; r != nil {
+		rootID = c.ids[r.Key]
+	}
+	ki, kj := c.treeKeys[i], c.treeKeys[j]
+	var buf []int32
+	for x, y := 0, 0; x < len(ki) && y < len(kj); {
+		switch id := ki[x]; {
+		case id < kj[y]:
+			x++
+		case id > kj[y]:
+			y++
+		default:
+			x++
+			y++
+			if id == rootID {
+				continue
+			}
+			a, b := c.nodeByID[i][id], c.nodeByID[j][id]
+			buf = c.appendChildIDs(buf[:0], a)
+			na := len(buf)
+			buf = c.appendChildIDs(buf, b)
+			parentSim := 0.0
+			if c.parentID(a) == c.parentID(b) {
+				parentSim = 1
+			}
+			fn(a, b, stats.JaccardSorted(buf[:na], buf[na:]), parentSim)
+		}
+	}
 }
 
 // PairwisePresence reports, for two tree indices, the share of the union

@@ -9,11 +9,12 @@ import (
 
 // KeyCache is a pre-computed normalization table: raw URL → (normalized
 // node key, dense key id, stripped flag). The columnar store builds one
-// per site block from the block's interned string table, so Normalize —
-// a full URL parse — runs once per distinct string per site instead of
-// once per request per visit, and consumers that index by the int32 key
-// id (the tree builder) skip string hashing entirely. A cache is
-// immutable after construction and safe for concurrent readers.
+// per site block from the URL entries of the block's interned string
+// table, and the analysis one per page from its visits' URLs otherwise,
+// so Normalize — a full URL parse — runs once per distinct URL per site
+// or page instead of once per request per visit, and consumers that index
+// by the int32 key id (the tree builder) skip string hashing entirely. A
+// cache is immutable after construction and safe for concurrent readers.
 type KeyCache struct {
 	refs map[string]keyRef
 	keys []string
@@ -30,13 +31,12 @@ type keyRef struct {
 }
 
 // BuildKeyCache normalizes every raw string once and assigns dense ids to
-// the distinct normalized keys in first-seen order. Non-URL strings in
-// the input (profile names, header values) simply normalize to themselves
-// and cost one table entry; callers pass whatever string universe their
-// visits reference, repeats included. distinct is the caller's estimate of
-// how many distinct strings raws holds; it only sizes the tables. Each new
-// key's eTLD+1 comes from the host of the normalizing parse, resolved once
-// per distinct host.
+// the distinct normalized keys in first-seen order. Callers pass the URL
+// strings their visits reference, repeats included; a non-URL string
+// would cost a parse and a table entry that no lookup reads. distinct is
+// the caller's estimate of how many distinct strings raws holds; it only
+// sizes the tables. Each new key's eTLD+1 comes from the host of the
+// normalizing parse, resolved once per distinct host.
 func BuildKeyCache(raws []string, distinct int) *KeyCache {
 	c := &KeyCache{refs: make(map[string]keyRef, distinct)}
 	ids := make(map[string]int32, distinct)
