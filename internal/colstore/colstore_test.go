@@ -105,6 +105,23 @@ func TestBlockRoundTrip(t *testing.T) {
 	if kc := sb.KeyCache(); kc.NumKeys() == 0 {
 		t.Error("KeyCache has no keys")
 	}
+	// KeyCache builds from the strings the URL columns mark: the visits'
+	// URLs (measurement.Visit.AppendURLs) and none of the block's other
+	// strings. The empty string an absent URL references is ignored.
+	want, marked := map[string]bool{}, map[string]bool{}
+	for _, v := range sb.Visits {
+		for _, raw := range v.AppendURLs(nil) {
+			want[raw] = true
+		}
+	}
+	for i, s := range sb.Strings {
+		if sb.isURL[i] && s != "" {
+			marked[s] = true
+		}
+	}
+	if !reflect.DeepEqual(marked, want) {
+		t.Errorf("URL columns mark %v, the visits' URLs are %v", marked, want)
+	}
 }
 
 func TestBlockRoundTripEmptyFields(t *testing.T) {

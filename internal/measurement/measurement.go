@@ -242,3 +242,27 @@ func (v *Visit) EffectiveStatus() string {
 func (v *Visit) Clean() bool {
 	return v.Success && v.EffectiveStatus() != VisitDegraded
 }
+
+// AppendURLs appends the visit's URLs to dst and returns the extended
+// slice: the page URL and, per request, its URL, redirect source, frame
+// URL, call-stack frame URLs and ground-truth parent, skipping empty ones
+// and keeping repeats. These are the only fields that hold URLs, so a URL
+// table built from them resolves every URL the analysis looks up.
+func (v *Visit) AppendURLs(dst []string) []string {
+	dst = append(dst, v.PageURL)
+	for i := range v.Requests {
+		req := &v.Requests[i]
+		dst = append(dst, req.URL)
+		for _, raw := range []string{req.RedirectFrom, req.FrameURL, req.TrueParentURL} {
+			if raw != "" {
+				dst = append(dst, raw)
+			}
+		}
+		for _, fr := range req.CallStack {
+			if fr.URL != "" {
+				dst = append(dst, fr.URL)
+			}
+		}
+	}
+	return dst
+}
