@@ -93,8 +93,9 @@ type Options struct {
 	// measurement, not the page.
 	AllowDegraded bool
 	// TreeBuilder overrides the default builder (ablations on node
-	// identity and attribution signals). The Filter option is applied on
-	// top of it.
+	// identity and attribution signals). The analysis builds with a copy
+	// whose Filter is the filter list the analysis was given; the caller's
+	// builder is not modified.
 	TreeBuilder *tree.Builder
 	// AllowEmpty tolerates an analysis with zero vetted pages. The default
 	// treats that as an error (a whole-experiment analysis with nothing to
@@ -182,9 +183,9 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 		siteRank: opts.SiteRank,
 		metrics:  opts.Metrics,
 	}
-	builder := opts.TreeBuilder
-	if builder == nil {
-		builder = &tree.Builder{}
+	builder := &tree.Builder{}
+	if opts.TreeBuilder != nil {
+		*builder = *opts.TreeBuilder
 	}
 	builder.Filter = filter
 	minSuccess := opts.MinSuccessProfiles

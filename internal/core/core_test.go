@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"webmeasure/internal/dataset"
+	"webmeasure/internal/filterlist"
 	"webmeasure/internal/measurement"
 	"webmeasure/internal/stats"
 	"webmeasure/internal/tranco"
@@ -542,6 +544,75 @@ func TestPartialVettingOption(t *testing.T) {
 	for _, row := range loose.ProfileTotals() {
 		if row.Nodes == 0 {
 			t.Errorf("profile %s empty under partial vetting", row.Profile)
+		}
+	}
+}
+
+// The analysis builds with a copy of Options.TreeBuilder: the caller's
+// builder keeps its Filter through New and NewFromPartials.
+func TestTreeBuilderNotModified(t *testing.T) {
+	ds, filter, opts := shardExperiment(t, 21)
+	b := &tree.Builder{RawURLIdentity: true}
+	opts.TreeBuilder = b
+	if _, err := New(ds, filter, opts); err != nil {
+		t.Fatal(err)
+	}
+	if b.Filter != nil {
+		t.Fatal("New set the Filter of the caller's builder")
+	}
+	plan := ShardPlan{Count: 2, Seed: 3}
+	parts := splitPartials(t, ds, filter, opts, plan)
+	if _, err := NewFromPartials(ds, opts, plan, parts); err != nil {
+		t.Fatal(err)
+	}
+	if b.Filter != nil {
+		t.Fatal("New or NewFromPartials set the Filter of the caller's builder")
+	}
+	withFilter := &tree.Builder{Filter: filter}
+	opts.TreeBuilder = withFilter
+	if _, err := NewFromPartials(ds, opts, plan, parts); err != nil {
+		t.Fatal(err)
+	}
+	if withFilter.Filter != filter {
+		t.Fatal("NewFromPartials cleared the Filter of the caller's builder")
+	}
+}
+
+// Two analyses sharing one builder, one with a filter list and one
+// without, run at once and each answers as it does alone; under -race
+// this also finds a write to the shared builder.
+func TestSharedTreeBuilderConcurrent(t *testing.T) {
+	ds, filter, opts := shardExperiment(t, 21)
+	opts.TreeBuilder = &tree.Builder{RawURLIdentity: true}
+	filters := []*filterlist.List{filter, nil}
+	want := make([][]byte, len(filters))
+	for i, f := range filters {
+		a, err := New(ds, f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = exportJSON(t, a)
+	}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("the filter list changes nothing: the test cannot tell the analyses apart")
+	}
+	got := make([]*Analysis, len(filters))
+	errs := make([]error, len(filters))
+	var wg sync.WaitGroup
+	for i, f := range filters {
+		wg.Add(1)
+		go func(i int, f *filterlist.List) {
+			defer wg.Done()
+			got[i], errs[i] = New(ds, f, opts)
+		}(i, f)
+	}
+	wg.Wait()
+	for i := range filters {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(exportJSON(t, got[i]), want[i]) {
+			t.Errorf("analysis %d run beside another differs from its run alone", i)
 		}
 	}
 }

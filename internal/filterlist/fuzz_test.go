@@ -35,9 +35,11 @@ func FuzzListMatch(f *testing.F) {
 	f.Add("||t.example^\n/px^$image\n@@||t.example/ok/", "https://t.example/px.gif", "https://p.example/", uint16(TypeImage))
 	f.Add("a*b\nc^d", "https://acb.example/c/d", "", uint16(0))
 	f.Add("||cdn.example^$third-party\n/w$domain=p.example|~q.p.example", "https://cdn.example/w.js", "https://q.p.example/", uint16(TypeScript))
+	// Rules sharing tokens: each is filed under the one only it holds.
+	f.Add("||adsync-metrics.example^\n||pixtag-metrics.example^\n||omnimax-metrics.example^", "https://cdn.pixtag-metrics.example/t.js", "https://p.example/", uint16(TypeScript))
 	f.Fuzz(func(t *testing.T, text, url, pageURL string, typ uint16) {
 		if len(text) > 1<<16 {
-			return // Parse's line scanner stops at 1 MB lines; stay far below
+			return // keep each case fast: the linear scan parses the text again
 		}
 		l, rules := parseRules(text)
 		req := Request{URL: url, PageURL: pageURL, Type: RequestType(typ)}

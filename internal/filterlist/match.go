@@ -96,7 +96,11 @@ func (r *Rule) matchURL(url string) bool {
 			if (p == host || url[p-1] == '.') && r.matchAt(url, p) {
 				return true
 			}
-			if p == len(url) || strings.IndexByte("/?:#", url[p]) >= 0 {
+			if p == len(url) {
+				return false
+			}
+			switch url[p] {
+			case '/', '?', ':', '#': // the host ends
 				return false
 			}
 		}
