@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 fmt-check loc bench-harness bench bench-workers bench-service bench-throughput bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
+.PHONY: all tier1 tier2 fmt-check loc bench-harness bench bench-workers bench-throughput bench-smoke serve-smoke trace-smoke shard-smoke col-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
 
 all: tier1
 
@@ -17,7 +17,7 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: fmt-check serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke bench-harness
+tier2: fmt-check serve-smoke trace-smoke shard-smoke col-smoke drift-smoke race-service race-crawl cover bench-smoke bench-harness
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -37,20 +37,11 @@ loc:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Race-harden the serving layer specifically: the autoscaling pool
-# (grow/shrink/drain under concurrent submits and cancels), the scaler,
-# and the load harness, at full length (-short elides the long soak).
+# Race-harden the serving layer specifically: the job pool (submits and
+# cancels racing a drain), the result cache and the monitor loop, at full
+# length (-short elides the long soak).
 race-service:
-	$(GO) test -race -count=1 ./internal/service ./internal/service/scaler ./internal/loadgen
-
-# Run the golden loadgen scenario twice and require byte-identical SLO
-# reports, then drive a freshly booted autoscaling cmd/serve in live
-# mode; see scripts/loadgen_smoke.sh.
-load-smoke:
-	$(GO) build -o ./load-smoke-gen ./cmd/loadgen
-	$(GO) build -o ./load-smoke-serve ./cmd/serve
-	sh scripts/loadgen_smoke.sh ./load-smoke-gen ./load-smoke-serve
-	rm -f ./load-smoke-gen ./load-smoke-serve
+	$(GO) test -race -count=1 ./internal/service
 
 # Race-harden the site-parallel crawl pool at full length: worker
 # submit/cancel/drain, the reorder sequencer, and the scratch-state merge
@@ -76,7 +67,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardPlanPartition$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzColBlockDecode$$' -fuzztime $(FUZZTIME) ./internal/colstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecCanonical$$' -fuzztime $(FUZZTIME) ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzConfigParse$$' -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz '^FuzzBaselineDecode$$' -fuzztime $(FUZZTIME) ./internal/drift
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime $(FUZZTIME) ./internal/filterlist
 	$(GO) test -run '^$$' -fuzz '^FuzzListMatch$$' -fuzztime $(FUZZTIME) ./internal/filterlist
@@ -136,16 +126,6 @@ bench:
 # The parallel-analysis speedup trajectory (workers 1/4/8).
 bench-workers:
 	$(GO) test -run '^$$' -bench BenchmarkAnalysisWorkers -benchmem .
-
-# Service load scenarios recorded as machine-readable JSON
-# (BENCH_service.json) via the deterministic loadgen simulator — four
-# seeded sim runs (steady poisson, burst autoscale, closed loop,
-# overload), byte-reproducible across machines, shape-checked by
-# TestBenchServiceJSONWellFormed. The wall-clock throughput benchmark
-# remains available as `make bench-throughput`.
-bench-service:
-	sh scripts/bench_service.sh BENCH_service.json
-	$(GO) test -run '^TestBenchServiceJSONWellFormed$$' .
 
 # Job-server throughput (workers 1/4/8 × cache off/on), wall-clock.
 bench-throughput:

@@ -1,8 +1,9 @@
 // Command serve runs the measurement job server: a long-running HTTP
 // service that accepts experiment specs (POST /v1/jobs), executes them on
-// a bounded worker pool, deduplicates identical configurations through a
-// deterministic result cache, and exposes Prometheus metrics. See the
-// README's "Serving mode" section for a curl walkthrough.
+// a fixed pool of -workers executors behind a -queue bound (a full queue
+// answers 429 with Retry-After), deduplicates identical configurations
+// through a deterministic result cache, and exposes Prometheus metrics.
+// See the README's "Serving mode" section for a curl walkthrough.
 package main
 
 import (
@@ -38,18 +39,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr       = fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-		workers    = fs.Int("workers", 2, "concurrent job executors at start")
-		minWorkers = fs.Int("min-workers", 0, "autoscaling floor (0 = pin the pool at -workers)")
-		maxWorkers = fs.Int("max-workers", 0, "autoscaling ceiling (0 = pin the pool at -workers)")
-		scaleEvery = fs.Duration("scale-interval", 250*time.Millisecond, "autoscaler evaluation period")
-		queue      = fs.Int("queue", 16, "queued-job bound before submissions get 429")
-		cache      = fs.Int("cache", 64, "LRU result cache entries (negative disables)")
-		maxSites   = fs.Int("max-sites", 2000, "largest per-job site count accepted")
-		maxPages   = fs.Int("max-pages", 100, "largest per-job pages-per-site accepted")
-		drain      = fs.Duration("drain", time.Minute, "shutdown grace period for running jobs")
-		logLevel   = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-		logJSON    = fs.Bool("log-json", false, "emit log records as JSON instead of key=value text")
+		addr     = fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
+		workers  = fs.Int("workers", 2, "concurrent job executors")
+		queue    = fs.Int("queue", 16, "queued-job bound before submissions get 429")
+		cache    = fs.Int("cache", 64, "LRU result cache entries (negative disables)")
+		maxSites = fs.Int("max-sites", 2000, "largest per-job site count accepted")
+		maxPages = fs.Int("max-pages", 100, "largest per-job pages-per-site accepted")
+		drain    = fs.Duration("drain", time.Minute, "shutdown grace period for running jobs")
+		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+		logJSON  = fs.Bool("log-json", false, "emit log records as JSON instead of key=value text")
 
 		shardWorkers = fs.String("shard-workers", "", "comma-separated base URLs of peer servers coordinator jobs fan shard jobs out to (empty = run shards in-process)")
 		maxShards    = fs.Int("max-shards", 16, "largest per-job shard count accepted")
@@ -87,15 +85,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		}
 	}
 	cfg := service.Config{
-		Workers:       *workers,
-		MinWorkers:    *minWorkers,
-		MaxWorkers:    *maxWorkers,
-		ScaleInterval: *scaleEvery,
-		QueueDepth:    *queue,
-		CacheSize:     *cache,
-		Limits:        service.Limits{MaxSites: *maxSites, MaxPagesPerSite: *maxPages, MaxShards: *maxShards},
-		Logger:        logger,
-		ShardWorkers:  peers,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheSize:    *cache,
+		Limits:       service.Limits{MaxSites: *maxSites, MaxPagesPerSite: *maxPages, MaxShards: *maxShards},
+		Logger:       logger,
+		ShardWorkers: peers,
 	}
 	if *monitorEpochs > 0 {
 		mc := &service.MonitorConfig{
@@ -138,9 +133,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		return 1
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	st := srv.Stats()
-	fmt.Fprintf(stdout, "serving on http://%s (workers=%d..%d queue=%d cache=%d)\n",
-		ln.Addr(), st.MinWorkers, st.MaxWorkers, *queue, *cache)
+	fmt.Fprintf(stdout, "serving on http://%s (workers=%d queue=%d cache=%d)\n",
+		ln.Addr(), srv.Stats().Workers, *queue, *cache)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

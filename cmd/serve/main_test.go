@@ -111,7 +111,8 @@ func TestServeEndToEnd(t *testing.T) {
 			t.Errorf("stderr missing job lifecycle log %q:\n%s", want, stderr.String())
 		}
 	}
-	if !strings.Contains(stdout.String(), "serving on http://") {
+	if !strings.Contains(stdout.String(), "serving on http://") ||
+		!strings.Contains(stdout.String(), "(workers=2 queue=16 cache=64)") {
 		t.Errorf("stdout missing banner:\n%s", stdout.String())
 	}
 }
@@ -130,10 +131,19 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-// TestServeBadFlags exits 2 on flag errors without binding a port.
+// TestServeBadFlags exits 2 on flag errors without binding a port. The
+// pool is a fixed -workers count, so the retired autoscaling flags are
+// unknown too.
 func TestServeBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if code := run(context.Background(), []string{"-no-such-flag"}, &buf, &buf, nil); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-min-workers", "1"},
+		{"-max-workers", "4"},
+		{"-scale-interval", "1s"},
+	} {
+		var buf bytes.Buffer
+		if code := run(context.Background(), args, &buf, &buf, nil); code != 2 {
+			t.Fatalf("%v: exit = %d, want 2", args, code)
+		}
 	}
 }

@@ -83,19 +83,13 @@ func NewJar() *cookies.Jar {
 	return cookies.NewJar(func() time.Time { return simEpoch })
 }
 
-// VisitWithJar renders one page against an existing cookie jar — the
-// stateful mode Appendix C discusses as the alternative design choice. The
-// jar accumulates the visit's cookies; the visit's Cookies field snapshots
-// the jar afterwards.
-func (b *Browser) VisitWithJar(page *webgen.Page, nonce uint64, jar *cookies.Jar) *measurement.Visit {
-	return b.VisitAttempt(page, nonce, 0, jar)
-}
-
 // VisitAttempt renders one fetch attempt of a page. attempt counts from
 // zero and individualizes the Transport's fault rolls only — the page's
 // own volatile behaviour stays pinned to nonce, so a retried visit that
 // finally succeeds observes exactly what an undisturbed visit would have
-// (determinism across retry schedules and worker counts).
+// (determinism across retry schedules and worker counts). The visit's
+// cookies accumulate in jar, which a stateful crawl shares across pages,
+// and its Cookies field snapshots the jar afterwards.
 func (b *Browser) VisitAttempt(page *webgen.Page, nonce uint64, attempt int, jar *cookies.Jar) *measurement.Visit {
 	v := &measurement.Visit{
 		Site:     page.Site,

@@ -209,13 +209,13 @@ func TestStatefulJarSharedAcrossVisits(t *testing.T) {
 	jar := NewJar()
 	var v1, v2 *measurement.Visit
 	for n := uint64(0); n < 30; n++ {
-		v1 = b.VisitWithJar(site.Pages[0], n, jar)
+		v1 = b.VisitAttempt(site.Pages[0], n, 0, jar)
 		if v1.Success {
 			break
 		}
 	}
 	for n := uint64(50); n < 90; n++ {
-		v2 = b.VisitWithJar(site.Pages[1], n, jar)
+		v2 = b.VisitAttempt(site.Pages[1], n, 0, jar)
 		if v2.Success {
 			break
 		}

@@ -17,14 +17,14 @@ func TestGaugeBasics(t *testing.T) {
 	}
 
 	r := New()
-	g := r.Gauge("service.workers_current")
+	g := r.Gauge("service.results.bytes")
 	g.Set(4)
 	g.Add(-1)
 	g.Add(2)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge value = %d, want 5", got)
 	}
-	if r.Gauge("service.workers_current") != g {
+	if r.Gauge("service.results.bytes") != g {
 		t.Fatal("registry handed out a different gauge for the same name")
 	}
 	var nilReg *Registry

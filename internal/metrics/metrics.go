@@ -114,8 +114,8 @@ func (c *Counter) Value() int64 {
 }
 
 // Gauge is a settable level — a value that goes up and down, like the
-// autoscaling pool's current worker count, as opposed to a Counter's
-// monotone total. The zero value is ready to use; a nil Gauge ignores
+// artifact bytes finished jobs hold, as opposed to a Counter's monotone
+// total. The zero value is ready to use; a nil Gauge ignores
 // writes and reads as zero.
 type Gauge struct {
 	v atomic.Int64

@@ -20,15 +20,8 @@ import (
 type List struct {
 	// rules maps a rule's label sequence (joined with ".") to its kind.
 	rules map[string]ruleKind
-	// icann marks rules from the ICANN section of the list; the rest are
-	// PRIVATE-section rules (registry-operator suffixes like github.io).
-	// Measurement studies care about the distinction: a private suffix
-	// turns every customer subdomain into its own "site".
-	icann map[string]bool
 	// maxLabels bounds the lookup walk.
 	maxLabels int
-
-	currentICANN bool
 }
 
 type ruleKind uint8
@@ -44,25 +37,13 @@ const (
 // input yields a list with only the implicit "*" rule (every TLD is a public
 // suffix), matching publicsuffix.org semantics.
 func Parse(text string) (*List, error) {
-	l := &List{rules: make(map[string]ruleKind), icann: make(map[string]bool)}
-	inICANN := false
+	l := &List{rules: make(map[string]ruleKind)}
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "//") {
-			// Track the standard section markers of the canonical list.
-			switch {
-			case strings.Contains(line, "===BEGIN ICANN DOMAINS==="):
-				inICANN = true
-			case strings.Contains(line, "===END ICANN DOMAINS==="):
-				inICANN = false
-			}
+		if line == "" || strings.HasPrefix(line, "//") {
 			continue
 		}
-		if line == "" {
-			continue
-		}
-		l.currentICANN = inICANN
 		// The canonical list terminates rules at whitespace.
 		if i := strings.IndexAny(line, " \t"); i >= 0 {
 			line = line[:i]
@@ -76,9 +57,6 @@ func Parse(text string) (*List, error) {
 	}
 	return l, nil
 }
-
-// currentICANN is consulted by addRule during Parse; it is not part of the
-// list's immutable state after parsing.
 
 // MustParse is Parse, panicking on error. It is intended for embedded data.
 func MustParse(text string) *List {
@@ -123,33 +101,7 @@ func (l *List) addRule(rule string) error {
 		l.maxLabels = n
 	}
 	l.rules[rule] = kind
-	if l.currentICANN {
-		l.icann[rule] = true
-	}
 	return nil
-}
-
-// IsICANN reports whether the domain's public suffix comes from the ICANN
-// section of the list. Suffixes outside any marked section (including the
-// implicit "*" rule) report false.
-func (l *List) IsICANN(domain string) bool {
-	suffix := l.PublicSuffix(domain)
-	if suffix == "" {
-		return false
-	}
-	if _, exact := l.rules[suffix]; exact {
-		return l.icann[suffix]
-	}
-	// The suffix came from a wildcard extension ("foo.ck" via "*.ck",
-	// stored under "ck") or the implicit "*" rule; inherit the parent
-	// rule's section, if one exists.
-	if i := strings.IndexByte(suffix, '.'); i >= 0 {
-		parent := suffix[i+1:]
-		if l.rules[parent] == ruleWildcard {
-			return l.icann[parent]
-		}
-	}
-	return false
 }
 
 // Len reports the number of rules in the list.
@@ -214,10 +166,4 @@ func (l *List) RegistrableDomain(domain string) string {
 		return ""
 	}
 	return rest + "." + suffix
-}
-
-// IsPublicSuffix reports whether domain exactly equals a public suffix.
-func (l *List) IsPublicSuffix(domain string) bool {
-	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
-	return domain != "" && l.PublicSuffix(domain) == domain
 }

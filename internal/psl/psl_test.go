@@ -85,20 +85,6 @@ func TestRegistrableDomain(t *testing.T) {
 	}
 }
 
-func TestIsPublicSuffix(t *testing.T) {
-	l := Default()
-	for _, s := range []string{"com", "co.uk", "github.io", "example", "zz"} {
-		if !l.IsPublicSuffix(s) {
-			t.Errorf("IsPublicSuffix(%q) = false, want true", s)
-		}
-	}
-	for _, s := range []string{"example.com", "www.co.uk", ""} {
-		if l.IsPublicSuffix(s) {
-			t.Errorf("IsPublicSuffix(%q) = true, want false", s)
-		}
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		".com",
@@ -183,24 +169,5 @@ func BenchmarkRegistrableDomain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = l.RegistrableDomain("static.cdn.site-0042.example")
-	}
-}
-
-func TestICANNSections(t *testing.T) {
-	l := Default()
-	for _, d := range []string{"example.com", "x.example.co.uk", "foo.ck", "www.kawasaki.jp"} {
-		if !l.IsICANN(d) {
-			t.Errorf("IsICANN(%q) = false, want true", d)
-		}
-	}
-	for _, d := range []string{"user.github.io", "bucket.s3.amazonaws.com", "shop.example", "unknown.zz"} {
-		if l.IsICANN(d) {
-			t.Errorf("IsICANN(%q) = true, want false", d)
-		}
-	}
-	// A list without section markers reports false everywhere.
-	plain := MustParse("com\nio")
-	if plain.IsICANN("example.com") {
-		t.Error("unmarked lists must not claim ICANN status")
 	}
 }

@@ -20,7 +20,6 @@ func (s *Server) handleDebugIndex(w http.ResponseWriter, _ *http.Request) {
 	entries := []entry{
 		{"/debug/pprof/", "live profiling (go tool pprof)"},
 		{"/debug/traces", "recent traced jobs, newest first"},
-		{"/debug/scale", "autoscaler events and pool state"},
 		{"/debug/drift", "longitudinal drift monitor status"},
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

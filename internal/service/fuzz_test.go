@@ -68,23 +68,24 @@ func FuzzSpecCanonical(f *testing.F) {
 		}
 		specB.Workers = specA.Workers + 7
 
-		normA, keyA, errA := specA.Canonical(limits)
-		normB, keyB, errB := specB.Canonical(limits)
+		normA, errA := specA.normalize(limits)
+		normB, errB := specB.normalize(limits)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("validity disagrees across spellings: errA=%v errB=%v", errA, errB)
 		}
 		if errA != nil {
 			return
 		}
+		keyA, keyB := normA.cacheKey(), normB.cacheKey()
 		if keyA != keyB {
 			t.Fatalf("cache key differs across spellings of one experiment:\nA: %s\nB: %s", keyA, keyB)
 		}
 		// Idempotence: canonicalizing a canonical spec is the identity.
-		norm2, key2, err := normA.Canonical(limits)
+		norm2, err := normA.normalize(limits)
 		if err != nil {
 			t.Fatalf("re-canonicalizing a valid spec failed: %v", err)
 		}
-		if key2 != keyA {
+		if key2 := norm2.cacheKey(); key2 != keyA {
 			t.Fatalf("canonicalization not idempotent:\nfirst:  %s\nsecond: %s", keyA, key2)
 		}
 		if len(norm2.Profiles) != len(normB.Profiles) {

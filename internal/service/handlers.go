@@ -37,7 +37,6 @@ const datasetFlushEvery = 256
 //	GET    /debug/pprof/             live profiling (go tool pprof)
 //	GET    /debug/traces             recent traced jobs, newest first
 //	GET    /debug/traces/{id}        trace.json by job ID (chrome://tracing)
-//	GET    /debug/scale              recent autoscaling events + pool state
 //	GET    /debug/drift              drift-monitor status, last delta, alerts
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -76,10 +75,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// "GET /debug/{$}" matches exactly /debug/ — Go 1.22 precedence keeps
-	// the more specific pprof/traces/scale/drift routes intact.
+	// the more specific pprof/traces/drift routes intact.
 	mux.HandleFunc("GET /debug/{$}", s.handleDebugIndex)
 	mux.HandleFunc("GET /debug/traces", s.handleTraceList)
-	mux.HandleFunc("GET /debug/scale", s.handleScale)
 	mux.HandleFunc("GET /debug/drift", s.handleDrift)
 	mux.HandleFunc("GET /debug/traces/{id}", s.traceArtifact(func(r *result) ([]byte, string) {
 		return r.traceChrome, "application/json"
@@ -116,8 +114,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		// Tell the client when a slot should open, from the pool's current
-		// drain rate (recent mean job duration over busy workers).
+		// Tell the client when a slot should open, from the pool's drain
+		// rate (recent mean job duration over the workers).
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, err.Error())
 		return
@@ -298,22 +296,6 @@ func (s *Server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
 	copy(entries, s.traces)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"traces": entries})
-}
-
-// handleScale serves the autoscaler's recent applied events (oldest
-// first) plus the pool's current state — the live counterpart of the
-// loadgen SLO report's scale-event section.
-func (s *Server) handleScale(w http.ResponseWriter, _ *http.Request) {
-	events, total := s.pool.snapshotEvents()
-	st := s.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"workers_current": st.Workers,
-		"min_workers":     st.MinWorkers,
-		"max_workers":     st.MaxWorkers,
-		"busy_workers":    st.BusyWorkers,
-		"events_total":    total,
-		"events":          events,
-	})
 }
 
 // handleHealthz answers liveness with the build identity, process

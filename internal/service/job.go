@@ -197,20 +197,6 @@ func (s JobSpec) cacheKey() string {
 	return string(b)
 }
 
-// Canonical normalizes the spec against limits and returns the
-// normalized copy with its cache key. This is the exported face of the
-// service's spec identity — the loadgen harness uses it so its cache-hit
-// modeling agrees byte-for-byte with the server's, and the fuzz suite
-// pins that the key is invariant under field reordering and spelling
-// variants of the same experiment.
-func (s JobSpec) Canonical(limits Limits) (JobSpec, string, error) {
-	norm, err := s.normalize(limits)
-	if err != nil {
-		return JobSpec{}, "", err
-	}
-	return norm, norm.cacheKey(), nil
-}
-
 // config maps the spec onto the facade config, attaching the server's
 // shared metrics registry.
 func (s JobSpec) config(reg *metrics.Registry) webmeasure.Config {

@@ -157,7 +157,7 @@ func pinnedFile(dir string, e int) string {
 }
 
 // monitorLoop is the recurring-measurement goroutine. It stops early
-// when Shutdown closes scaleStop or cancels the base context.
+// when Shutdown closes stopping or cancels the base context.
 func (s *Server) monitorLoop() {
 	defer s.wg.Done()
 	defer close(s.monitorDone)
@@ -194,7 +194,7 @@ func (s *Server) monitorLoop() {
 	for i := 0; i < m.cfg.Epochs; i++ {
 		epoch := m.cfg.StartEpoch + i
 		select {
-		case <-s.scaleStop:
+		case <-s.stopping:
 			return
 		case <-s.baseCtx.Done():
 			return
@@ -202,7 +202,7 @@ func (s *Server) monitorLoop() {
 		}
 		if i > 0 && m.cfg.Interval > 0 {
 			select {
-			case <-s.scaleStop:
+			case <-s.stopping:
 				return
 			case <-s.baseCtx.Done():
 				return

@@ -264,7 +264,7 @@ func TestMonitorEndpoints(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/debug/ status %d", resp.StatusCode)
 	}
-	for _, want := range []string{"/debug/pprof/", "/debug/traces", "/debug/scale", "/debug/drift"} {
+	for _, want := range []string{"/debug/pprof/", "/debug/traces", "/debug/drift"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/debug/ index lacks %s:\n%s", want, body)
 		}

@@ -1,9 +1,9 @@
 // Package service turns the one-shot measurement pipeline into
 // measurement-as-a-service: a long-running job server that accepts
-// experiment specs over HTTP, runs them on a bounded worker pool (each
-// job is a full crawl + analysis through the webmeasure facade), caches
-// results in an LRU keyed by the canonicalized spec, and serves the
-// rendered artifacts back. It is the serving layer the ROADMAP's
+// experiment specs over HTTP, runs them on a fixed pool of Config.Workers
+// goroutines (each job is a full crawl + analysis through the webmeasure
+// facade), caches results in an LRU keyed by the canonicalized spec, and
+// serves the rendered artifacts back. It is the serving layer the ROADMAP's
 // production system needs — the paper's pipeline is rerun continuously
 // with varying configurations (multi-vantage-point and longitudinal
 // studies), exactly the workload a queue with a deterministic result
@@ -12,8 +12,9 @@
 // Lifecycle: POST /v1/jobs enqueues (or answers straight from cache),
 // workers drain the queue, GET /v1/jobs/{id} polls, the artifact routes
 // download results, DELETE cancels via per-job context. A full queue
-// pushes back with 429 + Retry-After instead of buffering unboundedly,
-// and Shutdown stops intake and drains accepted jobs before returning.
+// pushes back with 429 + Retry-After (from the recent mean job duration
+// over the workers) instead of buffering unboundedly, and Shutdown stops
+// intake and drains accepted jobs before returning.
 package service
 
 import (
@@ -21,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -28,7 +30,6 @@ import (
 	"webmeasure/internal/core"
 	"webmeasure/internal/drift"
 	"webmeasure/internal/metrics"
-	"webmeasure/internal/service/scaler"
 	"webmeasure/internal/trace"
 )
 
@@ -74,20 +75,6 @@ type Config struct {
 	// ShardPoll is the coordinator's polling interval while a remote shard
 	// job runs (default 150ms).
 	ShardPoll time.Duration
-	// MinWorkers and MaxWorkers bound the autoscaling worker pool. Both
-	// default to Workers — a fixed pool, autoscaling off. With MaxWorkers >
-	// MinWorkers a supervisor re-evaluates the pool every ScaleInterval.
-	MinWorkers int
-	MaxWorkers int
-	// ScaleInterval is the wall-clock supervisor's evaluation period
-	// (default 250ms). Negative disables the supervisor so tests and the
-	// loadgen harness can drive evaluateScale on their own clock.
-	ScaleInterval time.Duration
-	// Scaler tunes the scaling policy. Zero fields take the scaler
-	// defaults; its bounds are overwritten from MinWorkers/MaxWorkers.
-	Scaler scaler.Config
-	// Tracer, if non-nil, records one span per applied scale event.
-	Tracer *trace.Tracer
 	// Monitor, if non-nil, starts the longitudinal drift monitor: a
 	// background loop that reruns Monitor.Spec for a sequence of epochs,
 	// persists per-epoch baselines to Monitor.StateDir, diffs adjacent
@@ -126,33 +113,15 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = trace.DiscardLogger()
 	}
-	if c.MinWorkers <= 0 {
-		c.MinWorkers = c.Workers
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = c.Workers
-	}
-	if c.MaxWorkers < c.MinWorkers {
-		c.MaxWorkers = c.MinWorkers
-	}
-	// The initial pool must sit inside the bounds.
-	if c.Workers < c.MinWorkers {
-		c.Workers = c.MinWorkers
-	}
-	if c.Workers > c.MaxWorkers {
-		c.Workers = c.MaxWorkers
-	}
-	if c.ScaleInterval == 0 {
-		c.ScaleInterval = 250 * time.Millisecond
-	}
-	c.Scaler.MinWorkers = c.MinWorkers
-	c.Scaler.MaxWorkers = c.MaxWorkers
-	c.Scaler = c.Scaler.WithDefaults()
 	return c
 }
 
 // traceRingSize bounds the /debug/traces recent-traces listing.
 const traceRingSize = 32
+
+// jobWindow is how many recent job durations the 429 Retry-After
+// estimate averages: a few seconds of history under load.
+const jobWindow = 128
 
 // traceEntry is one row of the /debug/traces listing: a finished job
 // that ran with tracing on.
@@ -182,15 +151,16 @@ type Server struct {
 	// traces is the recent-traces ring for /debug/traces: the last
 	// traceRingSize finished jobs that ran with tracing on, newest first.
 	traces []traceEntry
+	// jobMS is a ring of the last jobWindow job durations in
+	// milliseconds; jobsTimed counts every duration ever recorded.
+	jobMS     [jobWindow]float64
+	jobsTimed int
 
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
 	wg        sync.WaitGroup
-
-	// pool is the autoscaling worker pool state; scaleStop ends its
-	// wall-clock supervisor at shutdown.
-	pool      *pool
-	scaleStop chan struct{}
+	// stopping closes when Shutdown begins; the monitor loop ends on it.
+	stopping chan struct{}
 
 	// shard is the coordinator's HTTP client for remote shard workers
 	// (nil when Config.ShardWorkers is empty).
@@ -227,6 +197,7 @@ func New(cfg Config) *Server {
 		queue:     make(chan *Job, cfg.QueueDepth),
 		baseCtx:   ctx,
 		cancelAll: cancel,
+		stopping:  make(chan struct{}),
 		started:   time.Now(),
 
 		mSubmitted:      cfg.Metrics.Counter("service.jobs.submitted"),
@@ -246,15 +217,9 @@ func New(cfg Config) *Server {
 	if len(cfg.ShardWorkers) > 0 {
 		s.shard = newShardClient(cfg.ShardWorkers, cfg.ShardAttempts, cfg.ShardPoll, cfg.Logger, s.mShardRetries)
 	}
-	s.pool = newPool(s, cfg)
-	s.scaleStop = make(chan struct{})
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if cfg.MaxWorkers > cfg.MinWorkers && cfg.ScaleInterval > 0 {
-		s.wg.Add(1)
-		go s.scaleLoop()
 	}
 	if cfg.Monitor != nil {
 		mc := cfg.Monitor.withDefaults()
@@ -381,37 +346,24 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	return j, true
 }
 
-// Stats is a point-in-time view of the server for /healthz. Workers is
-// the autoscaling pool's current size, inside [MinWorkers, MaxWorkers].
+// Stats is a point-in-time view of the server for /healthz.
 type Stats struct {
-	Queued      int `json:"queued"`
-	Running     int `json:"running"`
-	Finished    int `json:"finished"`
-	CacheSize   int `json:"cache_size"`
-	Workers     int `json:"workers"`
-	QueueCap    int `json:"queue_capacity"`
-	MinWorkers  int `json:"min_workers"`
-	MaxWorkers  int `json:"max_workers"`
-	BusyWorkers int `json:"busy_workers"`
-	ScaleEvents int `json:"scale_events"`
+	Queued    int `json:"queued"`
+	Running   int `json:"running"`
+	Finished  int `json:"finished"`
+	CacheSize int `json:"cache_size"`
+	Workers   int `json:"workers"`
+	QueueCap  int `json:"queue_capacity"`
 }
 
 // Stats summarizes the server state.
 func (s *Server) Stats() Stats {
-	p := s.pool
-	p.mu.Lock()
-	cur, busy, scaled := p.cur, p.busy, p.eventsTotal
-	p.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		CacheSize:   s.cache.len(),
-		Workers:     cur,
-		QueueCap:    s.cfg.QueueDepth,
-		MinWorkers:  s.cfg.MinWorkers,
-		MaxWorkers:  s.cfg.MaxWorkers,
-		BusyWorkers: busy,
-		ScaleEvents: scaled,
+		CacheSize: s.cache.len(),
+		Workers:   s.cfg.Workers,
+		QueueCap:  s.cfg.QueueDepth,
 	}
 	for _, j := range s.jobs {
 		switch j.state {
@@ -426,30 +378,11 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// worker drains the queue until Shutdown closes it or a scale-down hands
-// it a quit token. Tokens are only consumed between jobs, so a shrink
-// never interrupts a running measurement.
+// worker runs queued jobs until Shutdown closes the queue.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.pool.quit:
-			s.pool.quitConsumed()
-			return
-		default:
-		}
-		select {
-		case <-s.pool.quit:
-			s.pool.quitConsumed()
-			return
-		case job, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			s.pool.jobStarted()
-			s.runJob(job)
-			s.pool.jobFinished()
-		}
+	for job := range s.queue {
+		s.runJob(job)
 	}
 }
 
@@ -484,56 +417,74 @@ func (s *Server) runJob(job *Job) {
 	waitMS := float64(job.started.Sub(job.submitted)) / float64(time.Millisecond)
 	s.mQueueMS.Observe(waitMS)
 	s.mu.Unlock()
-	s.pool.observeWait(waitMS)
 	defer cancel()
 
 	s.log.Info("job started", "job", job.ID, "queue_wait_ms", waitMS)
 	res, err := s.execute(ctx, job.Spec)
 
-	var durMS float64
-	func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		job.finished = time.Now()
-		job.cancel = nil
-		durMS = float64(job.finished.Sub(job.started)) / float64(time.Millisecond)
-		s.mJobMS.Observe(durMS)
-		switch {
-		case err == nil:
-			job.state = StateDone
-			job.res = res
-			s.cache.put(job.key, res)
-			s.mCompleted.Inc()
-			s.mResultBytes.Add(res.size())
-			if res.traceChrome != nil {
-				s.traces = append([]traceEntry{{
-					JobID:       job.ID,
-					TraceCount:  res.traceCount,
-					SpanCount:   res.spanCount,
-					SampleEvery: job.Spec.TraceSample,
-					FinishedAt:  job.finished,
-					URL:         "/v1/jobs/" + job.ID + "/trace.json",
-				}}, s.traces...)
-				if len(s.traces) > traceRingSize {
-					s.traces = s.traces[:traceRingSize]
-				}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job.finished = time.Now()
+	job.cancel = nil
+	durMS := float64(job.finished.Sub(job.started)) / float64(time.Millisecond)
+	s.mJobMS.Observe(durMS)
+	s.jobMS[s.jobsTimed%jobWindow] = durMS
+	s.jobsTimed++
+	switch {
+	case err == nil:
+		job.state = StateDone
+		job.res = res
+		s.cache.put(job.key, res)
+		s.mCompleted.Inc()
+		s.mResultBytes.Add(res.size())
+		if res.traceChrome != nil {
+			s.traces = append([]traceEntry{{
+				JobID:       job.ID,
+				TraceCount:  res.traceCount,
+				SpanCount:   res.spanCount,
+				SampleEvery: job.Spec.TraceSample,
+				FinishedAt:  job.finished,
+				URL:         "/v1/jobs/" + job.ID + "/trace.json",
+			}}, s.traces...)
+			if len(s.traces) > traceRingSize {
+				s.traces = s.traces[:traceRingSize]
 			}
-			s.log.Info("job done", "job", job.ID, "duration_ms", durMS,
-				"visits", res.summary.Visits, "trace_spans", res.spanCount)
-		case ctx.Err() != nil:
-			job.state = StateCanceled
-			job.err = ctx.Err().Error()
-			s.mCanceled.Inc()
-			s.log.Warn("job canceled", "job", job.ID, "duration_ms", durMS)
-		default:
-			job.state = StateFailed
-			job.err = err.Error()
-			s.mFailed.Inc()
-			s.log.Error("job failed", "job", job.ID, "duration_ms", durMS, "error", err.Error())
 		}
-		close(job.done)
-	}()
-	s.pool.observeJob(durMS)
+		s.log.Info("job done", "job", job.ID, "duration_ms", durMS,
+			"visits", res.summary.Visits, "trace_spans", res.spanCount)
+	case ctx.Err() != nil:
+		job.state = StateCanceled
+		job.err = ctx.Err().Error()
+		s.mCanceled.Inc()
+		s.log.Warn("job canceled", "job", job.ID, "duration_ms", durMS)
+	default:
+		job.state = StateFailed
+		job.err = err.Error()
+		s.mFailed.Inc()
+		s.log.Error("job failed", "job", job.ID, "duration_ms", durMS, "error", err.Error())
+	}
+	close(job.done)
+}
+
+// retryAfterSeconds estimates when the full queue will have room again,
+// from the drain rate: the mean of the recent job durations over
+// Config.Workers, rounded up to whole seconds and clamped to [1s, 60s];
+// with no finished job yet there is no rate, so 1s. It is asked only when
+// the queue is full, and then every worker is busy, since an idle worker
+// takes the next queued job at once.
+func (s *Server) retryAfterSeconds() int {
+	s.mu.Lock()
+	n := min(s.jobsTimed, jobWindow)
+	var sum float64
+	for _, ms := range s.jobMS[:n] {
+		sum += ms
+	}
+	s.mu.Unlock()
+	if n == 0 {
+		return 1
+	}
+	secs := int(math.Ceil(sum / float64(n) / float64(s.cfg.Workers) / 1000))
+	return max(1, min(secs, 60))
 }
 
 // execute runs the measurement and renders every artifact to bytes. When
@@ -780,13 +731,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	if !already {
 		s.log.Info("server draining")
-		// Freeze the pool before the queue closes: once it is, a scale
-		// evaluation can neither spawn workers (racing wg.Wait below) nor
-		// hand out quit tokens the drain no longer needs.
-		s.pool.mu.Lock()
-		s.pool.closed = true
-		s.pool.mu.Unlock()
-		close(s.scaleStop)
+		close(s.stopping)
 		close(s.queue)
 	}
 

@@ -389,6 +389,41 @@ func TestQueueBackpressure(t *testing.T) {
 	close(release)
 }
 
+// TestRetryAfterDrainEstimate pins the 429 Retry-After arithmetic: the
+// next slot opens in about meanJobMS/Workers, rounded up to whole
+// seconds and clamped to [1, 60].
+func TestRetryAfterDrainEstimate(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	observe := func(ms float64) {
+		s.mu.Lock()
+		s.jobMS[s.jobsTimed%jobWindow] = ms
+		s.jobsTimed++
+		s.mu.Unlock()
+	}
+
+	// No finished jobs yet: no drain rate to derive, so the floor.
+	if got := s.retryAfterSeconds(); got != 1 {
+		t.Fatalf("retry-after with no history = %d, want 1", got)
+	}
+
+	// Mean 3000ms over 2 workers: ceil(3000/2/1000) = 2.
+	observe(2000)
+	observe(4000)
+	if got := s.retryAfterSeconds(); got != 2 {
+		t.Fatalf("retry-after = %d, want 2", got)
+	}
+
+	// Huge jobs clamp at the 60s ceiling rather than telling clients to
+	// come back in an hour.
+	for i := 0; i < jobWindow; i++ {
+		observe(10 * 60 * 1000)
+	}
+	if got := s.retryAfterSeconds(); got != 60 {
+		t.Fatalf("retry-after = %d, want clamped 60", got)
+	}
+}
+
 // waitRunning blocks on the job's Started channel until a worker picks it
 // up, then asserts it is actually running (the blocking runner guarantees
 // it cannot have finished).

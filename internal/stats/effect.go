@@ -1,51 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// SpearmanRho computes Spearman's rank correlation coefficient between two
-// paired samples, with average ranks for ties, plus the two-sided p-value
-// from the t-distribution approximation (normal for the sample sizes the
-// analyses produce). Used to correlate per-node child counts with child
-// similarity (§4.1's relationship, expressed as a coefficient).
-func SpearmanRho(x, y []float64) (rho, p float64, err error) {
-	if len(x) != len(y) {
-		return 0, 0, errors.New("stats: paired samples must have equal length")
-	}
-	n := len(x)
-	if n < 5 {
-		return 0, 0, ErrInsufficientData
-	}
-	rx, _ := rankData(x)
-	ry, _ := rankData(y)
-	// Pearson correlation of the ranks.
-	var sx, sy float64
-	for i := 0; i < n; i++ {
-		sx += rx[i]
-		sy += ry[i]
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var cov, vx, vy float64
-	for i := 0; i < n; i++ {
-		dx, dy := rx[i]-mx, ry[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
-	}
-	if vx == 0 || vy == 0 {
-		return 0, 0, ErrInsufficientData
-	}
-	rho = cov / math.Sqrt(vx*vy)
-	// Normal approximation: z = rho * sqrt(n-1).
-	z := rho * math.Sqrt(float64(n-1))
-	p = 2 * normalSF(math.Abs(z))
-	if p > 1 {
-		p = 1
-	}
-	return rho, p, nil
-}
+import "math"
 
 // CliffsDelta computes Cliff's δ, a non-parametric effect size for two
 // independent samples: the probability a value from a exceeds one from b,

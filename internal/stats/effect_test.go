@@ -1,91 +1,9 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestSpearmanPerfectMonotone(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	y := []float64{2, 4, 9, 16, 30, 40, 60, 90} // monotone, non-linear
-	rho, p, err := SpearmanRho(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rho, 1, 1e-12) {
-		t.Errorf("rho = %v, want 1", rho)
-	}
-	if p > 0.05 {
-		t.Errorf("p = %v for perfect correlation", p)
-	}
-	// Perfect anti-correlation.
-	rev := make([]float64, len(y))
-	for i := range y {
-		rev[i] = -y[i]
-	}
-	rho, _, err = SpearmanRho(x, rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rho, -1, 1e-12) {
-		t.Errorf("rho = %v, want -1", rho)
-	}
-}
-
-func TestSpearmanKnownValue(t *testing.T) {
-	// Classic example: ranks with one inversion.
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 2, 3, 5, 4}
-	rho, _, err := SpearmanRho(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// d² = (0,0,0,1,1) → rho = 1 - 6*2/(5*24) = 0.9.
-	if !almostEqual(rho, 0.9, 1e-12) {
-		t.Errorf("rho = %v, want 0.9", rho)
-	}
-}
-
-func TestSpearmanErrors(t *testing.T) {
-	if _, _, err := SpearmanRho([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, _, err := SpearmanRho([]float64{1, 2}, []float64{1, 2}); err == nil {
-		t.Error("too few points should error")
-	}
-	if _, _, err := SpearmanRho([]float64{1, 1, 1, 1, 1}, []float64{1, 2, 3, 4, 5}); err == nil {
-		t.Error("constant sample should error")
-	}
-}
-
-// Property: rho is symmetric and bounded.
-func TestSpearmanProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 10 {
-			return true
-		}
-		x := make([]float64, 0, len(raw)/2)
-		y := make([]float64, 0, len(raw)/2)
-		for i := 0; i+1 < len(raw); i += 2 {
-			a, b := raw[i], raw[i+1]
-			if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
-				return true
-			}
-			x = append(x, a)
-			y = append(y, b)
-		}
-		r1, _, err1 := SpearmanRho(x, y)
-		r2, _, err2 := SpearmanRho(y, x)
-		if err1 != nil || err2 != nil {
-			return true
-		}
-		return almostEqual(r1, r2, 1e-9) && r1 >= -1-1e-9 && r1 <= 1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestCliffsDelta(t *testing.T) {
 	// Complete separation: δ = 1.

@@ -8,39 +8,6 @@ import (
 	"strings"
 )
 
-// spanHandler decorates an slog.Handler so every record logged with a
-// context carrying a current span also carries trace_id/span_id — the
-// glue that lets `grep trace_id=<id>` pull one page's full story out of
-// an interleaved five-profile crawl log.
-type spanHandler struct {
-	inner slog.Handler
-}
-
-// WrapHandler adds trace/span ID enrichment to any slog handler.
-func WrapHandler(h slog.Handler) slog.Handler { return &spanHandler{inner: h} }
-
-func (h *spanHandler) Enabled(ctx context.Context, level slog.Level) bool {
-	return h.inner.Enabled(ctx, level)
-}
-
-func (h *spanHandler) Handle(ctx context.Context, rec slog.Record) error {
-	if s := SpanFrom(ctx); s != nil {
-		rec.AddAttrs(
-			slog.String("trace_id", s.TraceID().String()),
-			slog.String("span_id", s.ID.String()),
-		)
-	}
-	return h.inner.Handle(ctx, rec)
-}
-
-func (h *spanHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &spanHandler{inner: h.inner.WithAttrs(attrs)}
-}
-
-func (h *spanHandler) WithGroup(name string) slog.Handler {
-	return &spanHandler{inner: h.inner.WithGroup(name)}
-}
-
 // ParseLevel maps a -log-level flag value to a slog.Level.
 func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
@@ -57,10 +24,8 @@ func ParseLevel(s string) (slog.Level, error) {
 }
 
 // NewLogger builds the pipeline's structured logger: text or JSON
-// records at the given level, each enriched with trace_id/span_id when
-// the logging context carries a span. Timestamps are suppressed so log
-// output stays diffable across runs (the pipeline's clock is simulated
-// anyway).
+// records at the given level. Timestamps are suppressed so log output
+// stays diffable across runs (the pipeline's clock is simulated anyway).
 func NewLogger(w io.Writer, level string, jsonFormat bool) (*slog.Logger, error) {
 	lvl, err := ParseLevel(level)
 	if err != nil {
@@ -75,13 +40,10 @@ func NewLogger(w io.Writer, level string, jsonFormat bool) (*slog.Logger, error)
 			return a
 		},
 	}
-	var h slog.Handler
 	if jsonFormat {
-		h = slog.NewJSONHandler(w, opts)
-	} else {
-		h = slog.NewTextHandler(w, opts)
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
-	return slog.New(WrapHandler(h)), nil
+	return slog.New(slog.NewTextHandler(w, opts)), nil
 }
 
 // discardHandler drops everything (kept local; slog.DiscardHandler needs

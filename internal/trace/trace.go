@@ -295,14 +295,6 @@ func (s *Span) Trace() *Trace {
 	return s.trace
 }
 
-// TraceID returns the owning trace's ID (0 for a nil span).
-func (s *Span) TraceID() TraceID {
-	if s == nil || s.trace == nil {
-		return 0
-	}
-	return s.trace.ID
-}
-
 // SetAttr annotates the span; returns the span for chaining.
 func (s *Span) SetAttr(key, value string) *Span {
 	if s == nil {
@@ -318,8 +310,7 @@ func (s *Span) SetAttrInt(key string, value int) *Span {
 }
 
 // SetAttrFloat annotates the span with a float value rendered shortest-
-// exact, so attribute bytes stay deterministic across platforms (the
-// scaler's p95 inputs ride on spans this way).
+// exact, so attribute bytes stay deterministic across platforms.
 func (s *Span) SetAttrFloat(key string, value float64) *Span {
 	return s.SetAttr(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
@@ -371,16 +362,12 @@ func (s *Span) attr(key string) string {
 	return ""
 }
 
-// Context propagation: the tracer rides the context from the cmds through
-// the facade into the crawler and analysis; the current span rides it
-// into nested stages so children attach to the right parent.
+// The tracer rides the context from the cmds through the facade into the
+// crawler and analysis.
 
 type ctxKey int
 
-const (
-	tracerKey ctxKey = iota
-	spanKey
-)
+const tracerKey ctxKey = 0
 
 // NewContext returns a context carrying the tracer.
 func NewContext(ctx context.Context, t *Tracer) context.Context {
@@ -397,33 +384,4 @@ func TracerFrom(ctx context.Context) *Tracer {
 	}
 	t, _ := ctx.Value(tracerKey).(*Tracer)
 	return t
-}
-
-// ContextWithSpan returns a context carrying the span as the current one.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey, s)
-}
-
-// SpanFrom extracts the context's current span (nil when absent).
-func SpanFrom(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(spanKey).(*Span)
-	return s
-}
-
-// StartSpan starts a child of the context's current span and returns a
-// context carrying the child. With no current span (tracing off or the
-// trace sampled out) it returns the context unchanged and a nil span.
-func StartSpan(ctx context.Context, name, key string, startUS int64) (context.Context, *Span) {
-	parent := SpanFrom(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	s := parent.trace.Span(parent, name, key, startUS)
-	return ContextWithSpan(ctx, s), s
 }

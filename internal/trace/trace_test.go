@@ -104,7 +104,7 @@ func TestNilSafety(t *testing.T) {
 	s.SetAttr("a", "b").SetAttrInt("c", 1)
 	s.AddEvent("e", 0)
 	s.End(10)
-	if s.DurUS() != 0 || s.TraceID() != 0 || s.Trace() != nil {
+	if s.DurUS() != 0 || s.Trace() != nil {
 		t.Fatal("nil span misbehaves")
 	}
 	if err := tc.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -311,48 +311,29 @@ func TestSpanEndMetrics(t *testing.T) {
 	}
 }
 
-// TestContextPropagation: the tracer and current span ride the context;
-// StartSpan attaches children to the context's span.
+// TestContextPropagation: the tracer rides the context.
 func TestContextPropagation(t *testing.T) {
 	tc := New(Options{Seed: 9})
 	ctx := NewContext(context.Background(), tc)
 	if TracerFrom(ctx) != tc {
 		t.Fatal("tracer lost in context")
 	}
-	tr := tc.Trace("page", "k")
-	root := tr.Span(nil, "crawl.visit", "Old", 0)
-	ctx = ContextWithSpan(ctx, root)
-	ctx2, child := StartSpan(ctx, "crawl.fetch", "Old#1", 5)
-	if child == nil || child.Parent != root.ID {
-		t.Fatalf("StartSpan child = %+v", child)
-	}
-	if SpanFrom(ctx2) != child || SpanFrom(ctx) != root {
-		t.Fatal("context span linkage wrong")
-	}
-	// With no current span, StartSpan is a no-op.
-	if _, s := StartSpan(context.Background(), "x", "", 0); s != nil {
-		t.Fatal("StartSpan without a parent created a span")
-	}
-	if TracerFrom(nil) != nil || SpanFrom(nil) != nil {
-		t.Fatal("nil context lookups must return nil")
+	if TracerFrom(nil) != nil || TracerFrom(context.Background()) != nil {
+		t.Fatal("lookups without a tracer must return nil")
 	}
 }
 
-// TestLogHandler: records logged with a span context carry trace_id and
-// span_id; ParseLevel maps flag spellings.
+// TestLogHandler: records carry their attributes and no timestamp, the
+// JSON format parses, and ParseLevel maps flag spellings.
 func TestLogHandler(t *testing.T) {
 	var buf bytes.Buffer
 	logger, err := NewLogger(&buf, "debug", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := New(Options{Seed: 9})
-	tr := tc.Trace("page", "k")
-	s := tr.Span(nil, "crawl.visit", "Old", 0)
-	ctx := ContextWithSpan(context.Background(), s)
-	logger.InfoContext(ctx, "visiting", "profile", "Old")
+	logger.Info("visiting", "profile", "Old")
 	line := buf.String()
-	for _, want := range []string{"msg=visiting", "profile=Old", "trace_id=" + tr.ID.String(), "span_id=" + s.ID.String()} {
+	for _, want := range []string{"msg=visiting", "profile=Old"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("log line missing %q: %s", want, line)
 		}
@@ -360,25 +341,23 @@ func TestLogHandler(t *testing.T) {
 	if strings.Contains(line, "time=") {
 		t.Errorf("log line carries a timestamp (breaks diffability): %s", line)
 	}
-	buf.Reset()
-	logger.Info("no span here")
-	if strings.Contains(buf.String(), "trace_id=") {
-		t.Errorf("span-less record gained a trace_id: %s", buf.String())
-	}
 
-	// JSON format parses and keeps the IDs.
+	// JSON format parses and keeps the attributes.
 	buf.Reset()
 	jl, err := NewLogger(&buf, "info", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.InfoContext(ctx, "visiting")
+	jl.Info("visiting", "profile", "Old")
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("JSON log record does not parse: %v", err)
 	}
-	if rec["trace_id"] != tr.ID.String() {
-		t.Fatalf("JSON record trace_id = %v", rec["trace_id"])
+	if rec["msg"] != "visiting" || rec["profile"] != "Old" {
+		t.Fatalf("JSON record = %v", rec)
+	}
+	if _, ok := rec["time"]; ok {
+		t.Fatalf("JSON record carries a timestamp: %v", rec)
 	}
 
 	if _, err := NewLogger(&buf, "loud", false); err == nil {
