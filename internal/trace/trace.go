@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"strconv"
 	"sync"
 
 	"webmeasure/internal/metrics"
@@ -307,12 +306,6 @@ func (s *Span) SetAttr(key, value string) *Span {
 // SetAttrInt annotates the span with an integer value.
 func (s *Span) SetAttrInt(key string, value int) *Span {
 	return s.SetAttr(key, fmt.Sprintf("%d", value))
-}
-
-// SetAttrFloat annotates the span with a float value rendered shortest-
-// exact, so attribute bytes stay deterministic across platforms.
-func (s *Span) SetAttrFloat(key string, value float64) *Span {
-	return s.SetAttr(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
 // AddEvent records a point-in-time annotation at a simulated timestamp.
