@@ -133,8 +133,11 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 
 // TestServeBadFlags exits 2 on flag errors without binding a port. The
 // pool is a fixed -workers count, so the retired autoscaling flags are
-// unknown too.
+// unknown too. The context is already canceled, so arguments that do
+// parse end the run at once instead of serving.
 func TestServeBadFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-min-workers", "1"},
@@ -142,8 +145,8 @@ func TestServeBadFlags(t *testing.T) {
 		{"-scale-interval", "1s"},
 	} {
 		var buf bytes.Buffer
-		if code := run(context.Background(), args, &buf, &buf, nil); code != 2 {
-			t.Fatalf("%v: exit = %d, want 2", args, code)
+		if code := run(ctx, args, &buf, &buf, nil); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
 		}
 	}
 }
