@@ -44,8 +44,8 @@ race-service:
 	$(GO) test -race -count=1 ./internal/service
 
 # Race-harden the site-parallel crawl pool at full length: worker
-# submit/cancel/drain, the reorder sequencer, and the scratch-state merge
-# under concurrent site completions.
+# submit/cancel/drain, the reorder sequencer, and the site workers'
+# concurrent writes into the run's shared registry and tracer.
 race-crawl:
 	$(GO) test -race -count=1 ./internal/crawler
 

@@ -212,7 +212,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		logger.Info("trace written",
 			"traces", tracer.TraceCount(), "spans", tracer.SpanCount(),
-			"sample_every", tracer.SampleEvery(), "dropped", tracer.Dropped())
+			"sample_every", tracer.SampleEvery())
 	}
 	if *jsonOut != "" {
 		jf, err := os.Create(*jsonOut)

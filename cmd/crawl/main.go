@@ -77,14 +77,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceJSONL != "" {
 		tracer = trace.New(trace.Options{Seed: *seed, SampleEvery: *traceSample, Metrics: reg})
-		// The tracer rides the context into the crawler — the same
-		// propagation path an embedding library user gets for free.
-		ctx = trace.NewContext(ctx, tracer)
 	}
 	cfg := webmeasure.Config{
 		Seed: *seed, Sites: *sites, PagesPerSite: *pages, Epoch: *epoch,
 		FaultProfile: *faults,
-		SiteWorkers:  *siteWorkers, Metrics: reg,
+		SiteWorkers:  *siteWorkers, Metrics: reg, Tracer: tracer,
 		Progress: func(done, total int) {
 			if done%50 == 0 || done == total {
 				logger.Info("crawl progress", "done", done, "total", total)
@@ -142,7 +139,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		logger.Info("trace written",
 			"traces", tracer.TraceCount(), "spans", tracer.SpanCount(),
-			"sample_every", tracer.SampleEvery(), "dropped", tracer.Dropped())
+			"sample_every", tracer.SampleEvery())
 	}
 	hint := fmt.Sprintf("analyze with: analyze -i %s -sites %d -pages %d -seed %d",
 		*out, *sites, *pages, *seed)

@@ -92,7 +92,7 @@ func main() {
 		}
 		logger.Info("trace written",
 			"traces", tracer.TraceCount(), "spans", tracer.SpanCount(),
-			"sample_every", tracer.SampleEvery(), "dropped", tracer.Dropped())
+			"sample_every", tracer.SampleEvery())
 	}
 	res.WriteReport(os.Stdout)
 }

@@ -97,11 +97,6 @@ type Options struct {
 	// whose Filter is the filter list the analysis was given; the caller's
 	// builder is not modified.
 	TreeBuilder *tree.Builder
-	// AllowEmpty tolerates an analysis with zero vetted pages. The default
-	// treats that as an error (a whole-experiment analysis with nothing to
-	// report is a misconfiguration), but a shard's slice of the page-key
-	// space can legitimately be empty or entirely excluded by vetting.
-	AllowEmpty bool
 	// Workers bounds the worker pool that fans the per-page work —
 	// vetting, tree building, cross-comparison — out over CPUs; the
 	// pages are independent, so the pipeline is embarrassingly parallel.
@@ -114,8 +109,7 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Context, if non-nil, cancels the per-page analysis between pages —
 	// the hook a job server needs to abort a long analysis mid-flight.
-	// New returns the context's error when it fires. A tracer carried by
-	// the context (trace.NewContext) is picked up when Tracer is nil.
+	// New returns the context's error when it fires.
 	Context context.Context
 	// Tracer, if non-nil, records analysis spans (analyze.vet,
 	// analyze.build per profile, analyze.compare with treediff.intern /
@@ -192,10 +186,6 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 	if minSuccess <= 0 || minSuccess > len(profiles) {
 		minSuccess = len(profiles)
 	}
-	tracer := opts.Tracer
-	if tracer == nil {
-		tracer = trace.TracerFrom(opts.Context)
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -212,7 +202,7 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 			builder:       builder,
 			minSuccess:    minSuccess,
 			allowDegraded: opts.AllowDegraded,
-			tracer:        tracer,
+			tracer:        opts.Tracer,
 			pagesSeen:     opts.Metrics.Counter("analysis.pages"),
 			pagesOK:       opts.Metrics.Counter("analysis.pages.vetted"),
 			trees:         opts.Metrics.Counter("analysis.trees"),
@@ -313,7 +303,9 @@ func forEachPage(ctx context.Context, workers, n int, fn func(i int)) {
 }
 
 // Finish seals the stream and returns the analysis, its vetted pages
-// sorted by (site, page URL). A page key added twice is an error.
+// sorted by (site, page URL). A page key added twice is an error. An
+// analysis whose vetting kept no page is still a result; its vetting
+// tally says why each page was excluded.
 func (s *Stream) Finish() (*Analysis, error) {
 	if s.done {
 		return nil, fmt.Errorf("core: Finish called twice")
@@ -325,11 +317,6 @@ func (s *Stream) Finish() (*Analysis, error) {
 		if k := a.pages[i].Key; k == a.pages[i-1].Key {
 			return nil, fmt.Errorf("core: page %s/%s added more than once", k.Site, k.PageURL)
 		}
-	}
-	if len(a.pages) == 0 && !s.opts.AllowEmpty {
-		return nil, fmt.Errorf("core: no page was crawled cleanly by all %d profiles (%d excluded: %d missing, %d failed, %d degraded, %d build)",
-			len(a.profiles), a.vetting.Excluded(), a.vetting.ExcludedMissing,
-			a.vetting.ExcludedFailed, a.vetting.ExcludedDegraded, a.vetting.ExcludedBuild)
 	}
 	return a, nil
 }

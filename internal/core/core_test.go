@@ -36,10 +36,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(dataset.New(), nil, Options{}); err == nil {
 		t.Error("empty dataset should error")
 	}
+	// A page vetting excludes leaves an analysis with no pages, not an
+	// error: its vetting tally records why.
 	ds := dataset.New()
 	ds.Add(&measurement.Visit{Site: "a.example", PageURL: "https://a.example/", Profile: "Sim1", Success: false, Failure: "x"})
-	if _, err := New(ds, nil, Options{}); err == nil {
-		t.Error("dataset without vetted pages should error")
+	a, err := New(ds, nil, Options{})
+	if err != nil {
+		t.Fatalf("dataset without vetted pages: %v", err)
+	}
+	if v := a.Vetting(); len(a.Pages()) != 0 || v.PagesSeen != 1 || v.ExcludedFailed != 1 {
+		t.Errorf("pages = %d, vetting = %+v; want no page and one excluded as failed", len(a.Pages()), v)
 	}
 }
 

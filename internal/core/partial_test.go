@@ -58,9 +58,7 @@ func splitPartials(t testing.TB, ds *dataset.Dataset, filter *filterlist.List, o
 	t.Helper()
 	parts := make([]*Partial, plan.Count)
 	for i := 0; i < plan.Count; i++ {
-		shardOpts := opts
-		shardOpts.AllowEmpty = true
-		a, err := New(shardDataset(ds, plan, i), filter, shardOpts)
+		a, err := New(shardDataset(ds, plan, i), filter, opts)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -195,9 +193,7 @@ func TestMergeStopsOnCanceledContext(t *testing.T) {
 func TestPartialRejectsWrongShard(t *testing.T) {
 	ds, filter, opts := shardExperiment(t, 8)
 	plan := ShardPlan{Count: 2, Seed: 8}
-	shardOpts := opts
-	shardOpts.AllowEmpty = true
-	a, err := New(shardDataset(ds, plan, 0), filter, shardOpts)
+	a, err := New(shardDataset(ds, plan, 0), filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,13 @@
 // success rate matches the paper's (≥89%).
 //
 // Sites themselves are crawled by a bounded worker pool (Config.
-// SiteWorkers): each worker runs one site's whole profile barrier on
-// isolated metrics/trace scratch, and a deterministic sequencer folds
-// finished sites back into site-list order before anything touches shared
-// state — the dataset, the metrics registry, the tracer, the streaming
-// sink. Every visit is a pure function of (seed, profile, page), so the
-// output bytes are identical for every worker count; only the wall clock
-// changes.
+// SiteWorkers): each worker runs one site's whole profile barrier,
+// recording straight into the run's metrics registry and tracer, and a
+// deterministic sequencer hands finished sites to the dataset or the
+// streaming sink in site-list order. Every visit is a pure function of
+// (seed, profile, page), counters are atomic integer sums, and trace
+// exports sort traces and spans canonically, so the output bytes are
+// identical for every worker count; only the wall clock changes.
 package crawler
 
 import (
@@ -108,8 +108,7 @@ type Config struct {
 	// per profile with crawl.fetch/crawl.backoff children carrying fault
 	// kind and attempt attributes, on the crawl's simulated-time axis
 	// (StartOffsetS + accumulated render/backoff milliseconds), so traces
-	// are byte-identical for any worker count. Falls back to the tracer
-	// carried by Run's context.
+	// are byte-identical for any worker count.
 	Tracer *trace.Tracer
 	// PageFilter, if non-nil, restricts the crawl to the pages it accepts
 	// (a shard's slice of the page-key space). Every visit is a pure
@@ -211,17 +210,24 @@ type crawlRun struct {
 	profiles  []browser.Profile
 	instances int
 	retry     RetryPolicy
-	// tracer is the run's merged tracer; each site works on a Scratch of
-	// it and the sequencer Imports the exports in site order.
-	tracer *trace.Tracer
+	// transport is the run's fault injector, nil when it injects nothing.
+	// Its decisions are pure functions of (seed, profile, page, attempt),
+	// so every site worker shares it.
+	transport browser.Transport
+	// profileVisitMS holds the per-profile crawl.visit_ms histograms, in
+	// profile order.
+	profileVisitMS []*metrics.Histogram
 }
 
 // Run executes the crawl and returns the collected dataset, or a nil one
 // when Config.Sink receives the visits instead. Sites are crawled by
-// Config.SiteWorkers concurrent workers on isolated scratch state and
-// emitted in site-list order; the context cancels dispatch between sites
-// (in-flight sites finish, the contiguous emitted prefix is kept, and
-// ctx.Err() is returned).
+// Config.SiteWorkers concurrent workers and emitted in site-list order;
+// the context cancels dispatch between sites (in-flight sites finish, the
+// contiguous emitted prefix is kept, and ctx.Err() is returned). Workers
+// record into Config.Metrics and Config.Tracer as they crawl, so after a
+// canceled or failed run those also hold sites that were crawled but
+// never emitted; the returned Stats and dataset hold only the emitted
+// prefix.
 func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 	if cfg.Universe == nil {
 		return nil, Stats{}, fmt.Errorf("crawler: Config.Universe is required")
@@ -229,10 +235,6 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 	if len(cfg.Sites) == 0 {
 		return nil, Stats{}, fmt.Errorf("crawler: no sites to crawl")
 	}
-	// Validate the fault profile once up front; per-site injectors are
-	// derived from the same (seed, profile) pair and cannot fail after
-	// this. The validation injector also pre-binds the fault counters so
-	// the exposition lists them even before the first site merges.
 	inj, err := faults.New(cfg.Seed, cfg.Faults)
 	if err != nil {
 		return nil, Stats{}, err
@@ -244,7 +246,6 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 		profiles:  cfg.Profiles,
 		instances: cfg.Instances,
 		retry:     cfg.Retry.withDefaults(),
-		tracer:    cfg.Tracer,
 	}
 	if len(c.profiles) == 0 {
 		c.profiles = browser.DefaultProfiles()
@@ -252,12 +253,18 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 	if c.instances <= 0 {
 		c.instances = 15
 	}
-	if c.tracer == nil {
-		c.tracer = trace.TracerFrom(ctx)
+	if inj.Enabled() {
+		c.transport = inj
 	}
-	// Pre-create the run-level instruments so the exposition's instrument
-	// set does not depend on how many sites merged before a snapshot.
-	registerCrawlMetrics(cfg.Metrics, c.profiles)
+	// Register every run-level instrument up front, so snapshots taken
+	// before the first site finishes already list them (adding zero
+	// registers the counters).
+	Stats{}.record(cfg.Metrics)
+	cfg.Metrics.Histogram("crawl.visit_ms")
+	cfg.Metrics.Histogram("crawl.site_ms")
+	for _, p := range c.profiles {
+		c.profileVisitMS = append(c.profileVisitMS, cfg.Metrics.Histogram(metrics.Labeled("crawl.visit_ms", "profile", p.Name)))
+	}
 
 	workers := cfg.SiteWorkers
 	if workers <= 0 {
@@ -321,9 +328,6 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 			// Drain mode after a failure: release window slots, emit nothing.
 			return nil
 		}
-		if r.err != nil {
-			return r.err
-		}
 		return c.emit(r, ds, &stats)
 	})
 	for r := range results {
@@ -341,45 +345,25 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 	return ds, stats, nil
 }
 
-// registerCrawlMetrics pre-creates every run-level crawl instrument on
-// the shared registry (a nil registry is a no-op), so snapshots taken
-// before the first site emission already list them — the same surface the
-// sequential crawler exposed.
-func registerCrawlMetrics(reg *metrics.Registry, profiles []browser.Profile) {
-	if reg == nil {
-		return
-	}
-	for _, name := range []string{
-		"crawl.sites", "crawl.pages", "crawl.visits", "crawl.visits.failed",
-		"crawl.visits.degraded", "crawl.visits.retried", "crawl.attempts",
-		"crawl.visits.reused",
-	} {
-		reg.Counter(name)
-	}
-	reg.Histogram("crawl.visit_ms")
-	reg.Histogram("crawl.site_ms")
-	for _, p := range profiles {
-		reg.Histogram(metrics.Labeled("crawl.visit_ms", "profile", p.Name))
-	}
+// record adds a site's (or a run's) tallies to the crawl counters; a nil
+// registry is a no-op.
+func (s Stats) record(reg *metrics.Registry) {
+	reg.Counter("crawl.sites").Add(int64(s.SitesVisited))
+	reg.Counter("crawl.pages").Add(int64(s.PagesDiscovered))
+	reg.Counter("crawl.visits").Add(int64(s.VisitsTotal))
+	reg.Counter("crawl.visits.failed").Add(int64(s.VisitsFailed))
+	reg.Counter("crawl.visits.degraded").Add(int64(s.VisitsDegraded))
+	reg.Counter("crawl.visits.retried").Add(int64(s.VisitsRetried))
+	reg.Counter("crawl.attempts").Add(int64(s.AttemptsTotal))
+	reg.Counter("crawl.visits.reused").Add(int64(s.VisitsReused))
 }
 
-// emit folds one finished site into the run's shared state, in site-list
-// order: stats, the metrics merge, the trace import, the sink (or else
-// the dataset), and finally the progress callback. Runs on the single
-// sequencer goroutine.
+// emit hands one finished site on, in site-list order: its stats into the
+// run totals, its visits into the sink (or else the dataset), and finally
+// the progress callback. Runs on the single sequencer goroutine.
 func (c *crawlRun) emit(r *siteResult, ds *dataset.Dataset, stats *Stats) error {
 	if !r.skipped {
 		stats.add(r.stats)
-		if c.cfg.Metrics != nil {
-			if err := c.cfg.Metrics.Merge(r.dump); err != nil {
-				return fmt.Errorf("crawler: merge site metrics: %w", err)
-			}
-		}
-		if c.tracer != nil {
-			if err := c.tracer.Import(r.traces); err != nil {
-				return fmt.Errorf("crawler: merge site traces: %w", err)
-			}
-		}
 		if c.cfg.Sink == nil {
 			for _, v := range r.visits {
 				ds.Add(v)
@@ -394,32 +378,17 @@ func (c *crawlRun) emit(r *siteResult, ds *dataset.Dataset, stats *Stats) error 
 	return nil
 }
 
-// crawlSite runs one site's whole profile barrier on isolated scratch
-// state: a fresh metrics registry, a scratch tracer, and a per-site fault
-// injector (fault decisions are pure functions of (seed, profile, page,
-// attempt), so per-site injectors decide exactly what a shared one
-// would). Visits land in canonical slots — kept pages in discovery order,
+// crawlSite runs one site's whole profile barrier, recording spans, fault
+// counts and retry counts into the run's tracer and registry as the visits
+// happen. Visits land in canonical slots — kept pages in discovery order,
 // profiles in configuration order within each page — so the emitted visit
-// order is a pure function of the site, not of goroutine scheduling.
+// order is a pure function of the site, not of goroutine scheduling. After
+// the barrier the site is tallied once, from its slots, into its Stats and
+// the crawl counters.
 func (c *crawlRun) crawlSite(si int) *siteResult {
 	cfg := &c.cfg
+	reg, tracer := cfg.Metrics, cfg.Tracer
 	r := &siteResult{index: si}
-
-	var reg *metrics.Registry
-	if cfg.Metrics != nil {
-		reg = metrics.New()
-	}
-	tracer := c.tracer.Scratch()
-	inj, err := faults.New(cfg.Seed, cfg.Faults)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	inj.InstrumentWith(reg)
-	var transport browser.Transport
-	if inj.Enabled() {
-		transport = inj
-	}
 
 	siteDone := reg.Histogram("crawl.site_ms").Time()
 	site := cfg.Universe.GenerateSiteAt(cfg.Sites[si], cfg.Epoch)
@@ -442,32 +411,17 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 			return r
 		}
 	}
-	r.stats.SitesVisited = 1
-	r.stats.PagesDiscovered = len(kept)
-	reg.Counter("crawl.pages").Add(int64(len(kept)))
 
-	mVisits := reg.Counter("crawl.visits")
-	mFailed := reg.Counter("crawl.visits.failed")
-	mDegraded := reg.Counter("crawl.visits.degraded")
-	mRetried := reg.Counter("crawl.visits.retried")
-	mAttempts := reg.Counter("crawl.attempts")
-	mReused := reg.Counter("crawl.visits.reused")
-	mVisitMS := reg.Histogram("crawl.visit_ms")
-	// Per-profile latency series: one labeled histogram per profile, the
-	// per-profile half of the stage breakdown.
-	mVisitMSByProf := make(map[string]*metrics.Histogram, len(c.profiles))
-	for _, p := range c.profiles {
-		mVisitMSByProf[p.Name] = reg.Histogram(metrics.Labeled("crawl.visit_ms", "profile", p.Name))
-	}
-
-	// Canonical visit slots: page-major, profile-minor. Each slot is
-	// written exactly once, by the goroutine that performed the visit.
+	// Canonical visit slots: page-major, profile-minor. Each slot, and its
+	// fromResume flag, is written exactly once, by the goroutine that
+	// filled it.
 	nProf := len(c.profiles)
 	pageIdx := make(map[string]int, len(kept))
 	for i, p := range kept {
 		pageIdx[p.URL] = i
 	}
 	slots := make([]*measurement.Visit, len(kept)*nProf)
+	fromResume := make([]bool, len(slots))
 
 	// Checkpoint reuse: split each profile's work into pages already
 	// covered by the resume dataset and pages still to visit.
@@ -485,7 +439,6 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 		return nil
 	}
 
-	var statsMu sync.Mutex
 	// The commander starts every profile's client on the site at the
 	// same moment and waits for all of them (site-level barrier).
 	var wg sync.WaitGroup
@@ -493,51 +446,12 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 		wg.Add(1)
 		go func(pi int, prof browser.Profile) {
 			defer wg.Done()
-			b := &browser.Browser{Profile: prof, TimeoutMS: cfg.TimeoutMS, Transport: transport}
-			reused := func(v *measurement.Visit) {
-				slots[pageIdx[v.PageURL]*nProf+pi] = v
-				mVisits.Inc()
-				mReused.Inc()
-				statsMu.Lock()
-				r.stats.VisitsTotal++
-				r.stats.VisitsReused++
-				statsMu.Unlock()
+			b := &browser.Browser{Profile: prof, TimeoutMS: cfg.TimeoutMS, Transport: c.transport}
+			fill := func(v *measurement.Visit, reused bool) {
+				i := pageIdx[v.PageURL]*nProf + pi
+				slots[i], fromResume[i] = v, reused
 			}
-			performed := func(v *measurement.Visit) {
-				slots[pageIdx[v.PageURL]*nProf+pi] = v
-				mVisits.Inc()
-				attempts := v.Attempts
-				if attempts <= 0 {
-					attempts = 1
-				}
-				mAttempts.Add(int64(attempts))
-				if attempts > 1 {
-					mRetried.Inc()
-				}
-				degraded := v.EffectiveStatus() == measurement.VisitDegraded
-				if degraded {
-					mDegraded.Inc()
-				}
-				if !v.Success {
-					mFailed.Inc()
-				} else {
-					mVisitMS.Observe(float64(v.DurationMS))
-					mVisitMSByProf[v.Profile].Observe(float64(v.DurationMS))
-				}
-				statsMu.Lock()
-				r.stats.VisitsTotal++
-				r.stats.AttemptsTotal += attempts
-				if attempts > 1 {
-					r.stats.VisitsRetried++
-				}
-				if degraded {
-					r.stats.VisitsDegraded++
-				}
-				if !v.Success {
-					r.stats.VisitsFailed++
-				}
-				statsMu.Unlock()
-			}
+			performed := func(v *measurement.Visit) { fill(v, false) }
 			if cfg.Stateful {
 				// One sequential session per site: the jar persists across
 				// pages in discovery order. Off-shard pages are visited so
@@ -550,7 +464,7 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 						continue
 					}
 					if v := reuse(prof, p); v != nil {
-						reused(v)
+						fill(v, true)
 						continue
 					}
 					performed(visitPage(tracer, reg, b, site, p, cfg.Seed, jar, c.retry))
@@ -560,7 +474,7 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 			var todo []*webgen.Page
 			for _, p := range kept {
 				if v := reuse(prof, p); v != nil {
-					reused(v)
+					fill(v, true)
 					continue
 				}
 				todo = append(todo, p)
@@ -569,15 +483,32 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 		}(pi, prof)
 	}
 	wg.Wait()
-	reg.Counter("crawl.sites").Inc()
-	siteDone()
+
 	r.visits = slots
-	if reg != nil {
-		r.dump = reg.Dump()
+	r.stats = Stats{SitesVisited: 1, PagesDiscovered: len(kept), VisitsTotal: len(slots)}
+	visitMS := reg.Histogram("crawl.visit_ms")
+	for i, v := range slots {
+		if fromResume[i] {
+			r.stats.VisitsReused++
+			continue
+		}
+		attempts := max(v.Attempts, 1)
+		r.stats.AttemptsTotal += attempts
+		if attempts > 1 {
+			r.stats.VisitsRetried++
+		}
+		if v.EffectiveStatus() == measurement.VisitDegraded {
+			r.stats.VisitsDegraded++
+		}
+		if !v.Success {
+			r.stats.VisitsFailed++
+			continue
+		}
+		visitMS.Observe(float64(v.DurationMS))
+		c.profileVisitMS[i%nProf].Observe(float64(v.DurationMS))
 	}
-	if tracer != nil {
-		r.traces = tracer.Export()
-	}
+	r.stats.record(reg)
+	siteDone()
 	return r
 }
 
@@ -588,8 +519,8 @@ func discoverPages(site *webgen.Site, maxPages int) []*webgen.Page {
 
 // visitAll runs one stateless client: a pool of browser instances
 // draining the site's pages, delivering every visit to the sink. (The
-// stateful sequential session lives in Run, where shard-filtered crawls
-// interleave recorded and discarded visits over one shared jar.)
+// stateful sequential session lives in crawlSite, where shard-filtered
+// crawls interleave recorded and discarded visits over one shared jar.)
 func visitAll(tracer *trace.Tracer, reg *metrics.Registry, b *browser.Browser,
 	site *webgen.Site, pages []*webgen.Page,
 	seed int64, instances int, retry RetryPolicy,

@@ -11,29 +11,54 @@ import (
 	"webmeasure/internal/faults"
 	"webmeasure/internal/measurement"
 	"webmeasure/internal/metrics"
+	"webmeasure/internal/trace"
 )
 
-// runWorkers crawls cfg with the given site-worker count and returns the
-// dataset's JSONL bytes, the metrics counter map, and the stats.
-func runWorkers(t *testing.T, cfg Config, workers int) ([]byte, map[string]int64, Stats) {
+// workersRun is what one crawl of runWorkers recorded.
+type workersRun struct {
+	dataset []byte
+	trace   []byte
+	dump    metrics.Dump
+	stats   Stats
+}
+
+// runWorkers crawls cfg with the given site-worker count, every site
+// worker recording into one registry and one tracer, and returns the
+// dataset's and the trace's JSONL bytes, the metrics dump and the stats.
+func runWorkers(t *testing.T, cfg Config, workers int) workersRun {
 	t.Helper()
 	cfg.SiteWorkers = workers
 	cfg.Metrics = metrics.New()
+	cfg.Tracer = trace.New(trace.Options{Seed: cfg.Seed, Metrics: cfg.Metrics})
 	ds, stats, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	var buf bytes.Buffer
-	if err := ds.WriteJSONL(&buf); err != nil {
+	var data, spans bytes.Buffer
+	if err := ds.WriteJSONL(&data); err != nil {
 		t.Fatalf("workers=%d: write: %v", workers, err)
 	}
-	return buf.Bytes(), cfg.Metrics.Dump().Counters, stats
+	if err := cfg.Tracer.WriteJSONL(&spans); err != nil {
+		t.Fatalf("workers=%d: trace: %v", workers, err)
+	}
+	return workersRun{data.Bytes(), spans.Bytes(), cfg.Metrics.Dump(), stats}
+}
+
+// histogramCounts maps each histogram of a dump to its sample count;
+// crawl.site_ms samples are wall-clock times, so only counts compare.
+func histogramCounts(d metrics.Dump) map[string]int64 {
+	out := make(map[string]int64, len(d.Histograms))
+	for name, h := range d.Histograms {
+		out[name] = h.Count
+	}
+	return out
 }
 
 // TestSiteWorkersByteIdentical is the package-level half of the parallel
 // determinism contract: 1 worker and 8 workers must produce the same
-// dataset bytes, the same counter values, and the same stats — clean and
-// under heavy fault injection.
+// dataset and trace bytes, the same counter values and histogram sample
+// counts, and the same stats — clean, under heavy fault injection, and
+// stateful.
 func TestSiteWorkersByteIdentical(t *testing.T) {
 	heavy, err := faults.ByName("heavy")
 	if err != nil {
@@ -50,16 +75,21 @@ func TestSiteWorkersByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCrawl(t, 10, 11)
 			tc.mutil(&cfg)
-			ds1, ctr1, st1 := runWorkers(t, cfg, 1)
-			ds8, ctr8, st8 := runWorkers(t, cfg, 8)
-			if !bytes.Equal(ds1, ds8) {
+			one, eight := runWorkers(t, cfg, 1), runWorkers(t, cfg, 8)
+			if !bytes.Equal(one.dataset, eight.dataset) {
 				t.Errorf("dataset bytes differ between 1 and 8 site workers")
 			}
-			if !reflect.DeepEqual(ctr1, ctr8) {
-				t.Errorf("counters differ:\n 1 worker: %v\n 8 workers: %v", ctr1, ctr8)
+			if len(one.trace) == 0 || !bytes.Equal(one.trace, eight.trace) {
+				t.Errorf("trace bytes differ between 1 and 8 site workers (%d vs %d bytes)", len(one.trace), len(eight.trace))
 			}
-			if st1 != st8 {
-				t.Errorf("stats differ:\n 1 worker: %+v\n 8 workers: %+v", st1, st8)
+			if !reflect.DeepEqual(one.dump.Counters, eight.dump.Counters) {
+				t.Errorf("counters differ:\n 1 worker: %v\n 8 workers: %v", one.dump.Counters, eight.dump.Counters)
+			}
+			if h1, h8 := histogramCounts(one.dump), histogramCounts(eight.dump); !reflect.DeepEqual(h1, h8) {
+				t.Errorf("histogram counts differ:\n 1 worker: %v\n 8 workers: %v", h1, h8)
+			}
+			if one.stats != eight.stats {
+				t.Errorf("stats differ:\n 1 worker: %+v\n 8 workers: %+v", one.stats, eight.stats)
 			}
 		})
 	}

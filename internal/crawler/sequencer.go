@@ -1,21 +1,16 @@
 package crawler
 
-import (
-	"webmeasure/internal/measurement"
-	"webmeasure/internal/metrics"
-	"webmeasure/internal/trace"
-)
+import "webmeasure/internal/measurement"
 
-// siteResult is one worker's finished site: everything the site produced
-// on isolated scratch state, ready to be folded into the run's shared
-// state by the sequencer. Emission order — not completion order — defines
-// the dataset's insertion order, the metrics merge order, and the trace
-// import order, which is what makes every site-worker count produce the
-// same bytes.
+// siteResult is one worker's finished site, ready for the sequencer to
+// hand on. The site's spans and metrics are already recorded; emission
+// order — not completion order — defines the dataset's (or the sink's)
+// insertion order, which is what makes every site-worker count produce
+// the same bytes.
 type siteResult struct {
 	// index is the site's position in Config.Sites.
 	index int
-	// site is the generated domain (empty when err is set).
+	// site is the generated domain.
 	site string
 	// skipped marks a site none of whose pages passed PageFilter; it
 	// contributes nothing — no visits, no stats, no metrics samples.
@@ -26,13 +21,6 @@ type siteResult struct {
 	visits []*measurement.Visit
 	// stats is the site's contribution to the run totals.
 	stats Stats
-	// dump is the site's scratch metrics registry, merged into
-	// Config.Metrics at emission (exact integer sums for counters).
-	dump metrics.Dump
-	// traces is the site's scratch tracer export, imported at emission.
-	traces []trace.TraceData
-	// err aborts the run when the site could not be crawled.
-	err error
 }
 
 // sequencer reorders out-of-order site completions back into site-list

@@ -87,39 +87,49 @@ func withLe(inner, key, value string) string {
 // helpText documents the metric families the pipeline registers; families
 // not listed fall back to a generic line so HELP is never missing.
 var helpText = map[string]string{
-	"crawl.sites":                  "Sites completed by the crawl.",
-	"crawl.pages":                  "Pages discovered by the crawl.",
-	"crawl.visits":                 "Visits performed, including resume-reused ones.",
-	"crawl.visits.failed":          "Visits that ended in failure.",
-	"crawl.visits.reused":          "Visits reused from a resume checkpoint.",
-	"crawl.visit_ms":               "Simulated page-load duration in milliseconds.",
-	"crawl.site_ms":                "Wall-clock milliseconds per completed site batch.",
-	"crawl.retries.total":          "Visit retries by the fault kind that triggered them.",
-	"faults.injected.total":        "Faults injected by the deterministic injector, by kind.",
-	"analysis.pages":               "Page groups examined by the analysis.",
-	"analysis.pages.vetted":        "Pages passing the vetting rule.",
-	"analysis.trees":               "Trees built.",
-	"analysis.trees.failed":        "Malformed visits skipped by the tree builder.",
-	"analysis.page_ms":             "Wall-clock milliseconds per analyzed page.",
-	"trace.spans.total":            "Trace spans recorded per pipeline stage.",
-	"trace.span_us":                "Simulated span duration in microseconds per stage.",
-	"service.jobs.total":           "Jobs accepted by the service.",
-	"service.cache_hits":           "Jobs served from the result cache.",
-	"service.results.bytes":        "Artifact bytes held by jobs that finished by running.",
-	"go.goroutines":                "Number of live goroutines, sampled at scrape time.",
-	"go.heap_inuse_bytes":          "Bytes of heap memory in use, sampled at scrape time.",
-	"go.gc_pause_p95_ms":           "p95 of recent GC stop-the-world pauses in milliseconds.",
-	"process.uptime_seconds":       "Seconds since the process started.",
-	"monitor.epochs.total":         "Measurement epochs completed by monitor mode.",
-	"monitor.current_epoch":        "Epoch most recently completed by monitor mode.",
-	"drift.alerts.total":           "Drift alerts emitted across all epochs.",
-	"drift.alerts.firing":          "Alert rules currently in a firing state.",
-	"drift.tracking_share":         "Tracking share of the latest monitored epoch.",
-	"drift.tracking_share_drift":   "Tracking-share change vs the previous epoch.",
-	"drift.third_party_jaccard":    "Jaccard similarity of global third-party sets vs the previous epoch.",
-	"drift.tree_similarity":        "Mean cross-epoch tree similarity over common pages.",
-	"drift.new_third_parties":      "Third-party domains new in the latest epoch.",
-	"drift.vanished_third_parties": "Third-party domains gone in the latest epoch.",
+	"crawl.sites":                    "Sites completed by the crawl.",
+	"crawl.pages":                    "Pages discovered by the crawl.",
+	"crawl.visits":                   "Visits performed, including resume-reused ones.",
+	"crawl.visits.failed":            "Visits that ended in failure.",
+	"crawl.visits.reused":            "Visits reused from a resume checkpoint.",
+	"crawl.visit_ms":                 "Simulated page-load duration in milliseconds.",
+	"crawl.site_ms":                  "Wall-clock milliseconds per completed site batch.",
+	"crawl.retries.total":            "Visit retries by the fault kind that triggered them.",
+	"faults.injected.total":          "Faults injected by the deterministic injector, by kind.",
+	"analysis.pages":                 "Page groups examined by the analysis.",
+	"analysis.pages.vetted":          "Pages passing the vetting rule.",
+	"analysis.trees":                 "Trees built.",
+	"analysis.trees.failed":          "Malformed visits skipped by the tree builder.",
+	"analysis.page_ms":               "Wall-clock milliseconds per analyzed page.",
+	"trace.spans.total":              "Trace spans recorded per pipeline stage.",
+	"trace.span_us":                  "Simulated span duration in microseconds per stage.",
+	"service.jobs.submitted":         "Jobs submitted, including cache hits and queue-full rejections.",
+	"service.jobs.completed":         "Jobs whose run finished without error.",
+	"service.jobs.failed":            "Jobs whose run returned an error.",
+	"service.jobs.canceled":          "Jobs canceled while queued or running, or abandoned at shutdown.",
+	"service.jobs.rejected":          "Submissions refused because the queue was full.",
+	"service.cache.hits":             "Jobs and shard slices served from the result cache.",
+	"service.cache.misses":           "Dequeued jobs that missed the result cache and ran.",
+	"service.job_ms":                 "Wall-clock milliseconds per job run.",
+	"service.queue_wait_ms":          "Wall-clock milliseconds a job waited in the queue.",
+	"service.shard.remote":           "Shard slices produced by a remote shard worker.",
+	"service.shard.dispatch_retries": "Shard dispatches retried on the next worker.",
+	"service.shard.local_fallbacks":  "Shard slices run in-process after every remote dispatch failed.",
+	"service.results.bytes":          "Artifact bytes held by jobs that finished by running.",
+	"go.goroutines":                  "Number of live goroutines, sampled at scrape time.",
+	"go.heap_inuse_bytes":            "Bytes of heap memory in use, sampled at scrape time.",
+	"go.gc_pause_p95_ms":             "p95 of recent GC stop-the-world pauses in milliseconds.",
+	"process.uptime_seconds":         "Seconds since the process started.",
+	"monitor.epochs.total":           "Measurement epochs completed by monitor mode.",
+	"monitor.current_epoch":          "Epoch monitor mode is measuring, -1 when idle.",
+	"drift.alerts.total":             "Drift alerts emitted across all epochs.",
+	"drift.alerts.firing":            "Alert rules currently in a firing state.",
+	"drift.tracking_share":           "Tracking share of the latest monitored epoch.",
+	"drift.tracking_share_drift":     "Tracking-share change vs the previous epoch.",
+	"drift.third_party_jaccard":      "Jaccard similarity of global third-party sets vs the previous epoch.",
+	"drift.tree_similarity":          "Mean cross-epoch tree similarity over common pages.",
+	"drift.new_third_parties":        "Third-party domains new in the latest epoch.",
+	"drift.vanished_third_parties":   "Third-party domains gone in the latest epoch.",
 }
 
 // helpFor returns the HELP text of a family's internal base name.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"webmeasure"
 	"webmeasure/internal/trace"
 )
 
@@ -319,5 +321,39 @@ func TestMetricsExpositionLint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s:\n%s", want, body)
 		}
+	}
+}
+
+// TestServiceMetricsHaveHelp scrapes /metrics after one job and requires
+// every service family to carry its own HELP text, not the generic
+// fallback line of an undocumented family.
+func TestServiceMetricsHaveHelp(t *testing.T) {
+	s := New(Config{Workers: 1, Runner: func(context.Context, webmeasure.Config) (*webmeasure.Results, error) {
+		return nil, errors.New("stub runner")
+	}})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	v, _ := postJob(t, ts, tinySpec(7))
+	if v = pollDone(t, s, ts, v.ID); v.State != StateFailed {
+		t.Fatalf("stub job ended %q, want %q", v.State, StateFailed)
+	}
+	code, body := get(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics code = %d", code)
+	}
+	families := 0
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, "# HELP service_") {
+			continue
+		}
+		families++
+		if strings.Contains(line, " webmeasure metric ") {
+			t.Errorf("generic HELP text: %q", line)
+		}
+	}
+	if families == 0 {
+		t.Fatalf("/metrics lists no service family:\n%s", body)
 	}
 }

@@ -609,8 +609,8 @@ func (s *Server) executeShard(ctx context.Context, spec JobSpec) (*result, error
 	if err != nil {
 		return nil, err
 	}
-	// Shard summaries report only crawl-level facts: a slice can hold zero
-	// vetted pages, where the tree-derived means are undefined.
+	// Shard summaries report only crawl-level facts: the tree-derived
+	// means of one slice's pages are not the experiment's.
 	cs := r.Analysis().CrawlSummary()
 	return &result{
 		partial:    wire,

@@ -617,6 +617,30 @@ func TestFaultProfileJob(t *testing.T) {
 	}
 }
 
+// TestJobWithNoVettedPage: a heavy-fault job whose vetting keeps no page
+// (seed 539 at this size) is done, not failed, and serves its report.
+func TestJobWithNoVettedPage(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := JobSpec{Seed: 539, Sites: 5, PagesPerSite: 3, FaultProfile: "heavy", Workers: 1, SiteWorkers: 1}
+	v, code := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit code = %d", code)
+	}
+	if v = pollDone(t, s, ts, v.ID); v.State != StateDone {
+		t.Fatalf("job ended %q (err %q)", v.State, v.Error)
+	}
+	if v.Summary.VettedPages != 0 {
+		t.Fatalf("%d vetted pages, want none (pick another seed)", v.Summary.VettedPages)
+	}
+	if code, rep := get(t, ts.URL+"/v1/jobs/"+v.ID+"/report"); code != http.StatusOK || !bytes.Contains(rep, []byte("== Crawl summary")) {
+		t.Fatalf("report fetch: code %d, %d bytes", code, len(rep))
+	}
+}
+
 // TestHealthz reports queue stats.
 func TestHealthz(t *testing.T) {
 	s := New(Config{Workers: 3, QueueDepth: 5})

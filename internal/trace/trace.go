@@ -25,7 +25,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -90,11 +89,6 @@ type Options struct {
 	// SampleEvery keeps one of every N traces, decided per trace key
 	// (head-based sampling). 0 or 1 keeps every trace.
 	SampleEvery int
-	// MaxTraces is a safety valve bounding retained traces (0 =
-	// unlimited). Traces beyond the cap are dropped at creation and
-	// counted; which traces are dropped depends on scheduling, so leave
-	// this unset when byte-identical exports matter.
-	MaxTraces int
 	// Metrics, if non-nil, receives per-stage span counters and simulated
 	// latency histograms (trace.spans.total{stage=...},
 	// trace.span_us{stage=...}) as spans end — the Prometheus face of the
@@ -107,12 +101,10 @@ type Options struct {
 type Tracer struct {
 	seed        uint64
 	sampleEvery int
-	maxTraces   int
 	reg         *metrics.Registry
 
-	mu      sync.Mutex
-	byKey   map[string]*Trace
-	dropped int64
+	mu    sync.Mutex
+	byKey map[string]*Trace
 }
 
 // New creates a tracer.
@@ -124,7 +116,6 @@ func New(opts Options) *Tracer {
 	return &Tracer{
 		seed:        uint64(opts.Seed),
 		sampleEvery: sample,
-		maxTraces:   opts.MaxTraces,
 		reg:         opts.Metrics,
 		byKey:       make(map[string]*Trace),
 	}
@@ -133,44 +124,12 @@ func New(opts Options) *Tracer {
 // Enabled reports whether the tracer records anything at all.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Scratch returns a fresh empty tracer that makes the same sampling and
-// ID decisions as t — same seed and sampling rate, so Trace/Span IDs and
-// keep/drop outcomes are identical pure functions — but records into its
-// own buffers. The site-parallel crawler hands each in-flight site a
-// scratch tracer and Imports the exports in site order, which keeps the
-// merged tracer byte-identical to a sequential run's. The scratch shares
-// t's metrics registry (span counters are atomic and order-independent)
-// but not the MaxTraces valve: the valve's drop choice depends on
-// scheduling, so it only makes sense on the tracer that sees the whole
-// run. A nil tracer hands out a nil scratch.
-func (t *Tracer) Scratch() *Tracer {
-	if t == nil {
-		return nil
-	}
-	return &Tracer{
-		seed:        t.seed,
-		sampleEvery: t.sampleEvery,
-		reg:         t.reg,
-		byKey:       make(map[string]*Trace),
-	}
-}
-
 // SampleEvery returns the head-sampling rate (1 = every trace).
 func (t *Tracer) SampleEvery() int {
 	if t == nil {
 		return 0
 	}
 	return t.sampleEvery
-}
-
-// Dropped returns how many traces the MaxTraces valve discarded.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // sampled is the head-based keep/drop decision: a pure function of
@@ -185,8 +144,7 @@ func (t *Tracer) sampled(name, key string) bool {
 // Trace returns the trace for (name, key), creating it on first use —
 // the crawl opens a page's trace and the analysis later re-opens the same
 // one by key, so a page's whole journey lands in a single trace. Returns
-// nil when the tracer is nil, the key is sampled out, or the MaxTraces
-// valve is full.
+// nil when the tracer is nil or the key is sampled out.
 func (t *Tracer) Trace(name, key string) *Trace {
 	if t == nil {
 		return nil
@@ -199,10 +157,6 @@ func (t *Tracer) Trace(name, key string) *Trace {
 	defer t.mu.Unlock()
 	if tr := t.byKey[mapKey]; tr != nil {
 		return tr
-	}
-	if t.maxTraces > 0 && len(t.byKey) >= t.maxTraces {
-		t.dropped++
-		return nil
 	}
 	id := TraceID(mix(t.seed, hash64("trace", name, key)))
 	if id == 0 {
@@ -353,28 +307,4 @@ func (s *Span) attr(key string) string {
 		}
 	}
 	return ""
-}
-
-// The tracer rides the context from the cmds through the facade into the
-// crawler and analysis.
-
-type ctxKey int
-
-const tracerKey ctxKey = 0
-
-// NewContext returns a context carrying the tracer.
-func NewContext(ctx context.Context, t *Tracer) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, tracerKey, t)
-}
-
-// TracerFrom extracts the context's tracer (nil when absent).
-func TracerFrom(ctx context.Context) *Tracer {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(tracerKey).(*Tracer)
-	return t
 }

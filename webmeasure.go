@@ -17,6 +17,7 @@ package webmeasure
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -85,10 +86,10 @@ type Config struct {
 	// byte-identical for any worker count. 0 = GOMAXPROCS.
 	Workers int
 	// SiteWorkers bounds the crawl's site-level worker pool: that many
-	// sites are crawled concurrently, each on isolated scratch state, and
-	// a sequencer re-emits them in site-list order. Every artifact —
-	// dataset bytes in both formats, report, metrics counters, trace
-	// exports — is identical for any value. 0 = GOMAXPROCS.
+	// sites are crawled concurrently, all recording into Metrics and
+	// Tracer, and a sequencer emits them in site-list order. Every
+	// artifact — dataset bytes in both formats, report, metrics counters,
+	// trace exports — is identical for any value. 0 = GOMAXPROCS.
 	SiteWorkers int
 	// Shards splits the experiment's page-key space into this many slices
 	// for distributed shard-and-merge analysis (0 or 1 = the whole
@@ -109,9 +110,7 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Tracer, if non-nil, records one deterministic span trace per page
 	// across the whole pipeline — crawl fetch/retry/backoff through tree
-	// build, vetting, and comparison (see internal/trace). A tracer
-	// carried by the run's context (trace.NewContext) is picked up when
-	// this field is nil.
+	// build, vetting, and comparison (see internal/trace).
 	Tracer *trace.Tracer
 }
 
@@ -329,9 +328,6 @@ func analyzeSites(ctx context.Context, cfg Config, u *webgen.Universe, sample []
 		Metrics:  cfg.Metrics,
 		Context:  ctx,
 		Tracer:   cfg.Tracer,
-		// One shard's slice can legitimately vet down to nothing; the
-		// coordinator judges emptiness after merging all shards.
-		AllowEmpty: cfg.Shards > 1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
@@ -542,6 +538,7 @@ func (r *Results) CrawlStats() crawler.Stats { return r.stats }
 // analyzed in one sequential pass in file order: each site block enters
 // the analysis as it decodes, through the block's pre-interned key
 // cache, and the retained visits share the block's interned strings.
+// A dataset that holds no visit is refused: it records no experiment.
 func LoadAndAnalyzeContext(ctx context.Context, datasetIn io.Reader, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()
 	format, rd, err := dataset.DetectFormat(datasetIn)
@@ -554,6 +551,9 @@ func LoadAndAnalyzeContext(ctx context.Context, datasetIn io.Reader, cfg Config)
 		if err != nil {
 			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
 		}
+		if ds.Len() == 0 {
+			return nil, errNoVisits
+		}
 		return AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
 	}
 	ds := dataset.New()
@@ -563,9 +563,14 @@ func LoadAndAnalyzeContext(ctx context.Context, datasetIn io.Reader, cfg Config)
 		}); err != nil {
 			return fmt.Errorf("webmeasure: load dataset: %w", err)
 		}
+		if ds.Len() == 0 {
+			return errNoVisits
+		}
 		return nil
 	})
 }
+
+var errNoVisits = errors.New("webmeasure: load dataset: no visits")
 
 // Partial exports this run's analysis as one shard's contribution to a
 // distributed shard-and-merge analysis. The run must have been sharded
