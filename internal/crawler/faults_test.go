@@ -190,7 +190,8 @@ func TestRedirectLoopRecordsChain(t *testing.T) {
 }
 
 // TestResumeSkipsOnlyCleanVisits: checkpoint reuse must not resurrect
-// degraded visits — they are re-performed like failures.
+// degraded visits — they are re-performed like failures — and a reused
+// visit counts only as reused, in the stats and in the crawl counters.
 func TestResumeSkipsOnlyCleanVisits(t *testing.T) {
 	cfg := faultyCrawl(t, 6, 9, faults.Heavy())
 	first, _, err := Run(context.Background(), cfg)
@@ -207,6 +208,7 @@ func TestResumeSkipsOnlyCleanVisits(t *testing.T) {
 		t.Skip("seed produced no degraded visits; adjust the seed")
 	}
 	cfg.Resume = first
+	cfg.Metrics = metrics.New()
 	second, stats2, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +216,38 @@ func TestResumeSkipsOnlyCleanVisits(t *testing.T) {
 	if second.Len() != first.Len() {
 		t.Fatalf("resume changed dataset size: %d vs %d", second.Len(), first.Len())
 	}
-	// Clean visits are reused; failed and degraded ones are re-performed.
-	wantReused := 0
+	// Clean visits are reused; failed and degraded ones are re-performed,
+	// and being pure functions of (seed, profile, page) they repeat the
+	// first run's attempts and outcomes.
+	want := Stats{VisitsTotal: first.Len()}
 	for _, v := range first.Visits() {
 		if v.Clean() {
-			wantReused++
+			want.VisitsReused++
+			continue
+		}
+		want.AttemptsTotal += max(v.Attempts, 1)
+		if v.Attempts > 1 {
+			want.VisitsRetried++
+		}
+		if v.EffectiveStatus() == measurement.VisitDegraded {
+			want.VisitsDegraded++
+		}
+		if !v.Success {
+			want.VisitsFailed++
 		}
 	}
-	if stats2.VisitsReused != wantReused {
-		t.Errorf("reused %d visits, want %d (clean only)", stats2.VisitsReused, wantReused)
+	want.SitesVisited, want.PagesDiscovered = stats2.SitesVisited, stats2.PagesDiscovered
+	if stats2 != want {
+		t.Errorf("resumed stats %+v, want %+v", stats2, want)
+	}
+	ctr := cfg.Metrics.Dump().Counters
+	for name, v := range map[string]int{
+		"crawl.visits": want.VisitsTotal, "crawl.visits.reused": want.VisitsReused,
+		"crawl.attempts": want.AttemptsTotal, "crawl.visits.retried": want.VisitsRetried,
+		"crawl.visits.degraded": want.VisitsDegraded, "crawl.visits.failed": want.VisitsFailed,
+	} {
+		if ctr[name] != int64(v) {
+			t.Errorf("%s = %d, want %d", name, ctr[name], v)
+		}
 	}
 }
