@@ -100,21 +100,25 @@ func traceBytes(t *testing.T, tr *trace.Tracer) (jsonl, chrome []byte) {
 // TestShardMergeByteIdentical is the golden 1-vs-N determinism suite for
 // the distributed shard-and-merge pipeline: one process and four shard
 // workers must produce byte-identical report, JSON, CSV, and trace
-// exports — on a clean network and under heavy fault injection — and the
-// page-granular counters of the merged registry must equal the single
+// exports — on a clean network and under heavy fault injection, stateless
+// and stateful — and the page-granular counters of the merged registry must equal the single
 // run's exactly (satellite: mergeable metrics).
 func TestShardMergeByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		faults string
+		name     string
+		faults   string
+		stateful bool
 	}{
 		{name: "clean", faults: ""},
 		{name: "heavy-faults", faults: "heavy"},
+		// Stateful shards replay their off-shard pages to advance the
+		// cookie jar; those replays must count no injected faults.
+		{name: "stateful-heavy-faults", faults: "heavy", stateful: true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{Seed: 11, Sites: 10, PagesPerSite: 4, FaultProfile: tc.faults}
+			cfg := Config{Seed: 11, Sites: 10, PagesPerSite: 4, FaultProfile: tc.faults, Stateful: tc.stateful}
 
 			singleReg := metrics.New()
 			singleTracer := trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1, Metrics: singleReg})

@@ -214,6 +214,11 @@ type crawlRun struct {
 	// Its decisions are pure functions of (seed, profile, page, attempt),
 	// so every site worker shares it.
 	transport browser.Transport
+	// replayTransport is an uninstrumented twin of transport for the
+	// off-shard pages a stateful crawl replays only to advance its cookie
+	// jar: it decides the same faults without counting them, so injected
+	// fault counts sum across a disjoint page-filter family.
+	replayTransport browser.Transport
 	// profileVisitMS holds the per-profile crawl.visit_ms histograms, in
 	// profile order.
 	profileVisitMS []*metrics.Histogram
@@ -255,6 +260,8 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 	}
 	if inj.Enabled() {
 		c.transport = inj
+		replay, _ := faults.New(cfg.Seed, cfg.Faults) // validated just above
+		c.replayTransport = replay
 	}
 	// Register every run-level instrument up front, so snapshots taken
 	// before the first site finishes already list them (adding zero
@@ -447,6 +454,7 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 		go func(pi int, prof browser.Profile) {
 			defer wg.Done()
 			b := &browser.Browser{Profile: prof, TimeoutMS: cfg.TimeoutMS, Transport: c.transport}
+			replay := &browser.Browser{Profile: prof, TimeoutMS: cfg.TimeoutMS, Transport: c.replayTransport}
 			fill := func(v *measurement.Visit, reused bool) {
 				i := pageIdx[v.PageURL]*nProf + pi
 				slots[i], fromResume[i] = v, reused
@@ -456,11 +464,12 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 				// One sequential session per site: the jar persists across
 				// pages in discovery order. Off-shard pages are visited so
 				// the jar advances exactly as in the unsharded crawl, but
-				// recorded nowhere (nil tracer and registry are no-ops).
+				// recorded nowhere (nil tracer and registry are no-ops, and
+				// the replay transport counts no faults).
 				jar := browser.NewJar()
 				for _, p := range pages {
 					if cfg.PageFilter != nil && !cfg.PageFilter(site.Domain, p.URL) {
-						visitPage(nil, nil, b, site, p, cfg.Seed, jar, c.retry)
+						visitPage(nil, nil, replay, site, p, cfg.Seed, jar, c.retry)
 						continue
 					}
 					if v := reuse(prof, p); v != nil {

@@ -110,60 +110,72 @@ func (l *List) Len() int { return len(l.rules) }
 // PublicSuffix returns the public suffix of domain according to the list and
 // the implicit "*" rule. The domain must be a bare host name (no scheme,
 // port, or trailing dot); it is lower-cased before matching. For a domain
-// that is itself a public suffix, the domain is returned unchanged.
+// that is itself a public suffix, the domain is returned unchanged. The
+// result is a substring of the lower-cased domain, so a lower-case domain
+// costs no allocation.
 func (l *List) PublicSuffix(domain string) string {
 	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
 	if domain == "" {
 		return ""
 	}
-	labels := strings.Split(domain, ".")
-
-	// Walk suffixes from the TLD leftward, recording the prevailing match.
-	// Exception rules beat everything; otherwise the longest match wins
-	// (which the left-to-right extension walk gives us naturally).
-	bestLen := 1 // implicit "*" rule: the TLD itself
-	for i := len(labels) - 1; i >= 0; i-- {
-		suffix := strings.Join(labels[i:], ".")
-		switch l.rules[suffix] {
+	// Walk suffixes from the TLD leftward, one label boundary at a time,
+	// recording where the prevailing match starts. Exception rules beat
+	// everything; otherwise the longest match wins (which the leftward
+	// walk gives us naturally). No rule spans more than maxLabels labels.
+	best := labelStart(domain, len(domain)) // implicit "*" rule: the TLD
+	end := len(domain)                      // end of the current label
+	for labels := 1; labels <= l.maxLabels; labels++ {
+		start := labelStart(domain, end)
+		switch l.rules[domain[start:]] {
 		case ruleException:
 			// The exception's suffix is the rule with its leftmost
 			// label removed.
-			return strings.Join(labels[i+1:], ".")
-		case ruleNormal:
-			if n := len(labels) - i; n > bestLen {
-				bestLen = n
+			if end == len(domain) {
+				return ""
 			}
+			return domain[end+1:]
+		case ruleNormal:
+			best = min(best, start)
 		case ruleWildcard:
 			// "*.<suffix>" extends the match one label to the left,
 			// if such a label exists.
-			if i > 0 {
-				if n := len(labels) - i + 1; n > bestLen {
-					bestLen = n
-				}
+			if start > 0 {
+				best = min(best, labelStart(domain, start-1))
 			}
 		}
+		if start == 0 {
+			break
+		}
+		end = start - 1
 	}
-	return strings.Join(labels[len(labels)-bestLen:], ".")
+	return domain[best:]
+}
+
+// labelStart returns the start of the label of domain that ends at byte
+// end: one past the last '.' before end, or 0.
+func labelStart(domain string, end int) int {
+	return strings.LastIndexByte(domain[:end], '.') + 1
 }
 
 // RegistrableDomain returns the eTLD+1 of domain: the public suffix plus one
 // more label. It returns "" when domain is itself a public suffix (or empty),
 // mirroring golang.org/x/net/publicsuffix.EffectiveTLDPlusOne's error case.
+// Like PublicSuffix it returns a substring of the lower-cased domain.
 func (l *List) RegistrableDomain(domain string) string {
 	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
 	suffix := l.PublicSuffix(domain)
 	if suffix == "" || domain == suffix {
 		return ""
 	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	if rest == domain {
+	// PublicSuffix returned a label-aligned suffix of domain, so a '.'
+	// precedes it; the registrable domain adds the label before that.
+	at := len(domain) - len(suffix)
+	if domain[at-1] != '.' {
 		return "" // suffix was not a proper suffix; defensive
 	}
-	if i := strings.LastIndexByte(rest, '.'); i >= 0 {
-		rest = rest[i+1:]
+	start := labelStart(domain, at-1)
+	if start == at-1 {
+		return "" // empty label before the suffix
 	}
-	if rest == "" {
-		return ""
-	}
-	return rest + "." + suffix
+	return domain[start:]
 }

@@ -3,12 +3,13 @@ package tree
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // TestRecordRoundTrip: Record → Tree must reproduce every analysis-visible
-// property of the original — node fields, children order, depths, chain
-// keys, and the memoized views — and a second flattening must yield a
+// property of the original — node fields, children order, depths, parent
+// chains, and the memoized views — and a second flattening must yield a
 // deeply equal Record (the fixed point the wire protocol relies on).
 func TestRecordRoundTrip(t *testing.T) {
 	orig := build(t)
@@ -35,8 +36,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		if m == nil {
 			t.Fatalf("node %q missing after round trip", n.Key)
 		}
-		if m.Depth != n.Depth || m.ChainKey() != n.ChainKey() {
-			t.Errorf("node %q: depth %d/%d chainKey %q/%q", n.Key, m.Depth, n.Depth, m.ChainKey(), n.ChainKey())
+		if m.Depth != n.Depth || !slices.Equal(chainOf(m), chainOf(n)) {
+			t.Errorf("node %q: depth %d/%d chain %q/%q", n.Key, m.Depth, n.Depth, chainOf(m), chainOf(n))
 		}
 		if m.Type != n.Type || m.Party != n.Party || m.Tracking != n.Tracking ||
 			m.RawURL != n.RawURL || m.Status != n.Status ||

@@ -9,6 +9,7 @@ package tree
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"webmeasure/internal/filterlist"
 	"webmeasure/internal/measurement"
@@ -32,7 +33,11 @@ func (p Party) String() string {
 	return "third-party"
 }
 
-// Node is one resource in a dependency tree.
+// Node is one resource in a dependency tree. Its dependency chain — the
+// keys from the root down to the node, the unit of the paper's vertical
+// analysis — is the walk up its Parent pointers; no chain is stored, since
+// treediff.Compare classifies equal chains across trees from each node's
+// parent key alone.
 type Node struct {
 	// Key is the node identity: the normalized URL (§3.2).
 	Key string
@@ -49,34 +54,13 @@ type Node struct {
 	ContentType string
 	BodySize    int
 
-	Parent   *Node
+	Parent   *Node // nil for the root
 	Children []*Node
 	Depth    int
-
-	// chainKey memoizes the derived string the cross-comparison reads
-	// once per (node, tree, comparison); Builder.Build fixes it before the
-	// tree is published, so reads are safe under concurrency.
-	chainKey string
 }
 
 // IsRoot reports whether the node is the visited page.
 func (n *Node) IsRoot() bool { return n.Parent == nil }
-
-// ChainKey returns the node's dependency chain — the keys from the root
-// down to the node itself, each followed by a NUL — as one comparable
-// string. Builder.Build memoizes it at construction (each node extends its
-// parent's chain), so the usual call is a field read; nodes assembled by
-// hand fall back to the walk without caching.
-func (n *Node) ChainKey() string {
-	if n.chainKey != "" {
-		return n.chainKey
-	}
-	key := ""
-	for cur := n; cur != nil; cur = cur.Parent {
-		key = cur.Key + "\x00" + key
-	}
-	return key
-}
 
 // Tree is one page visit's dependency tree.
 type Tree struct {
@@ -253,6 +237,13 @@ func (k *keyed) node(t *Tree, key string, id int32) *Node {
 	return t.nodes[key]
 }
 
+// byIDPool recycles BuildKeyed's key id → node table. A table is sized by
+// the whole block's key count but a tree fills a few of its slots, so the
+// builds of one block share a table instead of allocating one each;
+// BuildKeyed clears it before putting it back, so a pooled table retains
+// no tree.
+var byIDPool = sync.Pool{New: func() any { return new([]*Node) }}
+
 // insert publishes a node under its key (and id when pre-interned).
 func (k *keyed) insert(t *Tree, n *Node, id int32) {
 	if id >= 0 {
@@ -290,7 +281,17 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 	k := &keyed{b: b}
 	if keys != nil && !b.RawURLIdentity {
 		k.keys = keys
-		k.byID = make([]*Node, keys.NumKeys())
+		table := byIDPool.Get().(*[]*Node)
+		if n := keys.NumKeys(); cap(*table) < n {
+			*table = make([]*Node, n)
+		} else {
+			*table = (*table)[:n]
+		}
+		k.byID = *table
+		defer func() {
+			clear(k.byID)
+			byIDPool.Put(table)
+		}()
 	}
 	rootKey, rootID, stripped := k.key(v.PageURL)
 	if stripped {
@@ -305,11 +306,10 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 		k.haveSite = true
 	}
 	t.Root = &Node{
-		Key:      rootKey,
-		RawURL:   v.PageURL,
-		Type:     measurement.TypeMainFrame,
-		Party:    FirstParty,
-		chainKey: rootKey + "\x00",
+		Key:    rootKey,
+		RawURL: v.PageURL,
+		Type:   measurement.TypeMainFrame,
+		Party:  FirstParty,
 	}
 	k.insert(t, t.Root, rootID)
 
@@ -339,9 +339,6 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 			BodySize:    req.BodySize,
 			Parent:      parent,
 			Depth:       parent.Depth + 1,
-			// Parents precede children, so the parent's memoized chain
-			// extends in O(len) instead of re-walking to the root.
-			chainKey: parent.chainKey + key + "\x00",
 		}
 		if b.Filter != nil {
 			node.Tracking = b.Filter.Matches(filterlist.Request{

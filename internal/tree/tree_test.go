@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"webmeasure/internal/filterlist"
@@ -229,17 +229,28 @@ func TestChain(t *testing.T) {
 		"https://partner-metrics.example/sync?uid=",
 		"https://partner-metrics.example/track/done",
 	}
-	want := strings.Join(chain, "\x00") + "\x00"
-	if got := n.ChainKey(); got != want {
-		t.Fatalf("ChainKey = %q, want %q", got, want)
+	if got := chainOf(n); !slices.Equal(got, chain) {
+		t.Fatalf("chain = %q, want %q", got, chain)
 	}
-	// A hand-assembled node has no memo and walks its parents instead.
-	if got := (&Node{Key: n.Key, Parent: n.Parent}).ChainKey(); got != want {
-		t.Fatalf("walked ChainKey = %q, want %q", got, want)
+	for i, key := range chain {
+		if m := tr.Node(key); m.Depth != i {
+			t.Errorf("%q at depth %d, want %d", key, m.Depth, i)
+		}
 	}
-	if tr.Root.ChainKey() == n.ChainKey() {
-		t.Error("chain keys must differ")
+	if got := chainOf(tr.Root); !slices.Equal(got, chain[:1]) {
+		t.Errorf("root chain = %q, want %q", got, chain[:1])
 	}
+}
+
+// chainOf returns n's dependency chain, root first, by walking its Parent
+// pointers.
+func chainOf(n *Node) []string {
+	var chain []string
+	for cur := n; cur != nil; cur = cur.Parent {
+		chain = append(chain, cur.Key)
+	}
+	slices.Reverse(chain)
+	return chain
 }
 
 func TestMergeDuplicateURLs(t *testing.T) {

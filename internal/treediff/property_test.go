@@ -58,9 +58,6 @@ func TestCompareSimilaritiesBounded(t *testing.T) {
 			sim, _ := c.DepthSimilarity(f)
 			inUnit(fmt.Sprintf("DepthSimilarity %+v", f), sim)
 		}
-		for _, sim := range c.HorizontalSimilarities() {
-			inUnit("HorizontalSimilarities", sim)
-		}
 	}
 }
 

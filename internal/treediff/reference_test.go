@@ -46,7 +46,7 @@ func refFill(trees []*tree.Tree, ni *NodeInfo) refNode {
 			}
 		}
 		parentSets[ti] = ps
-		chainByTree[ti] = n.ChainKey()
+		chainByTree[ti] = chainString(n)
 	}
 	out.childSim = stats.PairwiseMeanJaccard(childSets)
 	out.parentSim = stats.PairwiseMeanJaccard(parentSets)
@@ -63,6 +63,17 @@ func refFill(trees []*tree.Tree, ni *NodeInfo) refNode {
 		}
 	}
 	return out
+}
+
+// chainString is n's dependency chain as one comparable string — the keys
+// from the root down to n, each followed by a NUL — from an independent
+// walk up the Parent pointers.
+func chainString(n *tree.Node) string {
+	chain := ""
+	for cur := n; cur != nil; cur = cur.Parent {
+		chain = cur.Key + "\x00" + chain
+	}
+	return chain
 }
 
 func refDepthSimilarity(trees []*tree.Tree, c *Comparison, f DepthFilter) (float64, int) {

@@ -8,9 +8,14 @@
 // The set machinery runs on an interned core: Compare resolves every node
 // key to a dense int32 once, and all similarities are linear merges over
 // sorted id slices carved from per-comparison arenas (internal/stats'
-// sorted kernel). The results are bit-identical to the historical
-// map-of-strings kernel — TestCompareMatchesMapReference pins that — while
-// the hot loop allocates per comparison instead of per node.
+// sorted kernel). Dependency chains are compared by class, not by string:
+// walking each tree parents-first, Compare gives every (tree, key) pair
+// the index of the first tree holding the key under the same parent key
+// and parent class, so two trees share a chain exactly when they share a
+// class. The results are bit-identical to the historical map-of-strings
+// kernel over root-to-node chain strings — TestCompareMatchesMapReference
+// pins that — while the hot loop allocates per comparison instead of per
+// node.
 package treediff
 
 import (
@@ -142,6 +147,12 @@ func Compare(trees []*tree.Tree) *Comparison {
 	for i := range c.ints {
 		c.ints[i] = -1
 	}
+	// classes[id*nt+ti] is the chain class of key id in tree ti, -1 where
+	// the tree lacks the key.
+	classes := make([]int32, nt*nk)
+	for i := range classes {
+		classes[i] = -1
+	}
 	infoArena := make([]NodeInfo, nk)
 	for id := range infoArena {
 		ni := &infoArena[id]
@@ -164,6 +175,7 @@ func Compare(trees []*tree.Tree) *Comparison {
 				c.Nodes[n.Key] = ni
 			}
 			lookup[id] = n
+			classes[id*int32(nt)+int32(ti)] = c.chainClass(classes, ti, id, n)
 			ni.Presence++
 			ni.Depths[ti] = n.Depth
 			nc := len(n.Children)
@@ -200,30 +212,62 @@ func Compare(trees []*tree.Tree) *Comparison {
 	}
 
 	s := &fillScratch{
-		childSets: make([][]int32, 0, nt),
-		parentIDs: make([]int32, nt),
-		chains:    make([]string, nt),
+		childSets:   make([][]int32, 0, nt),
+		parentIDs:   make([]int32, nt),
+		classCounts: make([]int32, nt),
 	}
 	// id order is deterministic (first-seen over the sorted node lists),
 	// unlike the map-range order the pre-interning kernel used; fill only
 	// writes to its own NodeInfo either way.
 	for id, ni := range c.infoByID {
-		c.fill(int32(id), ni, s)
+		c.fill(int32(id), ni, classes[id*nt:(id+1)*nt], s)
 	}
 	return c
 }
 
-// fillScratch is the per-Compare reusable state of fill: child-set arena,
-// parent ids, and chain strings, sized once for all nodes.
-type fillScratch struct {
-	childSets  [][]int32
-	childArena []int32
-	parentIDs  []int32 // -1 = empty parent set (absent tree or root)
-	chains     []string
+// chainClass returns the chain class of n, the node of key id in tree ti:
+// the first tree tj ≤ ti whose node for the key has the same parent key
+// under the same parent class (or is a root, like n). Trees are walked in
+// order and each tree parents-first, so every class this reads is set.
+// By induction over depth, two nodes of one key share a class exactly
+// when their root-to-node chains are equal.
+func (c *Comparison) chainClass(classes []int32, ti int, id int32, n *tree.Node) int32 {
+	nt := int32(len(c.Trees))
+	pid := int32(-1)
+	if n.Parent != nil {
+		pid = c.nodeID[n.Parent]
+	}
+	for tj := 0; tj < ti; tj++ {
+		m := c.nodeByID[tj][id]
+		if m == nil {
+			continue
+		}
+		if pid < 0 {
+			if m.Parent == nil {
+				return int32(tj)
+			}
+			continue
+		}
+		if m.Parent != nil && m.Parent == c.nodeByID[tj][pid] &&
+			classes[pid*nt+int32(tj)] == classes[pid*nt+int32(ti)] {
+			return int32(tj)
+		}
+	}
+	return int32(ti)
 }
 
-// fill computes the per-node similarity aggregates.
-func (c *Comparison) fill(id int32, ni *NodeInfo, s *fillScratch) {
+// fillScratch is the per-Compare reusable state of fill: child-set arena,
+// parent ids and per-class tree counts, sized once for all nodes.
+type fillScratch struct {
+	childSets   [][]int32
+	childArena  []int32
+	parentIDs   []int32 // -1 = empty parent set (absent tree or root)
+	classCounts []int32 // trees per chain class (a class is a tree index)
+}
+
+// fill computes the per-node similarity aggregates; classes holds the
+// key's chain class per tree.
+func (c *Comparison) fill(id int32, ni *NodeInfo, classes []int32, s *fillScratch) {
 	// Same depth across containing trees?
 	ni.SameDepth = true
 	first := -1
@@ -249,7 +293,6 @@ func (c *Comparison) fill(id int32, ni *NodeInfo, s *fillScratch) {
 		n := c.nodeByID[ti][id]
 		if n == nil {
 			s.parentIDs[ti] = -1
-			s.chains[ti] = ""
 			continue
 		}
 		// Child set of the containing tree (horizontal), sorted in place
@@ -268,7 +311,6 @@ func (c *Comparison) fill(id int32, ni *NodeInfo, s *fillScratch) {
 				sameParent = false
 			}
 		}
-		s.chains[ti] = n.ChainKey()
 	}
 	s.childArena = buf[:0]
 
@@ -292,28 +334,21 @@ func (c *Comparison) fill(id int32, ni *NodeInfo, s *fillScratch) {
 	}
 	ni.SameParentEverywhere = sameParent
 
-	// Chain bookkeeping over the ≤ len(trees) memoized chain strings;
-	// quadratic in the tree count, allocation-free.
+	// Chain bookkeeping: trees share a chain exactly when they share a
+	// class, so count the trees per class.
+	clear(s.classCounts)
+	for _, cl := range classes {
+		if cl >= 0 {
+			s.classCounts[cl]++
+		}
+	}
 	distinct := 0
 	ni.UniqueChains = 0
-	for i := 0; i < nt; i++ {
-		if s.chains[i] == "" {
-			continue
-		}
-		count := 0
-		firstAt := i
-		for j := 0; j < nt; j++ {
-			if s.chains[j] == s.chains[i] {
-				count++
-				if j < firstAt {
-					firstAt = j
-				}
-			}
-		}
-		if firstAt == i {
+	for _, n := range s.classCounts {
+		if n > 0 {
 			distinct++
 		}
-		if count == 1 {
+		if n == 1 {
 			ni.UniqueChains++
 		}
 	}
@@ -457,25 +492,6 @@ func (c *Comparison) DepthSimilarity(f DepthFilter) (float64, int) {
 // per-tree id sets built by Compare.
 func (c *Comparison) AllNodesSimilarity() float64 {
 	return stats.PairwiseMeanJaccardSorted(c.nonRoot)
-}
-
-// HorizontalSimilarities runs the paper's recursive horizontal pass: the
-// Jaccard of the depth-one children of the pages, then recursively of the
-// children of every node present in at least two trees with at least one
-// child. It returns the per-node similarities keyed by node; the root's
-// entry is the depth-one comparison.
-func (c *Comparison) HorizontalSimilarities() map[string]float64 {
-	out := make(map[string]float64)
-	for key, ni := range c.Nodes {
-		if ni.Presence >= 2 && (ni.HasChildAnywhere || isRootKey(c, key)) {
-			out[key] = ni.ChildSim
-		}
-	}
-	return out
-}
-
-func isRootKey(c *Comparison, key string) bool {
-	return len(c.Trees) > 0 && c.Trees[0].Root != nil && c.Trees[0].Root.Key == key
 }
 
 // EachPair is the two-tree view of the comparison. For every key other

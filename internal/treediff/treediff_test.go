@@ -197,17 +197,32 @@ func TestDepthSimilarityFilters(t *testing.T) {
 	}
 }
 
-func TestHorizontalSimilarities(t *testing.T) {
-	c := Compare(fig6Trees(t))
-	h := c.HorizontalSimilarities()
-	if _, ok := h[rootURL]; !ok {
-		t.Error("root must appear in the horizontal pass")
+// TestChainsDifferAboveTheParent: key y has parent x in both trees, but x
+// hangs under a in one and under b in the other, so y's chains differ two
+// levels up. Matching parent keys alone would call them equal; the parent
+// class keeps them apart.
+func TestChainsDifferAboveTheParent(t *testing.T) {
+	trees := []*tree.Tree{
+		buildTree(t, "P1", [][2]string{{u("a"), rootURL}, {u("b"), rootURL}, {u("x"), u("a")}, {u("y"), u("x")}}),
+		buildTree(t, "P2", [][2]string{{u("a"), rootURL}, {u("b"), rootURL}, {u("x"), u("b")}, {u("y"), u("x")}}),
+		buildTree(t, "P3", [][2]string{{u("a"), rootURL}, {u("b"), rootURL}, {u("x"), u("a")}, {u("y"), u("x")}}),
 	}
-	if _, ok := h[u("x")]; ok {
-		t.Error("leaf without children must not appear")
+	c := Compare(trees[:2])
+	y := c.Nodes[u("y")]
+	if !y.SameParentEverywhere {
+		t.Fatal("y must have the same parent key in both trees")
 	}
-	if _, ok := h[u("e")]; !ok {
-		t.Error("e (present twice, has children) must appear")
+	if y.UniqueChains != 2 || y.ChainEqualAll {
+		t.Errorf("y: %d unique chains, ChainEqualAll %v; want 2, false", y.UniqueChains, y.ChainEqualAll)
+	}
+	// A third tree repeating the first one's chain leaves only the second
+	// tree's chain unique.
+	c = Compare(trees)
+	if y := c.Nodes[u("y")]; y.UniqueChains != 1 || y.ChainEqualAll {
+		t.Errorf("three trees: y has %d unique chains, ChainEqualAll %v; want 1, false", y.UniqueChains, y.ChainEqualAll)
+	}
+	if a := c.Nodes[u("a")]; a.UniqueChains != 0 || !a.ChainEqualAll {
+		t.Errorf("a: %d unique chains, ChainEqualAll %v; want 0, true", a.UniqueChains, a.ChainEqualAll)
 	}
 }
 

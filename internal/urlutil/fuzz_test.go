@@ -95,3 +95,26 @@ func FuzzKeyCache(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBytePath pins the byte path to the net/url path it stands in for:
+// whenever split accepts an input, the key, stripped flag, host and path
+// must equal net/url's.
+func FuzzBytePath(f *testing.F) {
+	for _, s := range []string{
+		"https://cdn.site-0042.example/assets/lib.js?v=1.8.2&session=f00ba4&ab=exp7",
+		"http://a.example/p?",
+		"https://a.example/p?&&",
+		"https://h?x=1",
+		"https://a.example/p?x=1&y&x=2&=3&=",
+		"https://a.example/p??x=1",
+		"https://a.example/:a@b;c=d$e+f,g&h~i?q=!*'()",
+		"HTTPS://A.example/p?x=1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		if p, ok := split(raw); ok {
+			checkBytePath(t, raw, p)
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package urlutil
 
 import (
+	"math/rand"
+	"net/url"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,18 +110,6 @@ func TestIsThirdParty(t *testing.T) {
 	}
 }
 
-func TestSameSite(t *testing.T) {
-	if !SameSite("https://a.example.com/x", "https://b.example.com/y") {
-		t.Error("subdomains of the same registrable domain should be same-site")
-	}
-	if SameSite("https://example.com/", "https://example.org/") {
-		t.Error("different registrable domains must not be same-site")
-	}
-	if SameSite("::bad::", "::bad::") {
-		t.Error("unparseable URLs must not be same-site")
-	}
-}
-
 func TestPathOf(t *testing.T) {
 	if got := PathOf("https://x.example/a/b.js?q=1"); got != "/a/b.js" {
 		t.Errorf("PathOf = %q", got)
@@ -129,9 +119,121 @@ func TestPathOf(t *testing.T) {
 	}
 }
 
+// TestShapes pins the split between the byte path and the net/url
+// fallback. Each shape split must reject goes through Normalize, Host,
+// PathOf and BuildKeyCache with net/url's results; the byte-path corner
+// cases (a bare '?', a query of only '&'s, repeated names, an empty path)
+// must give the same results without it.
+func TestShapes(t *testing.T) {
+	cases := []struct {
+		name, in         string
+		canonical        bool
+		key              string
+		stripped         bool
+		host, path, site string
+	}{
+		{"upper-case scheme", "HTTPS://foo.example/a?x=1", false, "https://foo.example/a?x=", true, "foo.example", "/a", "foo.example"},
+		{"upper-case host", "https://CDN.Foo.example/x.js", false, "https://cdn.foo.example/x.js", false, "cdn.foo.example", "/x.js", "foo.example"},
+		{"port", "https://foo.example:8443/x?a=1", false, "https://foo.example:8443/x?a=", true, "foo.example", "/x", "foo.example"},
+		{"userinfo", "https://user:pw@foo.example/x", false, "https://user:pw@foo.example/x", false, "foo.example", "/x", "foo.example"},
+		{"percent escape", "https://foo.example/a%20b?q=%41", false, "https://foo.example/a%20b?q=", true, "foo.example", "/a b", "foo.example"},
+		{"fragment", "https://foo.example/a?x=1#top", false, "https://foo.example/a?x=", true, "foo.example", "/a", "foo.example"},
+		{"IPv6 literal", "http://[::1]:8080/p?a=1", false, "http://[::1]:8080/p?a=", true, "::1", "/p", ""},
+		{"empty host", "https:///x?a=1", false, "https:///x?a=", true, "", "/x", ""},
+		{"space in path", "https://foo.example/a b", false, "https://foo.example/a%20b", false, "foo.example", "/a b", "foo.example"},
+		{"bare ?", "https://foo.example/a?", true, "https://foo.example/a?", false, "foo.example", "/a", "foo.example"},
+		{"?& only", "https://foo.example/a?&", true, "https://foo.example/a", false, "foo.example", "/a", "foo.example"},
+		{"repeated names", "https://foo.example/a?x=1&y&x=2", true, "https://foo.example/a?x=&y=", true, "foo.example", "/a", "foo.example"},
+		{"empty path", "https://h.example?x=1", true, "https://h.example?x=", true, "h.example", "", "h.example"},
+		{"already a key", "https://foo.example/a?x=&y=", true, "https://foo.example/a?x=&y=", false, "foo.example", "/a", "foo.example"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, ok := split(c.in); ok != c.canonical {
+				t.Errorf("split(%q) ok = %v, want %v", c.in, ok, c.canonical)
+			}
+			if key, stripped := Normalize(c.in); key != c.key || stripped != c.stripped {
+				t.Errorf("Normalize = (%q, %v), want (%q, %v)", key, stripped, c.key, c.stripped)
+			}
+			if got := Host(c.in); got != c.host {
+				t.Errorf("Host = %q, want %q", got, c.host)
+			}
+			if got := PathOf(c.in); got != c.path {
+				t.Errorf("PathOf = %q, want %q", got, c.path)
+			}
+			cache := BuildKeyCache([]string{c.in}, 1)
+			key, id, stripped, ok := cache.Lookup(c.in)
+			if !ok || key != c.key || stripped != c.stripped {
+				t.Errorf("Lookup = (%q, %v, %v), want (%q, %v)", key, stripped, ok, c.key, c.stripped)
+			}
+			if got := cache.SiteByID(id); got != c.site {
+				t.Errorf("SiteByID = %q, want %q", got, c.site)
+			}
+		})
+	}
+}
+
+// TestBytePathMatchesParse drives random URLs of the canonical shape,
+// biased towards its corner cases, through both paths: every key,
+// stripped flag, host and path must equal net/url's.
+func TestBytePathMatchesParse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(alphabet string, n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		raw := []string{"http://", "https://", "ws://", "wss://"}[rng.Intn(4)] + pick("ab.-9", 1+rng.Intn(6))
+		if rng.Intn(4) > 0 {
+			raw += "/" + pick("aZ9-._~/$&+,:;=@", rng.Intn(8))
+		}
+		if rng.Intn(4) > 0 {
+			raw += "?" + pick("ab=&?!~%", rng.Intn(10))
+		}
+		p, ok := split(raw)
+		if !ok {
+			t.Fatalf("split(%q) rejected a canonical URL", raw)
+		}
+		checkBytePath(t, raw, p)
+	}
+}
+
+// checkBytePath fails unless the byte path's key, stripped flag, host and
+// path for raw (which split accepted as p) equal the net/url path's.
+func checkBytePath(t *testing.T, raw string, p urlParts) {
+	t.Helper()
+	key, stripped := normalizeSplit(raw, p)
+	wantKey, wantStripped, wantHost := normalizeParsed(raw)
+	u, err := url.Parse(raw)
+	if err != nil {
+		t.Fatalf("split accepted %q, which net/url rejects: %v", raw, err)
+	}
+	if key != wantKey || stripped != wantStripped {
+		t.Fatalf("byte path %q → (%q, %v), net/url → (%q, %v)", raw, key, stripped, wantKey, wantStripped)
+	}
+	if p.host != wantHost || p.host != strings.ToLower(u.Hostname()) {
+		t.Fatalf("byte path %q → host %q, net/url → %q", raw, p.host, wantHost)
+	}
+	if p.path != u.Path {
+		t.Fatalf("byte path %q → path %q, net/url → %q", raw, p.path, u.Path)
+	}
+}
+
+var sinkKey string
+
 func BenchmarkNormalize(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Normalize("https://cdn.site-0042.example/assets/lib.js?v=1.8.2&session=f00ba4&ab=exp7")
+	for _, bc := range []struct{ name, raw string }{
+		{"bytes", "https://cdn.site-0042.example/assets/lib.js?v=1.8.2&session=f00ba4&ab=exp7"},
+		{"parse", "https://cdn.site-0042.example:443/assets/lib.js?v=1.8.2&session=f00ba4&ab=exp7"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkKey, _ = Normalize(bc.raw)
+			}
+		})
 	}
 }
