@@ -3,6 +3,7 @@ package browser
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"webmeasure/internal/cookies"
@@ -126,26 +127,30 @@ func (b *Browser) VisitAttempt(page *webgen.Page, nonce uint64, attempt int, jar
 		v.Status = measurement.VisitFailed
 		v.Retryable = out.Retryable
 		chain := faults.RedirectChain(int64(page.Seed), b.Profile.Name, page.URL, out.Hops)
+		if len(chain) > 0 {
+			v.Requests = make([]measurement.Request, len(chain))
+		}
 		prev := ""
 		for i, hop := range chain {
-			v.Requests = append(v.Requests, measurement.Request{
+			v.Requests[i] = measurement.Request{
 				URL:          hop,
 				Type:         measurement.TypeMainFrame,
 				RedirectFrom: prev,
 				Status:       302,
 				ContentType:  "text/html",
 				TimeOffsetMS: (i + 1) * 30,
-			})
+			}
 			prev = hop
 		}
 		return v
 	}
 
+	scratch := requestPool.Get().(*[]measurement.Request)
 	r := &renderer{
 		browser:   b,
 		page:      page,
 		nonce:     nonce,
-		visit:     v,
+		reqs:      (*scratch)[:0],
 		timeout:   b.timeout(),
 		jar:       jar,
 		nextFrame: measurement.TopFrameID,
@@ -167,6 +172,12 @@ func (b *Browser) VisitAttempt(page *webgen.Page, nonce uint64, attempt int, jar
 	}, page.Root, rootURL, start)
 	ctx := frameContext{frameID: measurement.TopFrameID, frameURL: rootURL}
 	r.walkChildren(page.Root, ctx, "", start+rootLatency)
+	// make, not slices.Clone: append rounds the capacity up to a size class.
+	v.Requests = make([]measurement.Request, len(r.reqs))
+	copy(v.Requests, r.reqs)
+	clear(r.reqs)
+	*scratch = r.reqs[:0]
+	requestPool.Put(scratch)
 
 	v.Success = true
 	v.Status = measurement.VisitOK
@@ -197,11 +208,17 @@ type frameContext struct {
 	frameURL string
 }
 
+// requestPool recycles the slice a visit renders its requests into. A
+// visit's request count is known only once it has rendered, so the visit
+// keeps an exact-size copy instead of an append-grown slice; the scratch
+// is cleared before it goes back, so a pooled slice retains no visit.
+var requestPool = sync.Pool{New: func() any { return new([]measurement.Request) }}
+
 type renderer struct {
 	browser       *Browser
 	page          *webgen.Page
 	nonce         uint64
-	visit         *measurement.Visit
+	reqs          []measurement.Request // pooled scratch, see requestPool
 	timeout       int
 	cutoff        int // ≤ timeout; a Truncate fault lowers it
 	jar           *cookies.Jar
@@ -220,7 +237,7 @@ func (r *renderer) emit(req measurement.Request, res *webgen.Resource, realizedU
 		// Browsers apply Set-Cookie as responses arrive.
 		_ = r.jar.SetFromHeader(header, realizedURL)
 	}
-	r.visit.Requests = append(r.visit.Requests, req)
+	r.reqs = append(r.reqs, req)
 	if at > r.maxCompletion {
 		r.maxCompletion = at
 	}

@@ -1,9 +1,14 @@
 package browser
 
 import (
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
+	"webmeasure/internal/faults"
 	"webmeasure/internal/measurement"
 	"webmeasure/internal/tranco"
 	"webmeasure/internal/webgen"
@@ -263,5 +268,120 @@ func TestKeystrokeBindingForLazyContent(t *testing.T) {
 	}
 	if len(lazyOffsets) < 2 {
 		t.Error("lazy loads all bound to one instant; keystroke spread dead")
+	}
+}
+
+// fixedTransport disturbs every attempt with the same outcome.
+type fixedTransport faults.Outcome
+
+func (f fixedTransport) RoundTrip(string, string, int) faults.Outcome { return faults.Outcome(f) }
+
+// checkExactSize fails when a visit's request slice has spare capacity.
+func checkExactSize(t *testing.T, what string, v *measurement.Visit) {
+	t.Helper()
+	if len(v.Requests) != cap(v.Requests) {
+		t.Errorf("%s: %d requests in a backing array of %d", what, len(v.Requests), cap(v.Requests))
+	}
+}
+
+// TestVisitRequestsExactSize pins that VisitAttempt hands back every
+// visit's requests in an exact-size slice, whatever the fault: the
+// renderer's pooled scratch and append growth never reach a visit.
+func TestVisitRequestsExactSize(t *testing.T) {
+	page := testPage(t)
+	prof := profileNamed(t, "Sim1")
+	cases := []struct {
+		name   string
+		tr     Transport
+		status string
+		fault  string
+	}{
+		{"clean", nil, measurement.VisitOK, ""},
+		{"truncated", fixedTransport{Kind: faults.Truncate, TruncateAtMS: 400}, measurement.VisitDegraded, "truncate"},
+		{"latency-stalled", fixedTransport{Kind: faults.Latency, ExtraLatencyMS: DefaultTimeoutMS - 500}, measurement.VisitDegraded, "latency"},
+		{"redirect-loop", fixedTransport{Kind: faults.RedirectLoop, Hops: 7, Failure: "redirect loop"}, measurement.VisitFailed, "redirect_loop"},
+	}
+	for _, tc := range cases {
+		b := &Browser{Profile: prof, Transport: tc.tr}
+		seen := 0
+		for nonce := uint64(0); nonce < 40; nonce++ {
+			v := b.VisitAttempt(page, nonce, 0, NewJar())
+			checkExactSize(t, tc.name, v)
+			if v.FaultKind != tc.fault || (!v.Success && v.FaultKind == "") {
+				continue // a browser-level failure preempts the transport
+			}
+			seen++
+			if v.Status != tc.status || len(v.Requests) == 0 {
+				t.Fatalf("%s: status %q with %d requests, want %q with some", tc.name, v.Status, len(v.Requests), tc.status)
+			}
+		}
+		if seen == 0 {
+			t.Errorf("%s: no visit reached the transport", tc.name)
+		}
+	}
+
+	b := New(prof)
+	failed := 0
+	for nonce := uint64(0); nonce < 400; nonce++ {
+		if v := b.Visit(page, nonce); !v.Success {
+			failed++
+			checkExactSize(t, "browser-failed", v)
+		}
+	}
+	if failed == 0 {
+		t.Error("no browser-failed visit in 400 nonces")
+	}
+}
+
+// TestConcurrentVisitsShareNoBackingArray renders visits on 8 goroutines
+// at once: each visit's requests must live in a backing array of its own
+// and equal the same visit rendered alone, so no two renders ever share
+// pooled scratch.
+func TestConcurrentVisitsShareNoBackingArray(t *testing.T) {
+	page := testPage(t)
+	transports := []Transport{
+		nil,
+		fixedTransport{Kind: faults.Truncate, TruncateAtMS: 900},
+		fixedTransport{Kind: faults.RedirectLoop, Hops: 5, Failure: "redirect loop"},
+	}
+	const workers, each = 8, 24
+	visits := make([][]*measurement.Visit, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				b := &Browser{Profile: DefaultProfiles()[i%5], Transport: transports[i%len(transports)]}
+				visits[w] = append(visits[w], b.VisitAttempt(page, uint64(w*each+i), 0, NewJar()))
+			}
+		}()
+	}
+	wg.Wait()
+
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	size := unsafe.Sizeof(measurement.Request{})
+	for w, vs := range visits {
+		for i, v := range vs {
+			checkExactSize(t, "concurrent", v)
+			b := &Browser{Profile: DefaultProfiles()[i%5], Transport: transports[i%len(transports)]}
+			if alone := b.VisitAttempt(page, uint64(w*each+i), 0, NewJar()); !reflect.DeepEqual(v, alone) {
+				t.Fatalf("visit %d of goroutine %d differs from the same visit rendered alone", i, w)
+			}
+			if cap(v.Requests) > 0 {
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(v.Requests)))
+				spans = append(spans, span{lo, lo + uintptr(cap(v.Requests))*size})
+			}
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("two visits share a backing array (%#x..%#x overlaps %#x)", spans[i-1].lo, spans[i-1].hi, spans[i].lo)
+		}
+	}
+	if len(spans) < workers*each/2 {
+		t.Fatalf("only %d of %d visits recorded requests", len(spans), workers*each)
 	}
 }

@@ -427,3 +427,78 @@ func TestSniff(t *testing.T) {
 		t.Error("Sniff accepted a too-short prefix")
 	}
 }
+
+// growShrinkFile writes sites whose blocks grow and then shrink in size,
+// so Scan's payload buffer is regrown and then reused for smaller blocks.
+func growShrinkFile(t testing.TB) ([]byte, []string) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var names []string
+	for i, pages := range []int{1, 3, 6, 10, 4, 2, 1} {
+		site := fmt.Sprintf("s%d.example", i)
+		if err := w.WriteSite(site, siteRows(site, uint64(100*i), pages, 3)); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, site)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), names
+}
+
+// TestScanBlocksOwnTheirBytes keeps every block Scan hands out, across a
+// payload buffer that grows and is then reused for smaller blocks, and
+// requires each, once the scan has ended, to equal field by field its
+// payload decoded alone from a copy of its own bytes: no decoded field
+// may alias the reused buffer.
+func TestScanBlocksOwnTheirBytes(t *testing.T) {
+	data, names := growShrinkFile(t)
+	var kept []*SiteBlock
+	idx, err := Scan(bytes.NewReader(data), func(sb *SiteBlock) error {
+		kept = append(kept, sb)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(names) || len(idx.Blocks) != len(names) {
+		t.Fatalf("scanned %d blocks, indexed %d, wrote %d", len(kept), len(idx.Blocks), len(names))
+	}
+	largest := 0
+	for i, meta := range idx.Blocks {
+		if meta.Length > idx.Blocks[largest].Length {
+			largest = i
+		}
+	}
+	if largest == 0 || largest == len(names)-1 {
+		t.Fatalf("block sizes do not grow and then shrink (largest is block %d)", largest)
+	}
+	for i, meta := range idx.Blocks {
+		rec := data[meta.Offset : meta.Offset+meta.Length]
+		n, used := uvarintFrom(rec[len(blockMagic):])
+		start := len(blockMagic) + used
+		alone, err := DecodeBlockPayload(bytes.Clone(rec[start : start+int(n)]))
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if kept[i].Site != names[i] {
+			t.Errorf("block %d: site %q, want %q", i, kept[i].Site, names[i])
+		}
+		if !reflect.DeepEqual(kept[i], alone) {
+			t.Errorf("block %d (%s): scanned block differs from its payload decoded alone", i, meta.Site)
+		}
+	}
+}
+
+func BenchmarkScan(b *testing.B) {
+	data, _ := growShrinkFile(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Scan(bytes.NewReader(data), func(*SiteBlock) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

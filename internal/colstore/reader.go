@@ -11,8 +11,10 @@ import (
 // Scan streams the file's site blocks in file order, calling fn for each
 // decoded block, and returns the decoded footer index. It needs only
 // sequential access — each block is self-contained — so it works on pipes
-// and HTTP bodies; memory is bounded by the largest single block. A
-// non-nil error from fn aborts the scan and is returned verbatim.
+// and HTTP bodies; memory is bounded by the largest single block. Every
+// block is read into one payload buffer, grown when a block is larger;
+// decodeBlock copies every string out, so no block fn receives aliases
+// it. A non-nil error from fn aborts the scan and is returned verbatim.
 func Scan(r io.Reader, fn func(*SiteBlock) error) (*Index, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -26,13 +28,15 @@ func Scan(r io.Reader, fn func(*SiteBlock) error) (*Index, error) {
 		return nil, fmt.Errorf("colstore: bad header magic %q (not a columnar dataset)", hdr)
 	}
 	magic := make([]byte, len(blockMagic))
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(br, magic); err != nil {
 			return nil, fmt.Errorf("colstore: read record magic: %w", err)
 		}
 		switch string(magic) {
 		case blockMagic:
-			payload, err := readRecordBody(br, "block")
+			var err error
+			payload, err = readRecordBody(br, "block", payload)
 			if err != nil {
 				return nil, err
 			}
@@ -44,7 +48,7 @@ func Scan(r io.Reader, fn func(*SiteBlock) error) (*Index, error) {
 				return nil, err
 			}
 		case indexMagic:
-			payload, err := readRecordBody(br, "index")
+			payload, err := readRecordBody(br, "index", nil)
 			if err != nil {
 				return nil, err
 			}
@@ -67,8 +71,9 @@ func Scan(r io.Reader, fn func(*SiteBlock) error) (*Index, error) {
 }
 
 // readRecordBody reads uvarint(len) + payload + crc32 and verifies the
-// checksum.
-func readRecordBody(br *bufio.Reader, what string) ([]byte, error) {
+// checksum. The payload reuses buf when it fits and is freshly allocated
+// otherwise.
+func readRecordBody(br *bufio.Reader, what string, buf []byte) ([]byte, error) {
 	n, err := readUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: read %s length: %w", what, err)
@@ -76,7 +81,10 @@ func readRecordBody(br *bufio.Reader, what string) ([]byte, error) {
 	if n > maxRecordLen {
 		return nil, fmt.Errorf("colstore: %s record of %d bytes exceeds the %d-byte limit (corrupt length?)", what, n, maxRecordLen)
 	}
-	payload := make([]byte, n)
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, fmt.Errorf("colstore: read %s payload (%d bytes): %w", what, n, err)
 	}

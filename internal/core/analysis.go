@@ -514,22 +514,28 @@ func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
 	return pageResult{pa: pa}
 }
 
+// rawsPool recycles pageKeys' list of URL occurrences. BuildKeyCache keeps
+// the strings, not the list, and the list is cleared before it goes back,
+// so a pooled list retains no URL.
+var rawsPool = sync.Pool{New: func() any { return new([]string) }}
+
 // pageKeys builds the transient URL table of one page's visits from
 // every URL they hold (measurement.Visit.AppendURLs). The profiles'
 // visits to one page mostly request the same URLs, so the table is sized
 // for twice the largest visit's requests rather than for every
 // occurrence.
 func pageKeys(visits []*measurement.Visit) *urlutil.KeyCache {
-	n, most := 0, 0
-	for _, v := range visits {
-		n += 1 + 2*len(v.Requests)
-		most = max(most, len(v.Requests))
-	}
-	raws := make([]string, 0, n)
+	scratch := rawsPool.Get().(*[]string)
+	raws, most := (*scratch)[:0], 0
 	for _, v := range visits {
 		raws = v.AppendURLs(raws)
+		most = max(most, len(v.Requests))
 	}
-	return urlutil.BuildKeyCache(raws, 2*most+1)
+	keys := urlutil.BuildKeyCache(raws, 2*most+1)
+	clear(raws)
+	*scratch = raws[:0]
+	rawsPool.Put(scratch)
+	return keys
 }
 
 // Profiles returns the profile order used for tree indexing.

@@ -8,8 +8,6 @@ package drift
 // epochs of the same profile, plus the whole-tree edge score.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"webmeasure/internal/stats"
@@ -227,16 +225,7 @@ func setDiff(a, b []string) (onlyA, onlyB []string) {
 }
 
 // Encode renders the delta as indented JSON with a trailing newline.
-func (d *Delta) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(d); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func (d *Delta) Encode() ([]byte, error) { return encodeIndented(d) }
 
 // MetricNames lists the values Metric exposes, in rule-file order.
 var MetricNames = []string{

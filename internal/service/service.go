@@ -559,11 +559,20 @@ func render(r *webmeasure.Results, tracer *trace.Tracer) (*result, error) {
 	return res, nil
 }
 
+// colPool recycles the buffer encodeDataset writes a dataset into before
+// copying it out, so a finished job's encode does not regrow a buffer by
+// doubling. The buffer is reset before it goes back and holds only bytes.
+var colPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // encodeDataset returns an exact-size copy of the run's columnar dataset:
 // the only form of its visits a finished job keeps.
 func encodeDataset(r *webmeasure.Results) ([]byte, error) {
-	var col bytes.Buffer
-	if err := r.WriteDatasetCol(&col); err != nil {
+	col := colPool.Get().(*bytes.Buffer)
+	defer func() {
+		col.Reset()
+		colPool.Put(col)
+	}()
+	if err := r.WriteDatasetCol(col); err != nil {
 		return nil, fmt.Errorf("encode dataset: %w", err)
 	}
 	return bytes.Clone(col.Bytes()), nil
