@@ -136,7 +136,7 @@ bench-throughput:
 # One iteration of every hot-path benchmark: catches benchmarks that no
 # longer compile or panic, without paying for a full timed run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/treediff ./internal/stats ./internal/filterlist ./internal/tree ./internal/urlutil ./internal/psl ./internal/browser ./internal/cookies ./internal/linkextract ./internal/drift ./internal/colstore
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/treediff ./internal/stats ./internal/filterlist ./internal/tree ./internal/urlutil ./internal/psl ./internal/browser ./internal/cookies ./internal/linkextract ./internal/drift ./internal/colstore ./internal/webgen
 
 clean:
 	$(GO) clean ./...

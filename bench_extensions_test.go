@@ -156,7 +156,7 @@ func BenchmarkAblationWholeTreeDistance(b *testing.B) {
 	var edgeSum, hamSum, nodeSum float64
 	n := 0
 	for _, pa := range a.Pages() {
-		edgeSum += treediff.EdgeSimilarity(pa.Trees)
+		edgeSum += pa.Cmp.EdgeSimilarity()
 		hamSum += treediff.HammingSimilarity(pa.Trees)
 		nodeSum += pa.Cmp.AllNodesSimilarity()
 		n++

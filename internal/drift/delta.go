@@ -183,14 +183,13 @@ func siteDiff(from, to *SiteBaseline) (SiteDelta, error) {
 			if err != nil {
 				return sd, fmt.Errorf("drift: site %q page %q (to): %w", to.Site, to.Trees[j].PageURL, err)
 			}
-			pair := []*tree.Tree{oldT, newT}
-			cross := treediff.Compare(pair)
+			cross := treediff.Compare([]*tree.Tree{oldT, newT})
 			if sim, depths := cross.DepthSimilarity(treediff.DepthFilter{}); depths > 0 {
 				treeSims = append(treeSims, sim)
 			} else {
 				treeSims = append(treeSims, 1)
 			}
-			edgeSims = append(edgeSims, treediff.EdgeSimilarity(pair))
+			edgeSims = append(edgeSims, cross.EdgeSimilarity())
 			sd.CommonPages++
 			i++
 			j++

@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"sync"
@@ -522,60 +523,57 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (*result, error) {
 }
 
 // render turns finished Results into a job's artifacts: report, JSON,
-// CSV and summary, plus the trace exports when tracer is non-nil.
+// CSV and summary, plus the trace exports when tracer is non-nil. Every
+// artifact is an exact-size copy (exactBytes), so service.results.bytes
+// counts what a finished job holds.
 func render(r *webmeasure.Results, tracer *trace.Tracer) (*result, error) {
-	var rep, js, csv bytes.Buffer
-	r.WriteReport(&rep)
-	if err := r.WriteJSON(&js); err != nil {
-		return nil, fmt.Errorf("render json: %w", err)
+	res := &result{summary: r.Summary()}
+	var err error
+	keep := func(dst *[]byte, what string, write func(io.Writer) error) {
+		if err != nil {
+			return
+		}
+		if *dst, err = exactBytes(write); err != nil {
+			err = fmt.Errorf("%s: %w", what, err)
+		}
 	}
-	if err := r.WriteCSV(&csv); err != nil {
-		return nil, fmt.Errorf("render csv: %w", err)
-	}
-	col, err := encodeDataset(r)
-	if err != nil {
-		return nil, err
-	}
-	res := &result{
-		report:     rep.Bytes(),
-		json:       js.Bytes(),
-		csv:        csv.Bytes(),
-		datasetCol: col,
-		summary:    r.Summary(),
-	}
+	keep(&res.report, "render report", func(w io.Writer) error { r.WriteReport(w); return nil })
+	keep(&res.json, "render json", r.WriteJSON)
+	keep(&res.csv, "render csv", r.WriteCSV)
+	keep(&res.datasetCol, "encode dataset", r.WriteDatasetCol)
 	if tracer != nil {
-		var chrome, jsonl bytes.Buffer
-		if err := tracer.WriteChromeTrace(&chrome); err != nil {
-			return nil, fmt.Errorf("render trace: %w", err)
-		}
-		if err := tracer.WriteJSONL(&jsonl); err != nil {
-			return nil, fmt.Errorf("render trace jsonl: %w", err)
-		}
-		res.traceChrome = chrome.Bytes()
-		res.traceJSONL = jsonl.Bytes()
+		keep(&res.traceChrome, "render trace", tracer.WriteChromeTrace)
+		keep(&res.traceJSONL, "render trace jsonl", tracer.WriteJSONL)
 		res.traceCount = tracer.TraceCount()
 		res.spanCount = tracer.SpanCount()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// colPool recycles the buffer encodeDataset writes a dataset into before
-// copying it out, so a finished job's encode does not regrow a buffer by
-// doubling. The buffer is reset before it goes back and holds only bytes.
-var colPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// scratchPool recycles the buffer exactBytes writes an artifact into
+// before copying it out, so rendering does not regrow a buffer by
+// doubling for every artifact of every job. A buffer is reset before it
+// goes back and holds only bytes.
+var scratchPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodeDataset returns an exact-size copy of the run's columnar dataset:
-// the only form of its visits a finished job keeps.
-func encodeDataset(r *webmeasure.Results) ([]byte, error) {
-	col := colPool.Get().(*bytes.Buffer)
+// exactBytes runs write against pooled scratch and returns an exact-size
+// copy of what it wrote (len == cap): the only form of an artifact a
+// finished job keeps.
+func exactBytes(write func(io.Writer) error) ([]byte, error) {
+	buf := scratchPool.Get().(*bytes.Buffer)
 	defer func() {
-		col.Reset()
-		colPool.Put(col)
+		buf.Reset()
+		scratchPool.Put(buf)
 	}()
-	if err := r.WriteDatasetCol(col); err != nil {
-		return nil, fmt.Errorf("encode dataset: %w", err)
+	if err := write(buf); err != nil {
+		return nil, err
 	}
-	return bytes.Clone(col.Bytes()), nil
+	out := make([]byte, buf.Len())
+	copy(out, buf.Bytes())
+	return out, nil
 }
 
 // executeShard runs one shard job: a shard-restricted measurement whose
@@ -614,9 +612,9 @@ func (s *Server) executeShard(ctx context.Context, spec JobSpec) (*result, error
 	if err != nil {
 		return nil, err
 	}
-	col, err := encodeDataset(r)
+	col, err := exactBytes(r.WriteDatasetCol)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("encode dataset: %w", err)
 	}
 	// Shard summaries report only crawl-level facts: the tree-derived
 	// means of one slice's pages are not the experiment's.

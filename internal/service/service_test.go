@@ -326,6 +326,35 @@ func TestResultBytesGauge(t *testing.T) {
 	scrape("after a cache hit")
 }
 
+// TestResultArtifactsExactSize: a traced job keeps every artifact at its
+// exact size, so the lengths service.results.bytes sums are what the job
+// holds, with no spare capacity behind them.
+func TestResultArtifactsExactSize(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	spec := tinySpec(7)
+	spec.TraceSample = 1
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	s.mu.Lock()
+	res, state := job.res, job.state
+	s.mu.Unlock()
+	if state != StateDone || res == nil {
+		t.Fatalf("traced job ended %q", state)
+	}
+	for name, b := range map[string][]byte{
+		"report": res.report, "result.json": res.json, "result.csv": res.csv,
+		"dataset.col": res.datasetCol, "trace.json": res.traceChrome, "trace.jsonl": res.traceJSONL,
+	} {
+		if len(b) == 0 || len(b) != cap(b) {
+			t.Errorf("%s: len %d, cap %d", name, len(b), cap(b))
+		}
+	}
+}
+
 // blockingServer builds a server whose runner parks until release is
 // closed (or the job context fires), so tests can hold the worker busy
 // deterministically.

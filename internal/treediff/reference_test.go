@@ -3,6 +3,7 @@ package treediff
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"webmeasure/internal/stats"
@@ -139,6 +140,45 @@ func refPairwisePresence(a, b *tree.Tree) float64 {
 		setB[n.Key] = true
 	}
 	return stats.Jaccard(setA, setB)
+}
+
+// refEdgeSimilarity is the edge score over (parent key, child key)
+// strings, one string per edge, as it ran before it read the comparison's
+// interned ids.
+func refEdgeSimilarity(trees []*tree.Tree) float64 {
+	sets := make([][]string, len(trees))
+	for i, t := range trees {
+		var edges []string
+		for _, n := range t.Nodes() {
+			if n.Parent != nil {
+				edges = append(edges, n.Parent.Key+"\x00"+n.Key)
+			}
+		}
+		slices.Sort(edges)
+		sets[i] = edges
+	}
+	return stats.PairwiseMeanJaccardSorted(sets)
+}
+
+// TestEdgeSimilarityMatchesStringReference pins Comparison.EdgeSimilarity
+// to the string kernel with exact float equality, on the Fig. 6 trees and
+// on random tree sets, duplicated trees included.
+func TestEdgeSimilarityMatchesStringReference(t *testing.T) {
+	check := func(what string, trees []*tree.Tree) {
+		t.Helper()
+		if got, want := Compare(trees).EdgeSimilarity(), refEdgeSimilarity(trees); got != want {
+			t.Fatalf("%s: EdgeSimilarity %v != reference %v", what, got, want)
+		}
+	}
+	fig6 := fig6Trees(t)
+	check("fig6", fig6)
+	check("fig6 reversed", []*tree.Tree{fig6[2], fig6[1], fig6[0]})
+	rng := rand.New(rand.NewSource(43))
+	for iter := 0; iter < 300; iter++ {
+		trees := randTrees(t, rng, 1+rng.Intn(5))
+		check(fmt.Sprintf("iter %d", iter), trees)
+		check(fmt.Sprintf("iter %d with a duplicate", iter), append(trees, trees[0]))
+	}
 }
 
 // TestCompareMatchesMapReference pins the interned kernel to the map

@@ -1,8 +1,6 @@
 package treediff
 
 import (
-	"slices"
-
 	"webmeasure/internal/stats"
 	"webmeasure/internal/tree"
 )
@@ -10,25 +8,33 @@ import (
 // The paper chooses node-level comparison over whole-tree distances
 // ("We choose not to compute similarities of entire trees (e.g., using the
 // Hamming distance) ... as it provides deeper insights into the changes in
-// the relationships between the nodes", §3.2). The functions below
-// implement the rejected alternative so the choice can be evaluated: a
-// single score per tree pair, with no per-node attribution.
+// the relationships between the nodes", §3.2). The scores below implement
+// the rejected alternative so the choice can be evaluated: a single score
+// per tree pair, with no per-node attribution.
 
 // EdgeSimilarity treats each tree as its set of (parent, child) edges and
 // returns the pairwise-mean Jaccard over all trees. A coarse whole-tree
 // score: sensitive to both presence and attribution changes, but unable to
-// say *which* nodes moved.
-func EdgeSimilarity(trees []*tree.Tree) float64 {
-	sets := make([][]string, len(trees))
-	for i, t := range trees {
-		var edges []string
-		for _, n := range t.Nodes() {
-			if n.Parent != nil {
-				edges = append(edges, n.Parent.Key+"\x00"+n.Key)
+// say *which* nodes moved. Each edge is the pair of the comparison's
+// interned ids packed into one int64, child id first: a key has one parent
+// per tree, so a walk over the tree's ascending ids yields its edges
+// sorted. Distinct keys have distinct ids, so every pair of trees counts
+// the same intersection and union as over (parent key, child key) strings.
+func (c *Comparison) EdgeSimilarity() float64 {
+	total := 0
+	for _, ids := range c.treeKeys {
+		total += len(ids)
+	}
+	arena := make([]int64, 0, total)
+	sets := make([][]int64, len(c.Trees))
+	for ti, ids := range c.treeKeys {
+		start := len(arena)
+		for _, id := range ids {
+			if pid := c.parentID(c.nodeByID[ti][id]); pid >= 0 {
+				arena = append(arena, int64(id)<<32|int64(pid))
 			}
 		}
-		slices.Sort(edges)
-		sets[i] = edges
+		sets[ti] = arena[start:len(arena):len(arena)]
 	}
 	return stats.PairwiseMeanJaccardSorted(sets)
 }

@@ -9,7 +9,7 @@ import (
 
 func TestEdgeSimilarityFig6(t *testing.T) {
 	trees := fig6Trees(t)
-	got := EdgeSimilarity(trees)
+	got := Compare(trees).EdgeSimilarity()
 	// Edges T1: F-a F-b F-c c-d d-e e-x e-y (7)
 	//       T2: F-a F-c c-d d-e e-x e-y (6)
 	//       T3: F-a F-b F-c c-d d-y (5)
@@ -22,10 +22,10 @@ func TestEdgeSimilarityFig6(t *testing.T) {
 
 func TestEdgeSimilarityIdenticalTrees(t *testing.T) {
 	trees := fig6Trees(t)
-	if got := EdgeSimilarity([]*tree.Tree{trees[0], trees[0]}); got != 1 {
+	if got := Compare([]*tree.Tree{trees[0], trees[0]}).EdgeSimilarity(); got != 1 {
 		t.Errorf("identical trees should score 1, got %v", got)
 	}
-	if got := EdgeSimilarity(trees[:1]); got != 1 {
+	if got := Compare(trees[:1]).EdgeSimilarity(); got != 1 {
 		t.Errorf("single tree should score 1, got %v", got)
 	}
 }
@@ -100,13 +100,13 @@ func TestWholeTreeScoreProperties(t *testing.T) {
 			}
 			trees = append(trees, buildTree(t, name(p), edges))
 		}
-		for _, score := range []float64{EdgeSimilarity(trees), HammingSimilarity(trees)} {
+		for _, score := range []float64{Compare(trees).EdgeSimilarity(), HammingSimilarity(trees)} {
 			if score < 0 || score > 1 {
 				t.Fatalf("score out of range: %v", score)
 			}
 		}
 		dup := []*tree.Tree{trees[0], trees[0], trees[0]}
-		if EdgeSimilarity(dup) != 1 || HammingSimilarity(dup) != 1 {
+		if Compare(dup).EdgeSimilarity() != 1 || HammingSimilarity(dup) != 1 {
 			t.Fatal("duplicated trees must score 1")
 		}
 	}

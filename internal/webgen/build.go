@@ -8,9 +8,11 @@ import (
 )
 
 // generatePage builds the spec tree for one page. All structural decisions
-// here use rng (seeded per page) and are therefore identical for every
-// profile and visit; per-visit volatility is expressed through the
-// Resource fields the browser simulator resolves.
+// here use rng, reseeded with the page seed, and are therefore identical
+// for every profile and visit; per-visit volatility is expressed through
+// the Resource fields the browser simulator resolves. Reseeding resets a
+// rand.NewSource generator to exactly the state a fresh source for the
+// seed starts in, so one generator serves every page of a site call.
 //
 // Two mechanisms drive the paper's instability findings:
 //
@@ -21,9 +23,9 @@ import (
 //     differ: the tree builder merges equal URLs and credits the first
 //     requester, so the dependency chain of a shared node changes from
 //     visit to visit — the §4.2 phenomenon.
-func (u *Universe) generatePage(p *siteProfile, pageURL, pageID string, links []string) *Page {
+func (u *Universe) generatePage(rng *rand.Rand, p *siteProfile, pageURL, pageID string, links []string) *Page {
 	seed := mix(p.seed, hash64("page", pageID))
-	rng := rand.New(rand.NewSource(int64(seed)))
+	rng.Seed(int64(seed))
 	b := &pageBuilder{u: u, p: p, rng: rng, pageID: pageID}
 
 	root := &Resource{

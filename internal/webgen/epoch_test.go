@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"fmt"
 	"testing"
 
 	"webmeasure/internal/tranco"
@@ -126,3 +127,23 @@ func TestEpochDriftGrowsWithDistance(t *testing.T) {
 		t.Errorf("drift must grow with epoch distance: overlap e1=%.2f e6=%.2f", near, far)
 	}
 }
+
+// BenchmarkGenerateSiteAt generates the sites of a monitor-sized ranking
+// (10 sites × 4 pages) at epochs 0, 8 and 16: a later epoch replays every
+// churn step from epoch 1.
+func BenchmarkGenerateSiteAt(b *testing.B) {
+	cfg := DefaultConfig(5)
+	cfg.PagesPerSite = 4
+	u := New(cfg)
+	entries := tranco.Generate(10, 5).Entries()
+	for _, epoch := range []int{0, 8, 16} {
+		b.Run(fmt.Sprintf("epoch=%d", epoch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				siteSink = u.GenerateSiteAt(entries[i%len(entries)], epoch)
+			}
+		})
+	}
+}
+
+var siteSink *Site
