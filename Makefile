@@ -134,9 +134,11 @@ bench-throughput:
 	$(GO) test -run '^$$' -bench BenchmarkServiceThroughput -benchmem .
 
 # One iteration of every hot-path benchmark: catches benchmarks that no
-# longer compile or panic, without paying for a full timed run.
+# longer compile or panic, without paying for a full timed run. The
+# columnar load's run also prints its allocations per op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/treediff ./internal/stats ./internal/filterlist ./internal/tree ./internal/urlutil ./internal/psl ./internal/browser ./internal/cookies ./internal/linkextract ./internal/drift ./internal/colstore ./internal/webgen
+	$(GO) test -run '^$$' -bench LoadAndAnalyzeCol -benchtime 1x .
 
 clean:
 	$(GO) clean ./...

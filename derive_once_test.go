@@ -87,3 +87,55 @@ func renderAll(t *testing.T, r *Results) (rep, js, csv []byte) {
 	}
 	return rb.Bytes(), jb.Bytes(), cb.Bytes()
 }
+
+// TestConcurrentColumnarLoads loads one columnar file from several
+// goroutines at once, each through its own scratch from the shared pool,
+// and writes one loaded Results' datasets from several goroutines at once,
+// which decode its held bytes once: every render and every write-back
+// must equal the crawl's.
+func TestConcurrentColumnarLoads(t *testing.T) {
+	cfg := Config{Seed: 21, Sites: 10, PagesPerSite: 3, FaultProfile: "heavy", Workers: 2}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRep, wantJS, wantCSV := renderAll(t, res)
+	var col, jsonl bytes.Buffer
+	if err := res.WriteDatasetCol(&col); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteDataset(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(col.Bytes()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(col.Bytes()), cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rep, js, csv := renderAll(t, r)
+			if !bytes.Equal(rep, wantRep) || !bytes.Equal(js, wantJS) || !bytes.Equal(csv, wantCSV) {
+				t.Error("a concurrent load renders other bytes than the crawl")
+			}
+			var gotCol, gotJSONL bytes.Buffer
+			if err := shared.WriteDatasetCol(&gotCol); err != nil {
+				t.Error(err)
+			}
+			if err := shared.WriteDataset(&gotJSONL); err != nil {
+				t.Error(err)
+			}
+			if !bytes.Equal(gotCol.Bytes(), col.Bytes()) || !bytes.Equal(gotJSONL.Bytes(), jsonl.Bytes()) {
+				t.Error("a concurrent write-back of a loaded dataset differs from the crawl's")
+			}
+		}()
+	}
+	wg.Wait()
+}

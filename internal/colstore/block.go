@@ -31,9 +31,24 @@ type SiteBlock struct {
 	// isURL marks the Strings entries a URL column references, the
 	// columns of the fields measurement.Visit.AppendURLs lists.
 	isURL []bool
+	arena blockArena
 }
 
-// KeyCache builds the pre-interned normalized-key table for the block
+// blockArena holds the arrays a block's visits are cut from: one array
+// per element type for the whole block, where a decode that allocated per
+// visit and per request would make thousands. Each visit's slices are cut
+// with their capacity capped, so no append reaches a neighbour's elements.
+// A scratch block (ScanScratch) keeps the arrays from one decode to the
+// next.
+type blockArena struct {
+	visits     []measurement.Visit
+	requests   []measurement.Request
+	frames     []measurement.StackFrame
+	setCookies []string
+	cookies    []measurement.CookieObservation
+}
+
+// KeyCache builds a fresh pre-interned normalized-key table for the block
 // from the strings its URL columns reference, and none of the cookie,
 // header, content-type, status or function-name entries beside them:
 // urlutil.Normalize evaluated once per distinct URL, with dense int32 key
@@ -42,13 +57,26 @@ type SiteBlock struct {
 // walking the visits' AppendURLs instead hashes every URL occurrence,
 // which measured as slow as building from every string.
 func (sb *SiteBlock) KeyCache() *urlutil.KeyCache {
-	raws := make([]string, 0, len(sb.Strings))
-	for i, s := range sb.Strings {
-		if sb.isURL[i] {
-			raws = append(raws, s)
+	kc := new(urlutil.KeyCache)
+	sb.fillKeys(kc)
+	return kc
+}
+
+// fillKeys refills kc with the table KeyCache builds, reusing the storage
+// kc grew for an earlier block.
+func (sb *SiteBlock) fillKeys(kc *urlutil.KeyCache) {
+	n := 0
+	for _, u := range sb.isURL {
+		if u {
+			n++
 		}
 	}
-	return urlutil.BuildKeyCache(raws, len(raws))
+	kc.Reset(n)
+	for i, s := range sb.Strings {
+		if sb.isURL[i] {
+			kc.Add(s)
+		}
+	}
 }
 
 // Pages returns the block's distinct page URLs in ascending order.
@@ -219,22 +247,80 @@ func (e *blockEncoder) encode(site string, rows []VisitRow) ([]byte, []byte) {
 	return e.head.b, cols.b
 }
 
-// decodeBlock parses a block payload. Corrupted or truncated payloads
-// yield an error, never a panic or an unbounded allocation.
+// decodeBlock parses a block payload into a fresh block.
 func decodeBlock(payload []byte) (*SiteBlock, error) {
+	sb := new(SiteBlock)
+	if err := sb.decode(payload); err != nil {
+		return nil, err
+	}
+	return sb, nil
+}
+
+// reuse returns n zeroed elements: a prefix of s when s holds an array of
+// at least n from an earlier decode, a new array otherwise. Like make, it
+// never returns nil.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// cut reads a column of n element counts and hands count i's span of one
+// shared array to set(i, span), skipping zero counts so their slices stay
+// nil. It reads the column twice: once to total it and size the array —
+// reused from arr when it is large enough — and once more to cut the
+// spans. Every counted element takes at least one byte of the columns
+// after this one, so a total beyond the bytes left is corruption and sizes
+// nothing.
+func cut[T any](c *cur, what string, n int, arr []T, set func(i int, span []T)) []T {
+	start, total := c.off, 0
+	for i := 0; i < n; i++ {
+		total += c.count(what)
+	}
+	if c.err == nil && total > len(c.b)-c.off {
+		c.fail("colstore: %d %s elements exceed the remaining %d bytes", total, what, len(c.b)-c.off)
+	}
+	if c.err != nil {
+		return arr
+	}
+	arr = reuse(arr, total)
+	c.off = start
+	lo := 0
+	for i := 0; i < n; i++ {
+		if k := c.count(what); k > 0 {
+			set(i, arr[lo:lo+k:lo+k])
+			lo += k
+		}
+	}
+	return arr
+}
+
+// decode parses a block payload into sb. It is the one decode kernel, for
+// a fresh block and a scratch block alike: every array comes from the
+// arrays sb holds from an earlier decode when they are large enough, so a
+// scratch block grows to the largest block it decodes and then allocates
+// only the strings, and every element is zeroed before it is filled, so
+// the result equals a fresh decode's, nil slices included. Corrupted or
+// truncated payloads yield an error, never a panic or an unbounded
+// allocation; sb then holds no usable block.
+func (sb *SiteBlock) decode(payload []byte) error {
 	c := &cur{b: payload}
 	site := c.str()
 	nstr := c.count("string table")
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
-	strs := make([]string, nstr)
+	strs := reuse(sb.Strings, nstr)
 	for i := range strs {
 		strs[i] = c.str()
 	}
+	isURL := reuse(sb.isURL, nstr)
+	sb.Strings, sb.isURL = strs, isURL
 	// ref reads one string reference; lookup resolves it, and lookupURL,
 	// for a URL column, also marks it in isURL for KeyCache.
-	isURL := make([]bool, nstr)
 	ref := func(what string) (uint64, bool) {
 		id := c.uvarint()
 		if c.err != nil {
@@ -262,16 +348,14 @@ func decodeBlock(payload []byte) (*SiteBlock, error) {
 
 	nv := c.count("visit")
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
-	sb := &SiteBlock{
-		Site:    site,
-		Seqs:    make([]uint64, nv),
-		Visits:  make([]*measurement.Visit, nv),
-		Strings: strs,
-		isURL:   isURL,
-	}
-	visits := make([]measurement.Visit, nv)
+	ar := &sb.arena
+	sb.Site = site
+	sb.Seqs = reuse(sb.Seqs, nv)
+	sb.Visits = reuse(sb.Visits, nv)
+	ar.visits = reuse(ar.visits, nv)
+	visits := ar.visits
 	for i := range visits {
 		sb.Visits[i] = &visits[i]
 		visits[i].Site = site
@@ -315,31 +399,24 @@ func decodeBlock(payload []byte) (*SiteBlock, error) {
 	for i := 0; i < nv; i++ {
 		visits[i].DurationMS = int(c.varint())
 	}
-	for i := 0; i < nv; i++ {
-		if n := c.count("request"); n > 0 {
-			visits[i].Requests = make([]measurement.Request, n)
-		}
-	}
+	ar.requests = cut(c, "request", nv, ar.requests, func(i int, s []measurement.Request) { visits[i].Requests = s })
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
-	for i := 0; i < nv; i++ {
-		if n := c.count("cookie"); n > 0 {
-			visits[i].Cookies = make([]measurement.CookieObservation, n)
-		}
-	}
+	ar.cookies = cut(c, "cookie", nv, ar.cookies, func(i int, s []measurement.CookieObservation) { visits[i].Cookies = s })
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 
+	// Request columns, flattened across visits in visit order: the order
+	// the visits' spans of ar.requests follow.
+	reqs := ar.requests
 	eachReq := func(fn func(q *measurement.Request)) {
-		for i := range visits {
-			for j := range visits[i].Requests {
-				if c.err != nil {
-					return
-				}
-				fn(&visits[i].Requests[j])
+		for j := range reqs {
+			if c.err != nil {
+				return
 			}
+			fn(&reqs[j])
 		}
 	}
 	eachReq(func(q *measurement.Request) { q.URL = lookupURL("request URL") })
@@ -358,11 +435,7 @@ func decodeBlock(payload []byte) (*SiteBlock, error) {
 		}
 	}
 	eachReq(func(q *measurement.Request) { q.TrueParentURL = lookupURL("true parent URL") })
-	eachReq(func(q *measurement.Request) {
-		if n := c.count("call stack"); n > 0 {
-			q.CallStack = make([]measurement.StackFrame, n)
-		}
-	})
+	ar.frames = cut(c, "call stack", len(reqs), ar.frames, func(j int, s []measurement.StackFrame) { reqs[j].CallStack = s })
 	eachReq(func(q *measurement.Request) {
 		for k := range q.CallStack {
 			q.CallStack[k].FuncName = lookup("stack function")
@@ -370,25 +443,21 @@ func decodeBlock(payload []byte) (*SiteBlock, error) {
 			q.CallStack[k].Line = int(c.varint())
 		}
 	})
-	eachReq(func(q *measurement.Request) {
-		if n := c.count("set-cookie"); n > 0 {
-			q.SetCookies = make([]string, n)
-		}
-	})
+	ar.setCookies = cut(c, "set-cookie", len(reqs), ar.setCookies, func(j int, s []string) { reqs[j].SetCookies = s })
 	eachReq(func(q *measurement.Request) {
 		for k := range q.SetCookies {
 			q.SetCookies[k] = lookup("set-cookie header")
 		}
 	})
 
+	// Cookie columns, flattened across visits in visit order.
+	cookies := ar.cookies
 	eachCookie := func(fn func(ck *measurement.CookieObservation)) {
-		for i := range visits {
-			for j := range visits[i].Cookies {
-				if c.err != nil {
-					return
-				}
-				fn(&visits[i].Cookies[j])
+		for j := range cookies {
+			if c.err != nil {
+				return
 			}
+			fn(&cookies[j])
 		}
 	}
 	eachCookie(func(ck *measurement.CookieObservation) { ck.Name = lookup("cookie name") })
@@ -402,10 +471,10 @@ func decodeBlock(payload []byte) (*SiteBlock, error) {
 	})
 
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 	if c.off != len(c.b) {
-		return nil, fmt.Errorf("colstore: block payload has %d trailing bytes", len(c.b)-c.off)
+		return fmt.Errorf("colstore: block payload has %d trailing bytes", len(c.b)-c.off)
 	}
-	return sb, nil
+	return nil
 }

@@ -10,7 +10,10 @@ import (
 // decoder must never panic and never over-allocate (every count is
 // validated against the remaining payload before allocation), and any
 // payload it accepts must re-encode to the identical bytes — the decoder
-// and encoder are exact inverses on the valid subset of inputs.
+// and encoder are exact inverses on the valid subset of inputs. Decoding
+// into a scratch block that already holds the big.example seed's arrays
+// must give what a fresh decode gives: the same block, nil slices
+// included, or the same error.
 func FuzzColBlockDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -26,6 +29,18 @@ func FuzzColBlockDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		sb, err := DecodeBlockPayload(payload)
+		scratch := new(SiteBlock)
+		if err := scratch.decode(big); err != nil {
+			t.Fatal(err)
+		}
+		switch serr := scratch.decode(payload); {
+		case (err == nil) != (serr == nil):
+			t.Fatalf("fresh decode error %v, scratch decode error %v", err, serr)
+		case err != nil && err.Error() != serr.Error():
+			t.Fatalf("fresh decode error %q, scratch decode error %q", err, serr)
+		case err == nil && !reflect.DeepEqual(scratch, sb):
+			t.Fatalf("a scratch decode differs from a fresh decode")
+		}
 		if err != nil {
 			return
 		}

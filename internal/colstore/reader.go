@@ -6,17 +6,96 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
+
+	"webmeasure/internal/urlutil"
 )
 
-// Scan streams the file's site blocks in file order, calling fn for each
-// decoded block, and returns the decoded footer index. It needs only
-// sequential access — each block is self-contained — so it works on pipes
-// and HTTP bodies; memory is bounded by the largest single block. Every
-// block is read into one payload buffer, grown when a block is larger;
-// decodeBlock copies every string out, so no block fn receives aliases
-// it. A non-nil error from fn aborts the scan and is returned verbatim.
+// Scan streams the file's site blocks in file order, calling fn with a
+// fresh block for each, and returns the decoded footer index. It needs
+// only sequential access — each block is self-contained — so it works on
+// pipes and HTTP bodies; memory is bounded by the largest single block.
+// Every block is read into one payload buffer, grown when a block is
+// larger; the decoder copies every string out, so no block fn receives
+// aliases it. A non-nil error from fn aborts the scan and is returned
+// verbatim.
 func Scan(r io.Reader, fn func(*SiteBlock) error) (*Index, error) {
-	br, ok := r.(*bufio.Reader)
+	var payload []byte
+	return scan(r, &payload, func(p []byte) error {
+		sb, err := decodeBlock(p)
+		if err != nil {
+			return err
+		}
+		return fn(sb)
+	})
+}
+
+// ScanScratch is Scan for a consumer that works on one block at a time:
+// every block decodes into one scratch block, and its key cache
+// (SiteBlock.KeyCache) fills one scratch cache. fn must be done with
+// both, and with every slice and visit they reach, when it returns, since
+// the next block overwrites them; strings stay valid, as each block
+// allocates its own. The scratch — block, cache and payload buffer —
+// grows to the file's largest block, and comes from a pool and goes back
+// to it cleared, so a later scan may reuse its arrays and no pooled
+// scratch keeps a string alive.
+func ScanScratch(r io.Reader, fn func(*SiteBlock, *urlutil.KeyCache) error) (*Index, error) {
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	return scan(r, &s.payload, func(p []byte) error {
+		if err := s.block.decode(p); err != nil {
+			return err
+		}
+		s.block.fillKeys(&s.keys)
+		return fn(&s.block, &s.keys)
+	})
+}
+
+// scratch is ScanScratch's decode target.
+type scratch struct {
+	block   SiteBlock
+	keys    urlutil.KeyCache
+	payload []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release clears every string and visit the scratch references, keeping
+// its arrays, and puts it back in the pool.
+func (s *scratch) release() {
+	sb := &s.block
+	sb.Site = ""
+	sb.Strings = wipe(sb.Strings)
+	sb.Visits = wipe(sb.Visits)
+	ar := &sb.arena
+	ar.visits = wipe(ar.visits)
+	ar.requests = wipe(ar.requests)
+	ar.frames = wipe(ar.frames)
+	ar.setCookies = wipe(ar.setCookies)
+	ar.cookies = wipe(ar.cookies)
+	s.keys.Reset(0)
+	scratchPool.Put(s)
+}
+
+// wipe zeroes s up to its capacity and empties it.
+func wipe[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
+}
+
+// byteReader is what a scan reads through: a bufio.Reader, or an
+// in-memory reader that needs no buffer in front of it.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// scan reads the file's records in order and returns the decoded footer
+// index. It reads each block's payload into *buf, grown when a block is
+// larger, and hands it to block, whose error aborts the scan.
+func scan(r io.Reader, buf *[]byte, block func(payload []byte) error) (*Index, error) {
+	br, ok := r.(byteReader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
@@ -28,23 +107,18 @@ func Scan(r io.Reader, fn func(*SiteBlock) error) (*Index, error) {
 		return nil, fmt.Errorf("colstore: bad header magic %q (not a columnar dataset)", hdr)
 	}
 	magic := make([]byte, len(blockMagic))
-	var payload []byte
 	for {
 		if _, err := io.ReadFull(br, magic); err != nil {
 			return nil, fmt.Errorf("colstore: read record magic: %w", err)
 		}
 		switch string(magic) {
 		case blockMagic:
-			var err error
-			payload, err = readRecordBody(br, "block", payload)
+			payload, err := readRecordBody(br, "block", *buf)
 			if err != nil {
 				return nil, err
 			}
-			sb, err := decodeBlock(payload)
-			if err != nil {
-				return nil, err
-			}
-			if err := fn(sb); err != nil {
+			*buf = payload
+			if err := block(payload); err != nil {
 				return nil, err
 			}
 		case indexMagic:
@@ -73,7 +147,7 @@ func Scan(r io.Reader, fn func(*SiteBlock) error) (*Index, error) {
 // readRecordBody reads uvarint(len) + payload + crc32 and verifies the
 // checksum. The payload reuses buf when it fits and is freshly allocated
 // otherwise.
-func readRecordBody(br *bufio.Reader, what string, buf []byte) ([]byte, error) {
+func readRecordBody(br byteReader, what string, buf []byte) ([]byte, error) {
 	n, err := readUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: read %s length: %w", what, err)

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,37 @@ type PageAnalysis struct {
 	// Attribution scores the page's trees against the ground truth of the
 	// visits they were built from; Analysis.Attribution sums it.
 	Attribution AttributionReport
+	// visits holds what the timing report and the cookie study read of
+	// the page's visits, one entry per analysis profile, in order.
+	visits []profileVisit
+}
+
+// profileVisit is what the timing report and the cookie study read of one
+// profile's visit to a vetted page (the zero value when there is none).
+// The per-page pass copies it out while the visit is at hand, so no table
+// reads a visit back later: a columnar load reuses every visit's arrays
+// for the next site block.
+type profileVisit struct {
+	success      bool
+	durationMS   int
+	startOffsetS float64
+	cookies      []measurement.CookieObservation
+}
+
+// captureVisits copies what profileVisit keeps of each profile's visit in
+// pv (nil reads as no visits).
+func captureVisits(pv *dataset.PageVisits, profiles []string) []profileVisit {
+	out := make([]profileVisit, len(profiles))
+	if pv == nil {
+		return out
+	}
+	for i, prof := range profiles {
+		if v := pv.ByProfile[prof]; v != nil {
+			out[i] = profileVisit{success: v.Success, durationMS: v.DurationMS,
+				startOffsetS: v.StartOffsetS, cookies: slices.Clone(v.Cookies)}
+		}
+	}
+	return out
 }
 
 // TreeFor returns the page's tree for a profile, or nil.
@@ -56,11 +88,16 @@ func (pa *PageAnalysis) treeIndex(profile string) int {
 
 // Analysis is the fully-computed experiment analysis.
 type Analysis struct {
+	// ds receives the visits WriteSite adds; Partial ships them. It is
+	// nil when the stream was given none (a columnar load), and no table
+	// reads it.
 	ds       *dataset.Dataset
 	profiles []string
 
 	pages   []*PageAnalysis
 	vetting Vetting
+	// tally counts the input's visits for the crawl summary.
+	tally visitTally
 	// siteRank maps site → Tranco rank for the Appendix F bucket analysis
 	// (may be empty when unknown).
 	siteRank map[string]int
@@ -133,7 +170,7 @@ func New(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis,
 	if err != nil {
 		return nil, err
 	}
-	if err := s.addBatch(ds.Pages(), nil); err != nil {
+	if err := s.AddDataset(ds); err != nil {
 		return nil, err
 	}
 	return s.Finish()
@@ -153,11 +190,12 @@ type Stream struct {
 	done  bool
 }
 
-// NewStream starts an incremental analysis over ds, which must hold the
-// same visits whose page groups reach AddSite by the time Finish runs:
-// WriteSite adds them itself, AddSite callers fill ds (dataset.Add). The
-// derived analyses (timing, static/dynamic, case studies) read raw visits
-// back from the dataset after the per-page pool runs.
+// NewStream starts an incremental analysis. ds receives the visits
+// WriteSite adds, for Analysis.Partial to ship and Analysis.Dataset to
+// return; it may be nil when no site arrives through WriteSite. Every
+// table reads what the stream captured while each site's visits were at
+// hand, so a caller of AddSite or AddSiteVisits may drop or reuse the
+// visits once the call returns.
 // Unlike New, the profile order cannot be inferred from a dataset that
 // does not exist yet, so Options.Profiles is required.
 func NewStream(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Stream, error) {
@@ -174,6 +212,7 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 	a := &Analysis{
 		ds:       ds,
 		profiles: profiles,
+		tally:    newVisitTally(),
 		siteRank: opts.SiteRank,
 		metrics:  opts.Metrics,
 	}
@@ -218,13 +257,12 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 // AddSite analyzes one site's page groups. Sites may arrive in any order,
 // each at most once. keys, when non-nil, is the site's pre-interned
 // normalization cache (SiteBlock.KeyCache), which the tree builds use in
-// place of a per-page table.
+// place of a per-page table. The crawl summary counts one visit per
+// group entry; AddSiteVisits also counts a repeated (page, profile)
+// visit. AddSite returns once every page of the site is analyzed.
 func (s *Stream) AddSite(site string, pages []*dataset.PageVisits, keys *urlutil.KeyCache) error {
-	if s.done {
-		return fmt.Errorf("core: AddSite after Finish")
-	}
-	if s.sites[site] {
-		return fmt.Errorf("core: site %q added twice", site)
+	if err := s.check(site); err != nil {
+		return err
 	}
 	for _, pv := range pages {
 		if pv.Key.Site != site {
@@ -232,14 +270,64 @@ func (s *Stream) AddSite(site string, pages []*dataset.PageVisits, keys *urlutil
 		}
 	}
 	s.sites[site] = true
+	s.a.tally.add(pages, nil)
 	return s.addBatch(pages, keys)
 }
 
+// AddSiteVisits groups one site's visits into pages and analyzes them as
+// AddSite does, and the crawl summary counts every one of them. It
+// returns only after the per-page pool has drained, and nothing the
+// analysis keeps points into visits or keys, so the caller may overwrite
+// both for the next site (colstore.ScanScratch) once it returns.
+func (s *Stream) AddSiteVisits(site string, visits []*measurement.Visit, keys *urlutil.KeyCache) error {
+	if err := s.check(site); err != nil {
+		return err
+	}
+	for _, v := range visits {
+		if v.Site != site {
+			return fmt.Errorf("core: visit of site %q in batch for %q", v.Site, site)
+		}
+	}
+	s.sites[site] = true
+	pages := dataset.GroupVisits(visits)
+	s.a.tally.add(pages, visits)
+	return s.addBatch(pages, keys)
+}
+
+// AddDataset analyzes every page of ds in one batch, and the crawl
+// summary counts every visit ds holds. None of its sites may have been
+// added before.
+func (s *Stream) AddDataset(ds *dataset.Dataset) error {
+	pages := ds.Pages()
+	for i, pv := range pages {
+		if i > 0 && pv.Key.Site == pages[i-1].Key.Site {
+			continue
+		}
+		if err := s.check(pv.Key.Site); err != nil {
+			return err
+		}
+		s.sites[pv.Key.Site] = true
+	}
+	s.a.tally.add(pages, ds.Visits())
+	return s.addBatch(pages, nil)
+}
+
+// check refuses a site after Finish or a second time.
+func (s *Stream) check(site string) error {
+	if s.done {
+		return fmt.Errorf("core: AddSite after Finish")
+	}
+	if s.sites[site] {
+		return fmt.Errorf("core: site %q added twice", site)
+	}
+	return nil
+}
+
 // WriteSite adds one site's visits to the stream's dataset and analyzes
-// the site: the crawler.SiteSink form of AddSite, through which a crawl
-// feeds the analysis as it emits each site.
+// the site: the crawler.SiteSink form of AddSiteVisits, through which a
+// crawl feeds the analysis as it emits each site.
 func (s *Stream) WriteSite(site string, visits []*measurement.Visit) error {
-	if err := s.AddSite(site, dataset.GroupVisits(visits), nil); err != nil {
+	if err := s.AddSiteVisits(site, visits, nil); err != nil {
 		return err
 	}
 	for _, v := range visits {
@@ -510,6 +598,7 @@ func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
 	pa.Cmp = treediff.Compare(pa.Trees)
 	spans.compare(pa.Trees, pa.Cmp)
 	pa.Attribution = w.attribution(pa.Trees, pv.ByProfile, keys)
+	pa.visits = captureVisits(pv, w.profiles)
 	w.pagesOK.Inc()
 	return pageResult{pa: pa}
 }
@@ -548,7 +637,8 @@ func (a *Analysis) Pages() []*PageAnalysis { return a.pages }
 // excluded by reason.
 func (a *Analysis) Vetting() Vetting { return a.vetting }
 
-// Dataset returns the underlying dataset.
+// Dataset returns the dataset the stream was given: nil for a columnar
+// load, which keeps no visit.
 func (a *Analysis) Dataset() *dataset.Dataset { return a.ds }
 
 // profileIndex returns the tree index of a profile name, -1 if absent.

@@ -206,20 +206,22 @@ func analyzeWrittenSites(t *testing.T, ds *dataset.Dataset, filter *filterlist.L
 }
 
 // analyzeColumnar encodes the dataset in the columnar format and streams
-// it back block by block, each site through its block's URL table.
+// it back as a columnar load does: every block decoded into one scratch
+// block and analyzed through its scratch URL table, which the next block
+// overwrites. The returned visits are ds's own, since the stream keeps
+// none.
 func analyzeColumnar(t *testing.T, ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis, *dataset.Dataset) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := ds.WriteCol(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := dataset.New()
-	s, err := NewStream(out, filter, opts)
+	s, err := NewStream(nil, filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.ScanColSites(&buf, out, func(sb *colstore.SiteBlock) error {
-		return s.AddSite(sb.Site, dataset.GroupVisits(sb.Visits), sb.KeyCache())
+	if _, err := colstore.ScanScratch(&buf, func(sb *colstore.SiteBlock, keys *urlutil.KeyCache) error {
+		return s.AddSiteVisits(sb.Site, sb.Visits, keys)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func analyzeColumnar(t *testing.T, ds *dataset.Dataset, filter *filterlist.List,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, out
+	return a, ds
 }
 
 // analyzeJSONL round-trips the dataset through JSONL and analyzes the
@@ -279,7 +281,7 @@ func TestURLTablesCoverEveryURL(t *testing.T) {
 				t.Errorf("%s: %q resolves to (%q, %v) in %s, Normalize gives (%q, %v)", crawl.name, raw, key, stripped, table, wantKey, wantStripped)
 			}
 		}
-		if err := dataset.ScanColSites(&buf, dataset.New(), func(sb *colstore.SiteBlock) error {
+		if _, err := colstore.Scan(&buf, func(sb *colstore.SiteBlock) error {
 			blocks++
 			block := sb.KeyCache()
 			for _, pv := range dataset.GroupVisits(sb.Visits) {

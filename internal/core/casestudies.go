@@ -165,24 +165,21 @@ func (a *Analysis) CookieStudy(noActionProfile string) CookieStudyResult {
 	for _, pa := range a.pages {
 		sets := make([][]string, len(a.profiles))
 		for pi, prof := range a.profiles {
-			visit := a.visitFor(pa, prof)
 			var ids []string
-			if visit != nil {
-				for _, c := range visit.Cookies {
-					id := c.ID()
-					ids = append(ids, id)
-					distinct[id] = true
-					if presence[id] == nil {
-						presence[id] = map[string]bool{}
-					}
-					presence[id][prof] = true
-					if attrs[id] == nil {
-						attrs[id] = map[string]bool{}
-					}
-					attrs[id][c.AttributeSignature()] = true
-					res.PerProfile[prof]++
-					res.TotalObservations++
+			for _, c := range pa.visits[pi].cookies {
+				id := c.ID()
+				ids = append(ids, id)
+				distinct[id] = true
+				if presence[id] == nil {
+					presence[id] = map[string]bool{}
 				}
+				presence[id][prof] = true
+				if attrs[id] == nil {
+					attrs[id] = map[string]bool{}
+				}
+				attrs[id][c.AttributeSignature()] = true
+				res.PerProfile[prof]++
+				res.TotalObservations++
 			}
 			slices.Sort(ids)
 			sets[pi] = ids
@@ -220,15 +217,6 @@ func (a *Analysis) CookieStudy(noActionProfile string) CookieStudyResult {
 	res.MeanJaccard = stats.Summarize(pageSims)
 	res.InteractionVsNone = stats.Summarize(noneSims)
 	return res
-}
-
-// visitFor fetches a vetted page's visit for a profile.
-func (a *Analysis) visitFor(pa *PageAnalysis, profile string) *measurement.Visit {
-	pv := a.ds.PageGroup(pa.Key)
-	if pv == nil {
-		return nil
-	}
-	return pv.ByProfile[profile]
 }
 
 // TrackingStudyResult is the §5.3 case study.

@@ -115,8 +115,9 @@ func DecodePartial(b []byte) (*Partial, error) {
 }
 
 // NewFromPartials assembles a full Analysis from one partial per shard.
-// ds must be the union dataset (the coordinator rebuilds it from the
-// partials' visits or loads it independently); opts plays the same role
+// ds is the union dataset (the coordinator rebuilds it from the partials'
+// visits), which the Analysis returns from Dataset; the tables read the
+// partials' own visits as each is added. opts plays the same role
 // as in New, and opts.Context cancels the merge between pages. No filter
 // list is needed: the shards' tree records already carry each node's
 // tracking flag. Each partial feeds one Stream, which rebuilds the pages'
@@ -182,14 +183,22 @@ func NewFromPartials(ds *dataset.Dataset, opts Options, plan ShardPlan, parts []
 // addPartial adds one shard's vetted pages and vetting tally: it rebuilds
 // each page's trees from their records and re-compares them on the page
 // pool, and keeps each page's attribution score as the shard computed it.
-// It publishes no per-page counter, since the shard's metrics dump
-// already holds them.
+// The crawl summary counts the shard's visits, and each vetted page
+// captures its own from them. It publishes no per-page counter, since the
+// shard's metrics dump already holds them.
 func (s *Stream) addPartial(p *Partial) error {
+	groups := dataset.GroupVisits(p.Visits)
+	s.a.tally.add(groups, p.Visits)
+	byKey := make(map[dataset.PageKey]*dataset.PageVisits, len(groups))
+	for _, pv := range groups {
+		byKey[pv.Key] = pv
+	}
 	pages := make([]*PageAnalysis, len(p.Pages))
 	errs := make([]error, len(p.Pages))
 	forEachPage(s.ctx, s.opts.Workers, len(p.Pages), func(i int) {
 		pp := p.Pages[i]
-		pa := &PageAnalysis{Key: pp.Key, Trees: make([]*tree.Tree, len(pp.Trees)), Attribution: pp.Attribution}
+		pa := &PageAnalysis{Key: pp.Key, Trees: make([]*tree.Tree, len(pp.Trees)), Attribution: pp.Attribution,
+			visits: captureVisits(byKey[pp.Key], s.w.profiles)}
 		for j, rec := range pp.Trees {
 			if pa.Trees[j], errs[i] = rec.Tree(); errs[i] != nil {
 				return

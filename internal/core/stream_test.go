@@ -8,6 +8,7 @@ import (
 
 	"webmeasure/internal/dataset"
 	"webmeasure/internal/faults"
+	"webmeasure/internal/measurement"
 )
 
 // siteBatches splits a dataset's sorted page groups into one batch per
@@ -103,5 +104,52 @@ func TestStreamRejectsBadSites(t *testing.T) {
 	// The rejected batch left no mark: its site can still be added.
 	if err := s.AddSite(second[0].Key.Site, second, nil); err != nil {
 		t.Errorf("site of a rejected batch: %v", err)
+	}
+}
+
+// TestCrawlSummaryCountsRepeatedVisits: a dataset holding a second visit
+// of one (page, profile) pair, a failed one, counts both in the crawl
+// summary, as Dataset.Len and Dataset.SuccessRate do, whether the visits
+// arrive as a dataset (New) or as flat sites (AddSiteVisits).
+func TestCrawlSummaryCountsRepeatedVisits(t *testing.T) {
+	src, filter, opts := shardExperiment(t, 9)
+	ds := dataset.New()
+	bySite := map[string][]*measurement.Visit{}
+	for _, v := range src.Visits() {
+		ds.Add(v)
+		bySite[v.Site] = append(bySite[v.Site], v)
+	}
+	repeat := *src.Visits()[0]
+	repeat.Success, repeat.Requests = false, nil
+	ds.Add(&repeat)
+	bySite[repeat.Site] = append(bySite[repeat.Site], &repeat)
+
+	direct, err := New(ds, filter, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStream(nil, filter, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for site, visits := range bySite {
+		if err := s.AddSiteVisits(site, visits, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Analysis{"New": direct, "AddSiteVisits": flat} {
+		cs := a.CrawlSummary()
+		if cs.Visits != ds.Len() || cs.Pages != len(ds.Pages()) {
+			t.Errorf("%s: %d visits on %d pages, the dataset holds %d on %d", name, cs.Visits, cs.Pages, ds.Len(), len(ds.Pages()))
+		}
+		for _, p := range opts.Profiles {
+			if got, want := cs.SuccessRate[p], ds.SuccessRate(p); got != want {
+				t.Errorf("%s: %s success rate %v, the dataset's %v", name, p, got, want)
+			}
+		}
 	}
 }

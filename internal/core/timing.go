@@ -26,21 +26,20 @@ func (a *Analysis) Timing(timeoutMS int) TimingReport {
 	var timeouts, visits int
 	for _, pa := range a.pages {
 		minOff, maxOff := -1.0, -1.0
-		for _, prof := range a.profiles {
-			v := a.visitFor(pa, prof)
-			if v == nil || !v.Success {
+		for _, v := range pa.visits {
+			if !v.success {
 				continue
 			}
 			visits++
-			durations = append(durations, float64(v.DurationMS))
-			if timeoutMS > 0 && v.DurationMS >= timeoutMS {
+			durations = append(durations, float64(v.durationMS))
+			if timeoutMS > 0 && v.durationMS >= timeoutMS {
 				timeouts++
 			}
-			if minOff < 0 || v.StartOffsetS < minOff {
-				minOff = v.StartOffsetS
+			if minOff < 0 || v.startOffsetS < minOff {
+				minOff = v.startOffsetS
 			}
-			if v.StartOffsetS > maxOff {
-				maxOff = v.StartOffsetS
+			if v.startOffsetS > maxOff {
+				maxOff = v.startOffsetS
 			}
 		}
 		if maxOff >= 0 {

@@ -46,37 +46,26 @@ func (d *Dataset) WriteCol(w io.Writer) error {
 	return cw.Close()
 }
 
-// ReadCol loads a columnar dataset, restoring the original insertion
-// order from the per-visit sequence numbers.
+// ReadCol loads a columnar dataset in one sequential pass and, once every
+// block and the footer have been read and verified, adds the visits in
+// their original insertion order, restored from the per-visit sequence
+// numbers.
 func ReadCol(r io.Reader) (*Dataset, error) {
-	d := New()
-	if err := ScanColSites(r, d, func(*colstore.SiteBlock) error { return nil }); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// ScanColSites reads a columnar dataset in one sequential pass, handing
-// fn each site block in file order as soon as it decodes, so a consumer
-// can work on one site while the rest of the file is still unread. Once
-// every block and the footer have been read and verified, it adds all
-// visits to d in their original insertion order, restored from the
-// per-visit sequence numbers; on any error d is left untouched.
-func ScanColSites(r io.Reader, d *Dataset, fn func(sb *colstore.SiteBlock) error) error {
 	var rows []colstore.VisitRow
 	if _, err := colstore.Scan(r, func(sb *colstore.SiteBlock) error {
 		for i, v := range sb.Visits {
 			rows = append(rows, colstore.VisitRow{Seq: sb.Seqs[i], Visit: v})
 		}
-		return fn(sb)
+		return nil
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	sort.Slice(rows, func(a, b int) bool { return rows[a].Seq < rows[b].Seq })
+	d := New()
 	for _, row := range rows {
 		d.Add(row.Visit)
 	}
-	return nil
+	return d, nil
 }
 
 // DetectFormat sniffs the first bytes of r and reports which dataset
@@ -115,7 +104,7 @@ func ReadAuto(r io.Reader) (*Dataset, error) {
 // OpenCol opens a columnar dataset for random access through its footer
 // index, for callers that decode single blocks by position. The analysis
 // does not use it: every columnar input, seekable or not, is analyzed in
-// one ScanColSites pass in file order.
+// one colstore.ScanScratch pass in file order.
 func OpenCol(ra io.ReaderAt, size int64) (*colstore.Reader, error) {
 	return colstore.OpenReader(ra, size)
 }

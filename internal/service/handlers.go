@@ -38,6 +38,13 @@ const datasetFlushEvery = 256
 //	GET    /debug/traces             recent traced jobs, newest first
 //	GET    /debug/traces/{id}        trace.json by job ID (chrome://tracing)
 //	GET    /debug/drift              drift-monitor status, last delta, alerts
+//
+// POST /v1/jobs answers 202 with the job, or 200 when the cache already
+// holds its result; 400 for a spec that does not decode or validate,
+// negative sites, pages_per_site, tranco_size or instances included (zero
+// or an absent field means the default); 429 with Retry-After when the
+// queue is full; 503 while draining. Errors are the JSON envelope
+// {"error": "..."}.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// Live profiling of the serving process: `go tool pprof

@@ -75,22 +75,33 @@ type JobSpec struct {
 // the same canonical value. It validates against limits and returns the
 // normalized copy.
 func (s JobSpec) normalize(limits Limits) (JobSpec, error) {
+	// Zero (or an absent field) asks for the default; a negative count
+	// asks for nothing that exists, so it is refused rather than read as
+	// zero.
+	for _, c := range []struct {
+		field string
+		n     int
+	}{{"sites", s.Sites}, {"pages_per_site", s.PagesPerSite}, {"tranco_size", s.TrancoSize}, {"instances", s.Instances}} {
+		if c.n < 0 {
+			return s, fmt.Errorf("%s %d is negative (0 means the default)", c.field, c.n)
+		}
+	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Sites <= 0 {
+	if s.Sites == 0 {
 		s.Sites = 100
 	}
-	if s.TrancoSize <= 0 {
+	if s.TrancoSize == 0 {
 		s.TrancoSize = s.Sites * 10
 	}
 	if s.TrancoSize < s.Sites {
 		s.TrancoSize = s.Sites
 	}
-	if s.PagesPerSite <= 0 {
+	if s.PagesPerSite == 0 {
 		s.PagesPerSite = 10
 	}
-	if s.Instances <= 0 {
+	if s.Instances == 0 {
 		s.Instances = 15
 	}
 	if s.Workers < 0 {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -573,6 +574,65 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/v1/jobs/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", code)
+	}
+}
+
+// TestSubmitRejectsNegativeCounts: a negative sites, pages_per_site,
+// tranco_size or instances answers 400 with the JSON error envelope
+// naming the field, while zero still means the default.
+func TestSubmitRejectsNegativeCounts(t *testing.T) {
+	s := New(Config{Workers: 1, Limits: Limits{MaxSites: 10, MaxPagesPerSite: 5}})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		body  string
+		code  int
+		field string // named by the 400's error message
+		spec  JobSpec
+	}{
+		{body: `{"sites": -5}`, code: http.StatusBadRequest, field: "sites"},
+		{body: `{"sites": 5, "pages_per_site": -1}`, code: http.StatusBadRequest, field: "pages_per_site"},
+		{body: `{"sites": 5, "tranco_size": -100}`, code: http.StatusBadRequest, field: "tranco_size"},
+		{body: `{"sites": 5, "instances": -2}`, code: http.StatusBadRequest, field: "instances"},
+		{body: `{"seed": 3, "sites": 5, "pages_per_site": 2, "tranco_size": 0, "instances": 0}`, code: http.StatusAccepted,
+			spec: JobSpec{Sites: 5, PagesPerSite: 2, TrancoSize: 50, Instances: 15}},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: code = %d, want %d (%s)", tc.body, resp.StatusCode, tc.code, raw)
+			continue
+		}
+		if tc.code != http.StatusAccepted {
+			var e apiError
+			if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, ": "+tc.field+" -") {
+				t.Errorf("%s: body %s is not the error envelope naming %s (%v)", tc.body, raw, tc.field, err)
+			}
+			continue
+		}
+		var v jobJSON
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatal(err)
+		}
+		got := JobSpec{Sites: v.Spec.Sites, PagesPerSite: v.Spec.PagesPerSite, TrancoSize: v.Spec.TrancoSize, Instances: v.Spec.Instances}
+		if !reflect.DeepEqual(got, tc.spec) {
+			t.Errorf("%s: normalized counts %+v, want the defaults %+v", tc.body, got, tc.spec)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.order)
+	s.mu.Unlock()
+	if n != 1 {
+		t.Errorf("%d jobs exist, want only the accepted one", n)
 	}
 }
 

@@ -63,7 +63,8 @@ func FuzzSite(f *testing.F) {
 // any strings, Lookup must return exactly Normalize's key and stripped
 // flag, and SiteByID must equal Site of the normalized key — the per-host
 // eTLD+1 resolution reads the host from the normalizing parse, so this is
-// what keeps it equal to a fresh parse of the key.
+// what keeps it equal to a fresh parse of the key. A cache Reset and
+// refilled after holding other URLs must answer as a fresh one does.
 func FuzzKeyCache(f *testing.F) {
 	for _, s := range [][3]string{
 		{"https://a.b.example.co.uk/x?s=1", "https://A.B.Example.co.uk/x?s=2", "https://b.example.co.uk/"},
@@ -91,6 +92,25 @@ func FuzzKeyCache(f *testing.F) {
 			}
 			if got, want := cache.SiteByID(id), Site(key); got != want {
 				t.Fatalf("SiteByID for %q (key %q) = %q, Site(key) = %q", raw, key, got, want)
+			}
+		}
+		const stale = "https://stale.example/p?s=1"
+		refilled := BuildKeyCache([]string{c, stale, b, a + "x"}, 4)
+		refilled.Reset(len(raws))
+		for _, raw := range raws {
+			refilled.Add(raw)
+		}
+		if refilled.NumKeys() != cache.NumKeys() {
+			t.Fatalf("refilled cache holds %d keys, a fresh one %d", refilled.NumKeys(), cache.NumKeys())
+		}
+		for _, raw := range append(raws, stale, a+"x") {
+			key, id, stripped, ok := cache.Lookup(raw)
+			rkey, rid, rstripped, rok := refilled.Lookup(raw)
+			if key != rkey || id != rid || stripped != rstripped || ok != rok {
+				t.Fatalf("Lookup(%q): refilled (%q, %d, %v, %v), fresh (%q, %d, %v, %v)", raw, rkey, rid, rstripped, rok, key, id, stripped, ok)
+			}
+			if ok && refilled.SiteByID(id) != cache.SiteByID(id) {
+				t.Fatalf("SiteByID for %q: refilled %q, fresh %q", raw, refilled.SiteByID(id), cache.SiteByID(id))
 			}
 		}
 	})

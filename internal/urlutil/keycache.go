@@ -3,14 +3,16 @@ package urlutil
 import "webmeasure/internal/psl"
 
 // KeyCache is a pre-computed normalization table: raw URL → (normalized
-// node key, dense key id, stripped flag). The columnar store builds one
-// per site block from the URL entries of the block's interned string
-// table, and the analysis one per page from its visits' URLs otherwise,
-// so Normalize — a byte split of a canonical URL, a full parse of any
-// other — runs once per distinct URL per site or page instead of once per
-// request per visit, and consumers that index by the int32 key id (the
-// tree builder) skip string hashing entirely. A cache is immutable after
-// construction and safe for concurrent readers.
+// node key, dense key id, stripped flag). The columnar store fills one per
+// site block from the URL entries of the block's interned string table,
+// and the analysis one per page from its visits' URLs otherwise, so
+// Normalize — a byte split of a canonical URL, a full parse of any other —
+// runs once per distinct URL per site or page instead of once per request
+// per visit, and consumers that index by the int32 key id (the tree
+// builder) skip string hashing entirely. Readers never change a cache, so
+// any number may share one; Reset and Add refill it, and must not run
+// while anyone reads it. A columnar load refills one cache block after
+// block, after the analysis of the previous block has returned.
 type KeyCache struct {
 	refs map[string]keyRef
 	keys []string
@@ -19,6 +21,11 @@ type KeyCache struct {
 	// Site(raw) for every raw mapping to the key; consumers classifying
 	// first- vs third-party read the table instead of re-parsing URLs.
 	sites []string
+	// ids and hostSites are fill state: each distinct key's id, and each
+	// host's eTLD+1 resolved once. Reset empties them with the tables, so
+	// a refilled cache reuses their storage too.
+	ids       map[string]int32
+	hostSites map[string]string
 }
 
 type keyRef struct {
@@ -31,27 +38,49 @@ type keyRef struct {
 // strings their visits reference, repeats included; a non-URL string
 // would cost a parse and a table entry that no lookup reads. distinct is
 // the caller's estimate of how many distinct strings raws holds; it only
-// sizes the tables. Each new key's eTLD+1 comes from the host the
-// normalization cut out, resolved once per distinct host.
+// sizes the tables.
 func BuildKeyCache(raws []string, distinct int) *KeyCache {
-	c := &KeyCache{refs: make(map[string]keyRef, distinct)}
-	ids := make(map[string]int32, distinct)
-	hostSites := make(map[string]string)
+	c := new(KeyCache)
+	c.Reset(distinct)
 	for _, raw := range raws {
-		if _, ok := c.refs[raw]; ok {
-			continue
-		}
-		key, stripped, host := normalize(raw)
-		id, ok := ids[key]
-		if !ok {
-			id = int32(len(c.keys))
-			ids[key] = id
-			c.keys = append(c.keys, key)
-			c.sites = append(c.sites, hostSite(host, hostSites))
-		}
-		c.refs[raw] = keyRef{id: id, stripped: stripped}
+		c.Add(raw)
 	}
 	return c
+}
+
+// Reset empties the cache for a new set of about distinct URLs, keeping
+// the storage its tables grew to; a zero KeyCache must be Reset before
+// its first Add.
+func (c *KeyCache) Reset(distinct int) {
+	if c.refs == nil {
+		c.refs = make(map[string]keyRef, distinct)
+		c.ids = make(map[string]int32, distinct)
+		c.hostSites = make(map[string]string)
+	}
+	clear(c.refs)
+	clear(c.ids)
+	clear(c.hostSites)
+	clear(c.keys)
+	clear(c.sites)
+	c.keys, c.sites = c.keys[:0], c.sites[:0]
+}
+
+// Add normalizes raw into the cache unless it holds raw already; a new
+// normalized key takes the next dense id, and its eTLD+1 comes from the
+// host the normalization cut out.
+func (c *KeyCache) Add(raw string) {
+	if _, ok := c.refs[raw]; ok {
+		return
+	}
+	key, stripped, host := normalize(raw)
+	id, ok := c.ids[key]
+	if !ok {
+		id = int32(len(c.keys))
+		c.ids[key] = id
+		c.keys = append(c.keys, key)
+		c.sites = append(c.sites, hostSite(host, c.hostSites))
+	}
+	c.refs[raw] = keyRef{id: id, stripped: stripped}
 }
 
 // hostSite is Site over a lower-cased host ("" when the URL has none),

@@ -3,6 +3,7 @@ package webgen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"webmeasure/internal/measurement"
 )
@@ -94,7 +95,7 @@ type pageBuilder struct {
 
 func (b *pageBuilder) id(kind string) string {
 	b.nextID++
-	return fmt.Sprintf("%s.%s%d", b.pageID, kind, b.nextID)
+	return b.pageID + "." + kind + strconv.Itoa(b.nextID)
 }
 
 // addStaticText adds depth-one nodes that cannot load children (plain text

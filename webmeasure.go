@@ -16,10 +16,13 @@
 package webmeasure
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"sync"
 
 	"webmeasure/internal/browser"
 	"webmeasure/internal/colstore"
@@ -33,6 +36,7 @@ import (
 	"webmeasure/internal/report"
 	"webmeasure/internal/trace"
 	"webmeasure/internal/tranco"
+	"webmeasure/internal/urlutil"
 	"webmeasure/internal/webgen"
 )
 
@@ -151,9 +155,27 @@ func (c Config) shardPlan() core.ShardPlan {
 type Results struct {
 	cfg      Config
 	universe *webgen.Universe
-	dataset  *dataset.Dataset
-	exp      *report.Experiment
-	stats    crawler.Stats
+	// dataset holds the input's visits. A columnar load keeps the file's
+	// bytes in col instead, which visits decodes into dataset on first
+	// use; the analysis never needs them.
+	dataset *dataset.Dataset
+	col     []byte
+	colOnce sync.Once
+	colErr  error
+	exp     *report.Experiment
+	stats   crawler.Stats
+}
+
+// visits returns the input's dataset, decoding a columnar load's bytes
+// on the first call.
+func (r *Results) visits() (*dataset.Dataset, error) {
+	r.colOnce.Do(func() {
+		if r.col != nil {
+			r.dataset, r.colErr = dataset.ReadCol(bytes.NewReader(r.col))
+			r.col = nil
+		}
+	})
+	return r.dataset, r.colErr
 }
 
 // experimentFrame regenerates the deterministic scaffolding every entry
@@ -347,23 +369,15 @@ func analyzeSites(ctx context.Context, cfg Config, u *webgen.Universe, sample []
 	}, nil
 }
 
-// AnalyzeContext runs the analysis over an existing dataset, one site at
-// a time. sample and boundaries supply the rank information for the
+// AnalyzeContext runs the analysis over an existing dataset, every page
+// in one batch. sample and boundaries supply the rank information for the
 // popularity analysis and may be nil. The context aborts the per-page
 // analysis pool between pages (a canceled job server request stops
 // burning CPU mid-analysis).
 func AnalyzeContext(ctx context.Context, ds *dataset.Dataset, u *webgen.Universe, sample []tranco.Entry, boundaries []int, cfg Config) (*Results, error) {
 	return analyzeSites(ctx, cfg, u, sample, boundaries, ds, func(s *core.Stream) error {
-		// ds.Pages() is sorted by site, so each site's pages are one run.
-		for pages := ds.Pages(); len(pages) > 0; {
-			n := 1
-			for n < len(pages) && pages[n].Key.Site == pages[0].Key.Site {
-				n++
-			}
-			if err := s.AddSite(pages[0].Key.Site, pages[:n], nil); err != nil {
-				return fmt.Errorf("webmeasure: analyze: %w", err)
-			}
-			pages = pages[n:]
+		if err := s.AddDataset(ds); err != nil {
+			return fmt.Errorf("webmeasure: analyze: %w", err)
 		}
 		return nil
 	})
@@ -411,7 +425,11 @@ func (r *Results) WriteReport(w io.Writer) { r.exp.WriteAll(w) }
 // WriteDataset streams the raw visit records as JSON Lines (the released
 // raw-data artifact of Appendix A).
 func (r *Results) WriteDataset(w io.Writer) error {
-	return r.dataset.WriteJSONL(w)
+	ds, err := r.visits()
+	if err != nil {
+		return fmt.Errorf("webmeasure: %w", err)
+	}
+	return ds.WriteJSONL(w)
 }
 
 // WriteDatasetCol writes the raw visit records in the compact columnar
@@ -419,7 +437,11 @@ func (r *Results) WriteDataset(w io.Writer) error {
 // and delta-coded columns, plus a footer index for site-granular seeks.
 // ReadCol of the output reproduces WriteDataset's JSONL byte for byte.
 func (r *Results) WriteDatasetCol(w io.Writer) error {
-	return r.dataset.WriteCol(w)
+	ds, err := r.visits()
+	if err != nil {
+		return fmt.Errorf("webmeasure: %w", err)
+	}
+	return ds.WriteCol(w)
 }
 
 // WriteJSON exports every analysis result as one machine-readable JSON
@@ -519,8 +541,17 @@ func (r *Results) DriftBaseline() *drift.Baseline {
 
 // Dataset exposes the collected visits in memory, for callers that
 // query or re-encode them (WriteDataset and WriteDatasetCol write the
-// same visits).
-func (r *Results) Dataset() *dataset.Dataset { return r.dataset }
+// same visits). Results of a columnar load hold the file's bytes, not its
+// visits, and decode them on the first call of Dataset, WriteDataset or
+// WriteDatasetCol; the load has decoded and verified those bytes once
+// already, so a failure here is a broken invariant and panics.
+func (r *Results) Dataset() *dataset.Dataset {
+	ds, err := r.visits()
+	if err != nil {
+		panic(fmt.Sprintf("webmeasure: decode a loaded columnar dataset again: %v", err))
+	}
+	return ds
+}
 
 // RankBoundaries returns the rank-bucket boundaries used for sampling.
 func (r *Results) RankBoundaries() []int { return r.exp.RankBoundaries }
@@ -535,12 +566,16 @@ func (r *Results) CrawlStats() crawler.Stats { return r.stats }
 // carry the same Seed/Sites/TrancoSize/PagesPerSite the crawl used, so
 // the universe (and with it the filter list and rank sample) can be
 // regenerated deterministically. A columnar dataset, seekable or not, is
-// analyzed in one sequential pass in file order: each site block enters
-// the analysis as it decodes, through the block's pre-interned key
-// cache, and the retained visits share the block's interned strings.
-// A dataset that holds no visit is refused: it records no experiment.
+// read into memory whole and analyzed in one sequential pass in file
+// order: every site block is decoded into one scratch block, and its key
+// cache into one scratch cache, each reused for the next block once the
+// analysis of the last has returned. The analysis keeps no visit; the
+// Results keep the file's bytes, which Dataset, WriteDataset and
+// WriteDatasetCol decode on first use. A dataset that holds no visit is
+// refused: it records no experiment.
 func LoadAndAnalyzeContext(ctx context.Context, datasetIn io.Reader, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()
+	size := sizeHint(datasetIn)
 	format, rd, err := dataset.DetectFormat(datasetIn)
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
@@ -556,18 +591,43 @@ func LoadAndAnalyzeContext(ctx context.Context, datasetIn io.Reader, cfg Config)
 		}
 		return AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
 	}
-	ds := dataset.New()
-	return analyzeSites(ctx, cfg, u, sample, boundaries, ds, func(s *core.Stream) error {
-		if err := dataset.ScanColSites(rd, ds, func(sb *colstore.SiteBlock) error {
-			return s.AddSite(sb.Site, dataset.GroupVisits(sb.Visits), sb.KeyCache())
+	var raw bytes.Buffer
+	raw.Grow(size + bytes.MinRead)
+	if _, err := raw.ReadFrom(rd); err != nil {
+		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
+	}
+	res, err := analyzeSites(ctx, cfg, u, sample, boundaries, nil, func(s *core.Stream) error {
+		visits := 0
+		if _, err := colstore.ScanScratch(bytes.NewReader(raw.Bytes()), func(sb *colstore.SiteBlock, keys *urlutil.KeyCache) error {
+			visits += len(sb.Visits)
+			return s.AddSiteVisits(sb.Site, sb.Visits, keys)
 		}); err != nil {
 			return fmt.Errorf("webmeasure: load dataset: %w", err)
 		}
-		if ds.Len() == 0 {
+		if visits == 0 {
 			return errNoVisits
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	res.col = raw.Bytes()
+	return res, nil
+}
+
+// sizeHint is how many bytes r holds, when r says: an in-memory reader's
+// unread length or a regular file's size; 0 otherwise.
+func sizeHint(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
 }
 
 var errNoVisits = errors.New("webmeasure: load dataset: no visits")
