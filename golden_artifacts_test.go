@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"webmeasure/internal/core"
+	"webmeasure/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite "+goldenArtifactsPath+" from this build")
@@ -28,7 +29,10 @@ const goldenArtifactsPath = "scripts/golden/artifacts.sha256"
 // scripts/golden/artifacts.sha256. The matrix crosses three seeds with
 // four configurations and three ways of reaching an analysis: a crawl-fed
 // Run, a reload of its columnar dataset, and a three-shard run assembled
-// from wire-encoded partials. A change that must not move any number
+// from wire-encoded partials. The Run and shard rows also pin the dataset
+// in both encodings, and one traced Run per cell pins both trace exports,
+// whose analysis spans carry each page's comparison size. A change that
+// must not move any number
 // passes unchanged; one that means to regenerates the file with
 //
 //	go test -run TestArtifactsGolden -update .
@@ -96,6 +100,7 @@ func goldenHashes(t *testing.T) map[string]string {
 				t.Fatalf("%srun: %v", prefix, err)
 			}
 			hashArtifacts(t, out, prefix+"run/", res)
+			hashDataset(t, out, prefix+"run/", res)
 
 			var col bytes.Buffer
 			if err := res.WriteDatasetCol(&col); err != nil {
@@ -107,7 +112,11 @@ func goldenHashes(t *testing.T) map[string]string {
 			}
 			hashArtifacts(t, out, prefix+"col/", reload)
 
-			hashArtifacts(t, out, prefix+"shards3/", assembleShards(t, cfg, 3))
+			shards := assembleShards(t, cfg, 3)
+			hashArtifacts(t, out, prefix+"shards3/", shards)
+			hashDataset(t, out, prefix+"shards3/", shards)
+
+			hashTrace(t, out, prefix+"trace/", cfg)
 		}
 	}
 	return out
@@ -159,9 +168,47 @@ func hashArtifacts(t *testing.T, out map[string]string, prefix string, res *Resu
 		"summary": []byte(fmt.Sprintf("%+v", res.Summary())),
 		"drift":   baseline,
 	} {
-		sum := sha256.Sum256(b)
-		out[prefix+name] = hex.EncodeToString(sum[:])
+		putHash(out, prefix+name, b)
 	}
+}
+
+// hashDataset hashes res's dataset in both encodings.
+func hashDataset(t *testing.T, out map[string]string, prefix string, res *Results) {
+	t.Helper()
+	var jsonl, col bytes.Buffer
+	if err := res.WriteDataset(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteDatasetCol(&col); err != nil {
+		t.Fatal(err)
+	}
+	putHash(out, prefix+"dataset.jsonl", jsonl.Bytes())
+	putHash(out, prefix+"dataset.col", col.Bytes())
+}
+
+// hashTrace runs cfg under a tracer that keeps every trace and hashes its
+// Chrome and JSONL exports.
+func hashTrace(t *testing.T, out map[string]string, prefix string, cfg Config) {
+	t.Helper()
+	tr := trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1})
+	cfg.Tracer = tr
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatalf("%s: %v", prefix, err)
+	}
+	var chrome, jsonl bytes.Buffer
+	if err := tr.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	putHash(out, prefix+"chrome", chrome.Bytes())
+	putHash(out, prefix+"jsonl", jsonl.Bytes())
+}
+
+func putHash(out map[string]string, name string, b []byte) {
+	sum := sha256.Sum256(b)
+	out[name] = hex.EncodeToString(sum[:])
 }
 
 // readGoldenHashes parses the golden file: '#' comments, one
