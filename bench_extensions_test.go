@@ -79,7 +79,7 @@ func BenchmarkAblationCombinedFilterLists(b *testing.B) {
 
 	profiles := res.Analysis().Dataset().Profiles()
 	baseA := res.Analysis()
-	combinedA, err := core.New(res.Analysis().Dataset(), combined, core.Options{Profiles: profiles})
+	combinedA, err := analyzeDataset(res.Analysis().Dataset(), combined, core.Options{Profiles: profiles})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,24 @@
 package webmeasure
 
-import "webmeasure/internal/measurement"
+import (
+	"webmeasure/internal/core"
+	"webmeasure/internal/dataset"
+	"webmeasure/internal/filterlist"
+	"webmeasure/internal/measurement"
+)
+
+// analyzeDataset analyzes every page of ds in one batch, with ds as the
+// stream's dataset.
+func analyzeDataset(ds *dataset.Dataset, filter *filterlist.List, opts core.Options) (*core.Analysis, error) {
+	s, err := core.NewStream(ds, filter, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.AddDataset(ds); err != nil {
+		return nil, err
+	}
+	return s.Finish()
+}
 
 // fig6Visit constructs a visit whose tree has exactly the given
 // (child, parent) edges, expressed through synthetic call stacks.

@@ -200,14 +200,24 @@ func BenchmarkFigure5TypeShares(b *testing.B) {
 func BenchmarkFigure6WorkedExample(b *testing.B) {
 	trees := appendixDTrees(b)
 	cmp := treediff.Compare(trees)
-	root := cmp.Nodes["https://fig6.example/"]
-	e := cmp.Nodes["https://fig6.example/e"]
+	root := cmp.Nodes[0]
+	e := nodeInfo(cmp, "https://fig6.example/e")
 	b.Logf("\nAppendix D worked example: depth-one similarity %.2f (paper .77), parent of e %.2f (paper .3)",
 		root.ChildSim, e.ParentSim)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = treediff.Compare(trees)
 	}
+}
+
+// nodeInfo returns the comparison's aggregate for key, or nil.
+func nodeInfo(cmp *treediff.Comparison, key string) *treediff.NodeInfo {
+	for _, ni := range cmp.Nodes {
+		if ni.Key == key {
+			return ni
+		}
+	}
+	return nil
 }
 
 func BenchmarkFigure7TypeDepthSimilarity(b *testing.B) {
@@ -294,7 +304,7 @@ func ablationAnalysis(b *testing.B, opts core.Options) *core.Analysis {
 	if opts.Profiles == nil {
 		opts.Profiles = base.Dataset().Profiles()
 	}
-	a, err := core.New(base.Dataset(), nil, opts)
+	a, err := analyzeDataset(base.Dataset(), nil, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func BenchmarkAnalysisWorkers(b *testing.B) {
 		b.Run(strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.New(ds, filter, core.Options{
+				if _, err := analyzeDataset(ds, filter, core.Options{
 					Profiles: profiles,
 					Workers:  workers,
 				}); err != nil {

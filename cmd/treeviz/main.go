@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"webmeasure/internal/browser"
@@ -120,30 +121,23 @@ func main() {
 
 	cmp := treediff.Compare(trees)
 	fmt.Printf("--- cross-comparison over %d trees ---\n", len(trees))
-	type row struct {
-		key string
-		ni  *treediff.NodeInfo
-	}
-	var rows []row
-	for k, ni := range cmp.Nodes {
-		rows = append(rows, row{k, ni})
-	}
+	rows := slices.Clone(cmp.Nodes)
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].ni.Presence != rows[j].ni.Presence {
-			return rows[i].ni.Presence < rows[j].ni.Presence
+		if rows[i].Presence != rows[j].Presence {
+			return rows[i].Presence < rows[j].Presence
 		}
-		return rows[i].key < rows[j].key
+		return rows[i].Key < rows[j].Key
 	})
-	for _, r := range rows {
+	for _, ni := range rows {
 		marks := ""
-		if r.ni.Tracking {
+		if ni.Tracking {
 			marks += " [tracking]"
 		}
-		if r.ni.Party == tree.ThirdParty {
+		if ni.Party == tree.ThirdParty {
 			marks += " [3p]"
 		}
 		fmt.Printf("%d/%d  child=%.2f parent=%.2f  %s%s\n",
-			r.ni.Presence, len(trees), r.ni.ChildSim, r.ni.ParentSim, trim(r.key, 90), marks)
+			ni.Presence, len(trees), ni.ChildSim, ni.ParentSim, trim(ni.Key, 90), marks)
 	}
 }
 

@@ -191,3 +191,47 @@ func TestCrawlStreamMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestInstanceCountByteIdentical pins what leaving the browser-instance
+// count out of the job server's cache key rests on: 1, 3 and 15 instances
+// per profile give byte-identical artifacts, datasets (both formats),
+// counters and trace exports, stateless and stateful, on a clean network
+// and under heavy fault injection.
+func TestInstanceCountByteIdentical(t *testing.T) {
+	names := []string{"report", "JSON export", "CSV export", "JSONL dataset", "columnar dataset", "trace JSONL", "Chrome trace"}
+	for _, tc := range []struct {
+		name     string
+		faults   string
+		stateful bool
+	}{
+		{name: "clean"},
+		{name: "heavy-faults", faults: "heavy"},
+		{name: "stateful", stateful: true},
+		{name: "stateful-heavy-faults", faults: "heavy", stateful: true},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{Seed: 5, Sites: 8, PagesPerSite: 3, FaultProfile: tc.faults, Stateful: tc.stateful}
+			var want [][]byte
+			var wantCtr map[string]int64
+			for _, n := range []int{1, 3, 15} {
+				cfg.Instances = n
+				art, jsonl, col, ctr, jl, ch := poolRun(t, cfg, 2)
+				got := [][]byte{art.report, art.json, art.csv, jsonl, col, jl, ch}
+				if want == nil {
+					want, wantCtr = got, ctr
+					continue
+				}
+				for i, name := range names {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Errorf("%s differs between 1 and %d instances (%d vs %d bytes)", name, n, len(want[i]), len(got[i]))
+					}
+				}
+				if !reflect.DeepEqual(ctr, wantCtr) {
+					t.Errorf("counters differ between 1 and %d instances:\n%v\n%v", n, wantCtr, ctr)
+				}
+			}
+		})
+	}
+}

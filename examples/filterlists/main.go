@@ -31,7 +31,14 @@ func main() {
 	ds := res.Analysis().Dataset()
 	profiles := ds.Profiles()
 	study := func(name string, list *filterlist.List) {
-		a, err := core.New(ds, list, core.Options{Profiles: profiles})
+		s, err := core.NewStream(ds, list, core.Options{Profiles: profiles})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := s.AddDataset(ds); err != nil {
+			log.Fatal(err)
+		}
+		a, err := s.Finish()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -111,11 +111,10 @@ func (a *Analysis) phaseTimer(name string) func() {
 	return a.metrics.Histogram("analysis." + name + "_ms").Time()
 }
 
-// Options configures New.
+// Options configures an analysis (NewStream).
 type Options struct {
-	// Profiles fixes the tree ordering; defaults to the dataset's sorted
-	// profile names. The first profile whose name is "Sim1" is used as the
-	// Table 6 reference regardless of order.
+	// Profiles fixes the tree ordering; required. The first profile whose
+	// name is "Sim1" is used as the Table 6 reference regardless of order.
 	Profiles []string
 	// SiteRank supplies Tranco ranks for the bucket analysis.
 	SiteRank map[string]int
@@ -146,7 +145,7 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Context, if non-nil, cancels the per-page analysis between pages —
 	// the hook a job server needs to abort a long analysis mid-flight.
-	// New returns the context's error when it fires.
+	// The stream returns the context's error when it fires.
 	Context context.Context
 	// Tracer, if non-nil, records analysis spans (analyze.vet,
 	// analyze.build per profile, analyze.compare with treediff.intern /
@@ -156,31 +155,11 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// New builds the analysis: vetting, tree construction, cross-comparison.
-// filter may be nil (no tracking classification). The per-page work runs
-// on Options.Workers goroutines; because pages are analyzed independently
-// and merged in page-key order, the result is identical (byte for byte in
-// every export) regardless of worker count.
-func New(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis, error) {
-	profiles := opts.Profiles
-	if len(profiles) == 0 {
-		profiles = ds.Profiles()
-	}
-	s, err := newStream(ds, filter, opts, profiles)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.AddDataset(ds); err != nil {
-		return nil, err
-	}
-	return s.Finish()
-}
-
 // Stream builds an Analysis incrementally, one site at a time, in
 // whatever order the input yields the sites: a crawl's site-list order,
 // a columnar file's block order, or a dataset's sorted order. Finish sorts
 // the vetted pages into page-key order, so the result is byte-identical
-// in every export to New's over the same visits, for any arrival order.
+// in every export for any arrival order of the same visits.
 type Stream struct {
 	a     *Analysis
 	w     pageWorker
@@ -196,18 +175,12 @@ type Stream struct {
 // table reads what the stream captured while each site's visits were at
 // hand, so a caller of AddSite or AddSiteVisits may drop or reuse the
 // visits once the call returns.
-// Unlike New, the profile order cannot be inferred from a dataset that
-// does not exist yet, so Options.Profiles is required.
+// Options.Profiles is required: it fixes every table's profile order
+// before any site arrives.
 func NewStream(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Stream, error) {
-	if len(opts.Profiles) == 0 {
-		return nil, fmt.Errorf("core: streaming analysis requires Options.Profiles (the dataset is not yet loaded to infer them)")
-	}
-	return newStream(ds, filter, opts, opts.Profiles)
-}
-
-func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profiles []string) (*Stream, error) {
+	profiles := opts.Profiles
 	if len(profiles) == 0 {
-		return nil, fmt.Errorf("core: dataset has no profiles")
+		return nil, fmt.Errorf("core: analysis requires Options.Profiles")
 	}
 	a := &Analysis{
 		ds:       ds,
@@ -654,11 +627,7 @@ func (a *Analysis) profileIndex(name string) int {
 // eachNonRootNode visits every non-root NodeInfo.
 func (a *Analysis) eachNonRootNode(fn func(pa *PageAnalysis, ni *treediff.NodeInfo)) {
 	for _, pa := range a.pages {
-		rootKey := pa.Trees[0].Root.Key
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey {
-				continue
-			}
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			fn(pa, ni)
 		}
 	}

@@ -19,6 +19,15 @@ import (
 	"webmeasure/internal/urlutil"
 )
 
+// pageGroups indexes ds's page groups by page key.
+func pageGroups(ds *dataset.Dataset) map[dataset.PageKey]*dataset.PageVisits {
+	m := make(map[dataset.PageKey]*dataset.PageVisits)
+	for _, pv := range ds.Pages() {
+		m[pv.Key] = pv
+	}
+	return m
+}
+
 // TestPageTableTreesMatchPlainBuild is the equivalence oracle for the
 // per-page URL table the analysis builds every tree through when its
 // caller passes none (crawl-fed runs, JSONL loads). Over generated crawls,
@@ -40,15 +49,16 @@ func TestPageTableTreesMatchPlainBuild(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, filter, opts := faultyExperiment(t, tc.seed, tc.faults)
 			opts.Workers = 2
-			a, err := New(ds, filter, opts)
+			a, err := analyzeDataset(ds, filter, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			plain := &tree.Builder{Filter: filter}
 			var want AttributionReport
 			checked := 0
+			groups := pageGroups(ds)
 			for _, pa := range a.Pages() {
-				pv := ds.PageGroup(pa.Key)
+				pv := groups[pa.Key]
 				for _, prof := range a.Profiles() {
 					v := pv.ByProfile[prof]
 					if !v.Success || !v.Clean() {
@@ -122,7 +132,7 @@ func TestAttributionOnEveryScoringPath(t *testing.T) {
 			return a, ds
 		}},
 		{"raw-url", true, func(t *testing.T, ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis, *dataset.Dataset) {
-			a, err := New(ds, filter, rawURL(opts))
+			a, err := analyzeDataset(ds, filter, rawURL(opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,10 +156,11 @@ func TestAttributionOnEveryScoringPath(t *testing.T) {
 				a, visits := p.analyze(t, ds, filter, opts)
 				scorer := &tree.Builder{RawURLIdentity: p.raw}
 				var want AttributionReport
+				groups := pageGroups(visits)
 				for _, pa := range a.Pages() {
 					var page AttributionReport
 					for _, tr := range pa.Trees {
-						v := visits.PageGroup(pa.Key).ByProfile[tr.Profile]
+						v := groups[pa.Key].ByProfile[tr.Profile]
 						if !hasGroundTruth(v) {
 							continue
 						}
@@ -244,7 +255,7 @@ func analyzeJSONL(t *testing.T, ds *dataset.Dataset, filter *filterlist.List, op
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(out, filter, opts)
+	a, err := analyzeDataset(out, filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +365,7 @@ func TestVettingBuildsNoTreeForExcludedPage(t *testing.T) {
 	}
 	m := metrics.New()
 	tracer := trace.New(trace.Options{})
-	a, err := New(ds, nil, Options{Profiles: profiles, Metrics: m, Tracer: tracer})
+	a, err := analyzeDataset(ds, nil, Options{Profiles: profiles, Metrics: m, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func runExperiment(t testing.TB, nSites, maxPages int, seed int64) *Analysis {
 	for _, e := range sample {
 		ranks[e.Site] = e.Rank
 	}
-	a, err := New(ds, filter, Options{
+	a, err := analyzeDataset(ds, filter, Options{
 		Profiles: []string{"Old", "Sim1", "Sim2", "NoAction", "Headless"},
 		SiteRank: ranks,
 	})

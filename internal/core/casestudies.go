@@ -259,18 +259,14 @@ func (a *Analysis) TrackingStudy() TrackingStudyResult {
 	var ptScript, ptSub, ptMain int
 
 	for _, pa := range a.pages {
-		rootKey := pa.Trees[0].Root.Key
 		// Per-page presence similarity of tracking node sets.
-		sets := make([][]string, len(pa.Trees))
-		for ti, t := range pa.Trees {
-			var keys []string
-			for _, n := range t.Nodes() {
-				if n.Tracking {
-					keys = append(keys, n.Key)
+		sets := make([][]int32, len(pa.Trees))
+		for ti := range pa.Trees {
+			for _, id := range pa.Cmp.TreeIDs(ti) { // ascending
+				if pa.Cmp.TreeNode(ti, id).Tracking {
+					sets[ti] = append(sets[ti], id)
 				}
 			}
-			slices.Sort(keys)
-			sets[ti] = keys
 		}
 		hasTracking := false
 		for _, s := range sets {
@@ -282,10 +278,7 @@ func (a *Analysis) TrackingStudy() TrackingStudyResult {
 			trNodeSim = append(trNodeSim, stats.PairwiseMeanJaccardSorted(sets))
 		}
 
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey {
-				continue
-			}
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			total++
 			meanChildren := meanPresentChildren(ni)
 			if ni.Tracking {

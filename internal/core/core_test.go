@@ -32,15 +32,28 @@ func sharedExperiment(t testing.TB) *Analysis {
 	return shared
 }
 
+// analyzeDataset analyzes every page of ds in one batch, with ds as the
+// stream's dataset.
+func analyzeDataset(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis, error) {
+	s, err := NewStream(ds, filter, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.AddDataset(ds); err != nil {
+		return nil, err
+	}
+	return s.Finish()
+}
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(dataset.New(), nil, Options{}); err == nil {
-		t.Error("empty dataset should error")
+	if _, err := NewStream(nil, nil, Options{}); err == nil {
+		t.Error("an analysis without profiles should error")
 	}
 	// A page vetting excludes leaves an analysis with no pages, not an
 	// error: its vetting tally records why.
 	ds := dataset.New()
 	ds.Add(&measurement.Visit{Site: "a.example", PageURL: "https://a.example/", Profile: "Sim1", Success: false, Failure: "x"})
-	a, err := New(ds, nil, Options{})
+	a, err := analyzeDataset(ds, nil, Options{Profiles: []string{"Sim1"}})
 	if err != nil {
 		t.Fatalf("dataset without vetted pages: %v", err)
 	}
@@ -529,7 +542,7 @@ func TestPartialVettingOption(t *testing.T) {
 	a := sharedExperiment(t)
 	ds := a.Dataset()
 	strictPages := len(a.Pages())
-	loose, err := New(ds, nil, Options{Profiles: a.Profiles(), MinSuccessProfiles: 2})
+	loose, err := analyzeDataset(ds, nil, Options{Profiles: a.Profiles(), MinSuccessProfiles: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,16 +568,16 @@ func TestPartialVettingOption(t *testing.T) {
 }
 
 // The analysis builds with a copy of Options.TreeBuilder: the caller's
-// builder keeps its Filter through New and NewFromPartials.
+// builder keeps its Filter through NewStream and NewFromPartials.
 func TestTreeBuilderNotModified(t *testing.T) {
 	ds, filter, opts := shardExperiment(t, 21)
 	b := &tree.Builder{RawURLIdentity: true}
 	opts.TreeBuilder = b
-	if _, err := New(ds, filter, opts); err != nil {
+	if _, err := analyzeDataset(ds, filter, opts); err != nil {
 		t.Fatal(err)
 	}
 	if b.Filter != nil {
-		t.Fatal("New set the Filter of the caller's builder")
+		t.Fatal("NewStream set the Filter of the caller's builder")
 	}
 	plan := ShardPlan{Count: 2, Seed: 3}
 	parts := splitPartials(t, ds, filter, opts, plan)
@@ -572,7 +585,7 @@ func TestTreeBuilderNotModified(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.Filter != nil {
-		t.Fatal("New or NewFromPartials set the Filter of the caller's builder")
+		t.Fatal("NewStream or NewFromPartials set the Filter of the caller's builder")
 	}
 	withFilter := &tree.Builder{Filter: filter}
 	opts.TreeBuilder = withFilter
@@ -593,7 +606,7 @@ func TestSharedTreeBuilderConcurrent(t *testing.T) {
 	filters := []*filterlist.List{filter, nil}
 	want := make([][]byte, len(filters))
 	for i, f := range filters {
-		a, err := New(ds, f, opts)
+		a, err := analyzeDataset(ds, f, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +622,7 @@ func TestSharedTreeBuilderConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int, f *filterlist.List) {
 			defer wg.Done()
-			got[i], errs[i] = New(ds, f, opts)
+			got[i], errs[i] = analyzeDataset(ds, f, opts)
 		}(i, f)
 	}
 	wg.Wait()
@@ -625,7 +638,7 @@ func TestSharedTreeBuilderConcurrent(t *testing.T) {
 
 func TestCustomTreeBuilderOption(t *testing.T) {
 	a := sharedExperiment(t)
-	raw, err := New(a.Dataset(), nil, Options{
+	raw, err := analyzeDataset(a.Dataset(), nil, Options{
 		Profiles:    a.Profiles(),
 		TreeBuilder: &tree.Builder{RawURLIdentity: true},
 	})

@@ -182,9 +182,8 @@ func (a *Analysis) TypeSharesBySimilarity(kind string, bins int) TypeShareBySimi
 	}
 	for _, pa := range a.pages {
 		var sims []float64
-		rootKey := pa.Trees[0].Root.Key
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey || ni.Presence < 2 {
+		for _, ni := range pa.Cmp.Nodes[1:] {
+			if ni.Presence < 2 {
 				continue
 			}
 			switch kind {
@@ -205,10 +204,7 @@ func (a *Analysis) TypeSharesBySimilarity(kind string, bins int) TypeShareBySimi
 			bin = bins - 1
 		}
 		pages[bin]++
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey {
-				continue
-			}
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			counts[bin][ni.Type] += ni.Presence
 			totals[bin] += ni.Presence
 		}
@@ -244,11 +240,7 @@ func (a *Analysis) SubframeImpact() SubframeImpact {
 	for _, pa := range a.pages {
 		hasFrame := false
 		var parents, children []float64
-		rootKey := pa.Trees[0].Root.Key
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey {
-				continue
-			}
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			if ni.Type == measurement.TypeSubFrame {
 				hasFrame = true
 			}

@@ -35,9 +35,8 @@ func profilePairTableByCompare(a *Analysis, reference string) []ProfilePairRow {
 				continue
 			}
 			pair := treediff.Compare([]*tree.Tree{ref, oth})
-			rootKey := ref.Root.Key
-			for key, ni := range pair.Nodes {
-				if key == rootKey || ni.Presence != 2 {
+			for _, ni := range pair.Nodes[1:] {
+				if ni.Presence != 2 {
 					continue
 				}
 				childJ := ni.ChildSim
@@ -129,7 +128,7 @@ func TestProfilePairTableMatchesTwoTreeCompare(t *testing.T) {
 			} {
 				o := opts
 				o.Profiles, o.MinSuccessProfiles, o.Workers = tc.profiles, tc.minSuccess, 2
-				a, err := New(ds, filter, o)
+				a, err := analyzeDataset(ds, filter, o)
 				if err != nil {
 					t.Fatalf("%s/%d/%s: %v", crawl.name, seed, tc.name, err)
 				}

@@ -20,7 +20,7 @@ func sharedFilter() *filterlist.List {
 func buildWith(t testing.TB, workers int, m *metrics.Registry) *Analysis {
 	t.Helper()
 	a := sharedExperiment(t)
-	out, err := New(a.Dataset(), sharedFilter(), Options{
+	out, err := analyzeDataset(a.Dataset(), sharedFilter(), Options{
 		Profiles: a.Profiles(),
 		SiteRank: a.siteRank,
 		Workers:  workers,
@@ -66,13 +66,13 @@ func TestWorkerPoolDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d: page %v has %d compared nodes, want %d",
 					workers, pa.Key, len(pa.Cmp.Nodes), len(ref.Cmp.Nodes))
 			}
-			for key, ni := range pa.Cmp.Nodes {
-				rn := ref.Cmp.Nodes[key]
-				if rn == nil {
-					t.Fatalf("workers=%d: node %s missing from reference", workers, key)
+			for id, ni := range pa.Cmp.Nodes {
+				rn := ref.Cmp.Nodes[id]
+				if ni.Key != rn.Key {
+					t.Fatalf("workers=%d: node %d is %s, reference %s", workers, id, ni.Key, rn.Key)
 				}
 				if !reflect.DeepEqual(ni.Depths, rn.Depths) || ni.ChildSim != rn.ChildSim || ni.ParentSim != rn.ParentSim {
-					t.Fatalf("workers=%d: node %s aggregate differs", workers, key)
+					t.Fatalf("workers=%d: node %s aggregate differs", workers, ni.Key)
 				}
 			}
 		}
@@ -135,7 +135,7 @@ func TestWorkerPoolMetrics(t *testing.T) {
 // TestWorkerPoolOversizedWorkers exercises the workers > pages clamp.
 func TestWorkerPoolOversizedWorkers(t *testing.T) {
 	a := sharedExperiment(t)
-	out, err := New(a.Dataset(), sharedFilter(), Options{
+	out, err := analyzeDataset(a.Dataset(), sharedFilter(), Options{
 		Profiles: a.Profiles(),
 		Workers:  10_000,
 	})

@@ -118,12 +118,12 @@ func DecodePartial(b []byte) (*Partial, error) {
 // ds is the union dataset (the coordinator rebuilds it from the partials'
 // visits), which the Analysis returns from Dataset; the tables read the
 // partials' own visits as each is added. opts plays the same role
-// as in New, and opts.Context cancels the merge between pages. No filter
+// as in NewStream, and opts.Context cancels the merge between pages. No filter
 // list is needed: the shards' tree records already carry each node's
 // tracking flag. Each partial feeds one Stream, which rebuilds the pages'
 // trees from their wire records, re-compares them, and sorts the union
 // into page-key order at Finish, so the result is indistinguishable from
-// New over the union dataset.
+// one Stream fed the union dataset (Stream.AddDataset).
 func NewFromPartials(ds *dataset.Dataset, opts Options, plan ShardPlan, parts []*Partial) (*Analysis, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err

@@ -58,7 +58,7 @@ func splitPartials(t testing.TB, ds *dataset.Dataset, filter *filterlist.List, o
 	t.Helper()
 	parts := make([]*Partial, plan.Count)
 	for i := 0; i < plan.Count; i++ {
-		a, err := New(shardDataset(ds, plan, i), filter, opts)
+		a, err := analyzeDataset(shardDataset(ds, plan, i), filter, opts)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -93,7 +93,7 @@ func exportJSON(t testing.TB, a *Analysis) []byte {
 // must reproduce the direct analysis bit for bit.
 func TestMergeOfSplitEqualsDirect(t *testing.T) {
 	ds, filter, opts := shardExperiment(t, 21)
-	direct, err := New(ds, filter, opts)
+	direct, err := analyzeDataset(ds, filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMergeStopsOnCanceledContext(t *testing.T) {
 func TestPartialRejectsWrongShard(t *testing.T) {
 	ds, filter, opts := shardExperiment(t, 8)
 	plan := ShardPlan{Count: 2, Seed: 8}
-	a, err := New(shardDataset(ds, plan, 0), filter, opts)
+	a, err := analyzeDataset(shardDataset(ds, plan, 0), filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,11 +98,7 @@ func (a *Analysis) Stability() StabilityReport {
 			}
 		}
 
-		rootKey := pa.Trees[0].Root.Key
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey {
-				continue
-			}
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			observations += ni.Presence
 			if ni.Presence == 1 {
 				singletons++

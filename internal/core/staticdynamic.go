@@ -42,9 +42,8 @@ func (a *Analysis) StaticDynamic() StaticDynamicReport {
 	var childN, childStable int
 
 	for _, pa := range a.pages {
-		rootKey := pa.Trees[0].Root.Key
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey || ni.Presence < 2 {
+		for id, ni := range pa.Cmp.Nodes {
+			if id == 0 || ni.Presence < 2 { // Nodes[0] is the root
 				continue
 			}
 			rep.NodesCompared++
@@ -53,8 +52,8 @@ func (a *Analysis) StaticDynamic() StaticDynamicReport {
 			firstCT, firstStatus := "", 0
 			minSize, maxSize := math.MaxInt, 0
 			seen := 0
-			for _, t := range pa.Trees {
-				n := t.Node(key)
+			for ti := range pa.Trees {
+				n := pa.Cmp.TreeNode(ti, int32(id))
 				if n == nil {
 					continue
 				}

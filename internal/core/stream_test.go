@@ -28,12 +28,13 @@ func siteBatches(ds *dataset.Dataset) [][]*dataset.PageVisits {
 
 // TestStreamSiteOrderFree: a Stream fed the same sites in ascending,
 // reverse, and shuffled order seals to the same analysis — the export
-// JSON byte for byte and the vetting tally — as New over the dataset.
+// JSON byte for byte and the vetting tally — as AddDataset over the
+// dataset.
 // Heavy faults make the tally exclude pages for every reason.
 func TestStreamSiteOrderFree(t *testing.T) {
 	ds, filter, opts := faultyExperiment(t, 9, faults.Heavy())
 	opts.Workers = 2
-	direct, err := New(ds, filter, opts)
+	direct, err := analyzeDataset(ds, filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestStreamSiteOrderFree(t *testing.T) {
 			t.Errorf("%s: vetting %+v, want %+v", tc.name, got, direct.Vetting())
 		}
 		if got := exportJSON(t, a); !bytes.Equal(got, want) {
-			t.Errorf("%s: export differs from New's (%d vs %d bytes)", tc.name, len(got), len(want))
+			t.Errorf("%s: export differs from AddDataset's (%d vs %d bytes)", tc.name, len(got), len(want))
 		}
 	}
 }
@@ -110,7 +111,7 @@ func TestStreamRejectsBadSites(t *testing.T) {
 // TestCrawlSummaryCountsRepeatedVisits: a dataset holding a second visit
 // of one (page, profile) pair, a failed one, counts both in the crawl
 // summary, as Dataset.Len and Dataset.SuccessRate do, whether the visits
-// arrive as a dataset (New) or as flat sites (AddSiteVisits).
+// arrive as a dataset (AddDataset) or as flat sites (AddSiteVisits).
 func TestCrawlSummaryCountsRepeatedVisits(t *testing.T) {
 	src, filter, opts := shardExperiment(t, 9)
 	ds := dataset.New()
@@ -124,7 +125,7 @@ func TestCrawlSummaryCountsRepeatedVisits(t *testing.T) {
 	ds.Add(&repeat)
 	bySite[repeat.Site] = append(bySite[repeat.Site], &repeat)
 
-	direct, err := New(ds, filter, opts)
+	direct, err := analyzeDataset(ds, filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestCrawlSummaryCountsRepeatedVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, a := range map[string]*Analysis{"New": direct, "AddSiteVisits": flat} {
+	for name, a := range map[string]*Analysis{"AddDataset": direct, "AddSiteVisits": flat} {
 		cs := a.CrawlSummary()
 		if cs.Visits != ds.Len() || cs.Pages != len(ds.Pages()) {
 			t.Errorf("%s: %d visits on %d pages, the dataset holds %d on %d", name, cs.Visits, cs.Pages, ds.Len(), len(ds.Pages()))

@@ -40,11 +40,7 @@ func (a *Analysis) TreeOverview() TreeOverview {
 			depths = append(depths, float64(t.MaxDepth()))
 			breadths = append(breadths, float64(t.Breadth()))
 		}
-		rootKey := pa.Trees[0].Root.Key
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey {
-				continue
-			}
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			total++
 			presences = append(presences, float64(ni.Presence))
 			if ni.Presence == len(pa.Trees) {
@@ -446,11 +442,7 @@ func (a *Analysis) RankBuckets(boundaries []int) RankBucketResult {
 		}
 		nodeCount /= float64(len(pa.Trees))
 		var childSims, parentSims []float64
-		rootKey := pa.Trees[0].Root.Key
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey {
-				continue
-			}
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			if ni.HasChildAnywhere {
 				childSims = append(childSims, ni.ChildSim)
 			}

@@ -41,10 +41,9 @@ func (a *Analysis) RunTests(interactionProfile, noActionProfile string) Statisti
 	// few-children nodes.
 	var many, few []float64
 	for _, pa := range a.pages {
-		rootKey := pa.Trees[0].Root.Key
 		var m, f []float64
-		for key, ni := range pa.Cmp.Nodes {
-			if key == rootKey || !ni.HasChildAnywhere || ni.Presence < 2 {
+		for _, ni := range pa.Cmp.Nodes[1:] {
+			if !ni.HasChildAnywhere || ni.Presence < 2 {
 				continue
 			}
 			if ni.MaxChildren >= 3 {
@@ -205,21 +204,18 @@ func (a *Analysis) CompareSameConfig(p1, p2 string) SameConfigComparison {
 	}
 	var upper, deep []float64
 	for _, pa := range a.pages {
-		t1, t2 := pa.TreeFor(p1), pa.TreeFor(p2)
-		if t1 == nil || t2 == nil {
+		i, j := pa.treeIndex(p1), pa.treeIndex(p2)
+		if i < 0 || j < 0 {
 			continue
 		}
-		maxD := t1.MaxDepth()
-		if d2 := t2.MaxDepth(); d2 > maxD {
-			maxD = d2
-		}
+		maxD := max(pa.Trees[i].MaxDepth(), pa.Trees[j].MaxDepth())
 		var u, dp []float64
 		for d := 1; d <= maxD; d++ {
-			j := stats.JaccardSorted(t1.KeysAtDepth(d), t2.KeysAtDepth(d))
+			sim := pa.Cmp.DepthJaccard(i, j, d)
 			if d <= 5 {
-				u = append(u, j)
+				u = append(u, sim)
 			} else {
-				dp = append(dp, j)
+				dp = append(dp, sim)
 			}
 		}
 		if len(u) > 0 {

@@ -64,7 +64,7 @@ func vettingDataset(profiles []string) *dataset.Dataset {
 
 func TestVettingClassifiesExclusions(t *testing.T) {
 	profiles := []string{"Sim1", "Sim2", "Headless"}
-	a, err := New(vettingDataset(profiles), nil, Options{Profiles: profiles})
+	a, err := analyzeDataset(vettingDataset(profiles), nil, Options{Profiles: profiles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestVettingClassifiesExclusions(t *testing.T) {
 // TestVettingAllowDegraded: the escape hatch admits truncated loads.
 func TestVettingAllowDegraded(t *testing.T) {
 	profiles := []string{"Sim1", "Sim2", "Headless"}
-	a, err := New(vettingDataset(profiles), nil, Options{Profiles: profiles, AllowDegraded: true})
+	a, err := analyzeDataset(vettingDataset(profiles), nil, Options{Profiles: profiles, AllowDegraded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestVettingReasonPriority(t *testing.T) {
 	ds.Add(vettingVisit("https://a.example/ok", "Sim1", measurement.VisitOK))
 	ds.Add(vettingVisit("https://a.example/ok", "Sim2", measurement.VisitOK))
 	ds.Add(vettingVisit("https://a.example/ok", "Headless", measurement.VisitOK))
-	a, err := New(ds, nil, Options{Profiles: profiles})
+	a, err := analyzeDataset(ds, nil, Options{Profiles: profiles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestVettingLegacyRecords(t *testing.T) {
 		v.Status = ""
 		ds.Add(v)
 	}
-	a, err := New(ds, nil, Options{Profiles: profiles})
+	a, err := analyzeDataset(ds, nil, Options{Profiles: profiles})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,6 @@ type Config struct {
 	// Instances is the number of parallel browser instances per client
 	// (the paper runs 15 per VM). 0 = 15.
 	Instances int
-	// TimeoutMS is the per-page timeout. 0 = browser.DefaultTimeoutMS.
-	TimeoutMS int
 	// Seed individualizes the crawl's volatile behaviour (visit nonces).
 	Seed int64
 	// Stateful preserves the browser state (cookie jar) across the pages
@@ -222,6 +220,8 @@ type crawlRun struct {
 	// profileVisitMS holds the per-profile crawl.visit_ms histograms, in
 	// profile order.
 	profileVisitMS []*metrics.Histogram
+	// resume indexes Config.Resume's visits by page, nil without one.
+	resume map[dataset.PageKey]*dataset.PageVisits
 }
 
 // Run executes the crawl and returns the collected dataset, or a nil one
@@ -257,6 +257,12 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 	}
 	if c.instances <= 0 {
 		c.instances = 15
+	}
+	if cfg.Resume != nil {
+		c.resume = make(map[dataset.PageKey]*dataset.PageVisits)
+		for _, pv := range dataset.GroupVisits(cfg.Resume.Visits()) {
+			c.resume[pv.Key] = pv
+		}
 	}
 	if inj.Enabled() {
 		c.transport = inj
@@ -433,15 +439,10 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 	// Checkpoint reuse: split each profile's work into pages already
 	// covered by the resume dataset and pages still to visit.
 	reuse := func(prof browser.Profile, page *webgen.Page) *measurement.Visit {
-		if cfg.Resume == nil {
-			return nil
-		}
-		pv := cfg.Resume.PageGroup(dataset.PageKey{Site: site.Domain, PageURL: page.URL})
-		if pv == nil {
-			return nil
-		}
-		if v := pv.ByProfile[prof.Name]; v != nil && v.Clean() {
-			return v
+		if pv := c.resume[dataset.PageKey{Site: site.Domain, PageURL: page.URL}]; pv != nil {
+			if v := pv.ByProfile[prof.Name]; v != nil && v.Clean() {
+				return v
+			}
 		}
 		return nil
 	}
@@ -453,8 +454,8 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 		wg.Add(1)
 		go func(pi int, prof browser.Profile) {
 			defer wg.Done()
-			b := &browser.Browser{Profile: prof, TimeoutMS: cfg.TimeoutMS, Transport: c.transport}
-			replay := &browser.Browser{Profile: prof, TimeoutMS: cfg.TimeoutMS, Transport: c.replayTransport}
+			b := &browser.Browser{Profile: prof, Transport: c.transport}
+			replay := &browser.Browser{Profile: prof, Transport: c.replayTransport}
 			fill := func(v *measurement.Visit, reused bool) {
 				i := pageIdx[v.PageURL]*nProf + pi
 				slots[i], fromResume[i] = v, reused

@@ -1,13 +1,12 @@
 package dataset
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 
 	"webmeasure/internal/colstore"
-	"webmeasure/internal/measurement"
 )
 
 // Format names the on-disk encodings a dataset can round-trip through.
@@ -69,23 +68,23 @@ func ReadCol(r io.Reader) (*Dataset, error) {
 }
 
 // DetectFormat sniffs the first bytes of r and reports which dataset
-// format it holds, returning a reader that still yields the full stream
-// (the sniffed prefix is not consumed). Empty input reports JSONL — an
-// empty JSONL file is a valid empty dataset, while an empty columnar
-// file is impossible (the envelope is mandatory).
+// format it holds, returning a reader that still yields the full stream:
+// the sniffed prefix, then the rest of r. Input shorter than the magic,
+// the empty input included, reports JSONL — an empty JSONL file is a
+// valid empty dataset, while an empty columnar file is impossible (the
+// envelope is mandatory).
 func DetectFormat(r io.Reader) (format string, rd io.Reader, err error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	prefix, err := br.Peek(len(colstore.Magic))
-	if err != nil && err != io.EOF {
+	prefix := make([]byte, len(colstore.Magic))
+	n, err := io.ReadFull(r, prefix)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return "", nil, fmt.Errorf("dataset: sniff format: %w", err)
 	}
+	prefix = prefix[:n]
+	rd = io.MultiReader(bytes.NewReader(prefix), r)
 	if colstore.Sniff(prefix) {
-		return FormatCol, br, nil
+		return FormatCol, rd, nil
 	}
-	return FormatJSONL, br, nil
+	return FormatJSONL, rd, nil
 }
 
 // ReadAuto loads a dataset in either format, auto-detected from the
@@ -107,24 +106,4 @@ func ReadAuto(r io.Reader) (*Dataset, error) {
 // one colstore.ScanScratch pass in file order.
 func OpenCol(ra io.ReaderAt, size int64) (*colstore.Reader, error) {
 	return colstore.OpenReader(ra, size)
-}
-
-// GroupVisits builds per-page visit groups from a flat visit slice,
-// sorted by (site, page URL) — the grouping a site block's visits need
-// before they can enter the per-page analysis pool.
-func GroupVisits(visits []*measurement.Visit) []*PageVisits {
-	byPage := make(map[PageKey]*PageVisits, 16)
-	var out []*PageVisits
-	for _, v := range visits {
-		key := PageKey{Site: v.Site, PageURL: v.PageURL}
-		pv := byPage[key]
-		if pv == nil {
-			pv = &PageVisits{Key: key, ByProfile: make(map[string]*measurement.Visit)}
-			byPage[key] = pv
-			out = append(out, pv)
-		}
-		pv.ByProfile[v.Profile] = v
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key.Less(out[b].Key) })
-	return out
 }

@@ -1,7 +1,8 @@
 // Package dataset stores the measurement output — the role the BigQuery
-// warehouse plays in the paper's framework (Appendix C). Visits are held in
-// memory with page-level grouping for the cross-profile analyses and can be
-// round-tripped through JSON Lines for cmd/crawl → cmd/analyze pipelines.
+// warehouse plays in the paper's framework (Appendix C). A dataset is its
+// visit list, in insertion order; GroupVisits derives the per-page groups
+// the cross-profile analyses read. Datasets round-trip through JSON Lines
+// and the columnar format for cmd/crawl → cmd/analyze pipelines.
 package dataset
 
 import (
@@ -37,30 +38,41 @@ type PageVisits struct {
 	ByProfile map[string]*measurement.Visit
 }
 
+// GroupVisits builds per-page visit groups from a flat visit slice,
+// sorted by (site, page URL) — the grouping a site block's visits need
+// before they can enter the per-page analysis pool. Where visits repeat
+// a (page, profile), the last one stands for it.
+func GroupVisits(visits []*measurement.Visit) []*PageVisits {
+	byPage := make(map[PageKey]*PageVisits, 16)
+	var out []*PageVisits
+	for _, v := range visits {
+		key := PageKey{Site: v.Site, PageURL: v.PageURL}
+		pv := byPage[key]
+		if pv == nil {
+			pv = &PageVisits{Key: key, ByProfile: make(map[string]*measurement.Visit)}
+			byPage[key] = pv
+			out = append(out, pv)
+		}
+		pv.ByProfile[v.Profile] = v
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Key.Less(out[b].Key) })
+	return out
+}
+
 // Dataset is a collection of visits. It is safe for concurrent Add.
 type Dataset struct {
 	mu     sync.Mutex
 	visits []*measurement.Visit
-	byPage map[PageKey]*PageVisits
 }
 
 // New creates an empty dataset.
-func New() *Dataset {
-	return &Dataset{byPage: make(map[PageKey]*PageVisits)}
-}
+func New() *Dataset { return &Dataset{} }
 
 // Add records a visit.
 func (d *Dataset) Add(v *measurement.Visit) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.visits = append(d.visits, v)
-	key := PageKey{Site: v.Site, PageURL: v.PageURL}
-	pv := d.byPage[key]
-	if pv == nil {
-		pv = &PageVisits{Key: key, ByProfile: make(map[string]*measurement.Visit)}
-		d.byPage[key] = pv
-	}
-	pv.ByProfile[v.Profile] = v
 }
 
 // Len returns the number of stored visits.
@@ -78,25 +90,9 @@ func (d *Dataset) Visits() []*measurement.Visit {
 	return d.visits
 }
 
-// Pages returns the per-page visit groups sorted by (site, page URL) for
-// deterministic iteration.
-func (d *Dataset) Pages() []*PageVisits {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*PageVisits, 0, len(d.byPage))
-	for _, pv := range d.byPage {
-		out = append(out, pv)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key.Less(out[b].Key) })
-	return out
-}
-
-// PageGroup returns the visit group for one page key, or nil.
-func (d *Dataset) PageGroup(key PageKey) *PageVisits {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.byPage[key]
-}
+// Pages returns the per-page visit groups sorted by (site, page URL):
+// GroupVisits over the dataset's visits.
+func (d *Dataset) Pages() []*PageVisits { return GroupVisits(d.Visits()) }
 
 // Profiles returns the distinct profile names present, sorted.
 func (d *Dataset) Profiles() []string {

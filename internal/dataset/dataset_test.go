@@ -2,9 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"webmeasure/internal/colstore"
 	"webmeasure/internal/measurement"
 )
 
@@ -151,5 +155,53 @@ func TestStreamJSONLFlushesAndMatchesWriteJSONL(t *testing.T) {
 	}
 	if got := len(strings.Split(strings.TrimRight(w.String(), "\n"), "\n")); got != 10 {
 		t.Fatalf("lines = %d, want 10", got)
+	}
+}
+
+// TestDetectFormat sniffs the magic from inputs of every length around
+// it and requires the returned reader to yield the whole input, and a
+// failing reader's error to surface.
+func TestDetectFormat(t *testing.T) {
+	line := `{"site":"a.example","page_url":"https://a.example/","profile":"Sim1"}` + "\n"
+	errRead := errors.New("disk on fire")
+	for _, tc := range []struct {
+		name, in string
+		r        io.Reader // overrides in when set
+		format   string
+		err      error
+	}{
+		{name: "empty", in: "", format: FormatJSONL},
+		{name: "shorter than the magic", in: colstore.Magic[:3], format: FormatJSONL},
+		{name: "magic alone", in: colstore.Magic, format: FormatCol},
+		{name: "magic one byte per read", in: colstore.Magic, r: iotest.OneByteReader(strings.NewReader(colstore.Magic)), format: FormatCol},
+		{name: "one JSONL line", in: line, format: FormatJSONL},
+		{name: "failing reader", r: iotest.ErrReader(errRead), err: errRead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.r
+			if r == nil {
+				r = strings.NewReader(tc.in)
+			}
+			format, rd, err := DetectFormat(r)
+			if tc.err != nil {
+				if !errors.Is(err, tc.err) {
+					t.Fatalf("err = %v, want %v", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if format != tc.format {
+				t.Errorf("format = %q, want %q", format, tc.format)
+			}
+			rest, err := io.ReadAll(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(rest) != tc.in {
+				t.Errorf("reader yields %q, want %q", rest, tc.in)
+			}
+		})
 	}
 }

@@ -153,17 +153,7 @@ func Snapshot(a *core.Analysis, meta Meta) *Baseline {
 			}
 		}
 
-		rootKey := pa.Trees[0].Root.Key
-		keys := make([]string, 0, len(pa.Cmp.Nodes))
-		for key := range pa.Cmp.Nodes {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			if key == rootKey {
-				continue
-			}
-			ni := pa.Cmp.Nodes[key]
+		for _, ni := range pa.Cmp.Nodes[1:] {
 			if ni.Party == tree.ThirdParty {
 				if dom := urlutil.Site(ni.Key); dom != "" {
 					globalTP[dom] = true

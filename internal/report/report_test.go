@@ -156,10 +156,17 @@ func tinyExperiment(t *testing.T) *core.Analysis {
 	for _, e := range sample {
 		ranks[e.Site] = e.Rank
 	}
-	a, err := core.New(ds, filter, core.Options{
+	s, err := core.NewStream(ds, filter, core.Options{
 		Profiles: []string{"Old", "Sim1", "Sim2", "NoAction", "Headless"},
 		SiteRank: ranks,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

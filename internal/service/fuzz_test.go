@@ -11,8 +11,8 @@ var fuzzProfiles = []string{"Old", "Sim1", "Sim2", "NoAction", "Headless"}
 // FuzzSpecCanonical pins the service's spec identity: the canonicalized
 // cache key must be invariant under every spelling of the same experiment
 // — profile reordering and duplication, "off" vs "" fault profiles,
-// "jsonl" vs "" dataset formats, and any analysis worker count (workers
-// never change the result bytes). It also pins that normalization is
+// "jsonl" vs "" dataset formats, and any analysis worker or browser
+// instance count (neither changes the result bytes). It also pins that normalization is
 // idempotent and that a valid spec never changes meaning when
 // re-canonicalized.
 func FuzzSpecCanonical(f *testing.F) {
@@ -48,7 +48,8 @@ func FuzzSpecCanonical(f *testing.F) {
 
 		// specB means the identical experiment spelled differently:
 		// shuffled and duplicated profiles, the alternate spelling of the
-		// default fault/format, and a different analysis worker count.
+		// default fault/format, a different analysis worker count and
+		// the default browser-instance count.
 		specB := specA
 		if len(profiles) > 0 {
 			shuffled := append([]string(nil), profiles...)
@@ -67,6 +68,9 @@ func FuzzSpecCanonical(f *testing.F) {
 			specB.DatasetFormat = "jsonl"
 		}
 		specB.Workers = specA.Workers + 7
+		if instances >= 0 {
+			specB.Instances = 0 // the default pool size, 15
+		}
 
 		normA, errA := specA.normalize(limits)
 		normB, errB := specB.normalize(limits)

@@ -17,14 +17,19 @@ import (
 // which browser profiles, and how to analyze it. The zero value of every
 // field means "the experiment default", mirroring webmeasure.Config.
 type JobSpec struct {
-	Seed         int64    `json:"seed,omitempty"`
-	Sites        int      `json:"sites,omitempty"`
-	TrancoSize   int      `json:"tranco_size,omitempty"`
-	PagesPerSite int      `json:"pages_per_site,omitempty"`
-	Instances    int      `json:"instances,omitempty"`
-	Epoch        int      `json:"epoch,omitempty"`
-	Stateful     bool     `json:"stateful,omitempty"`
-	Profiles     []string `json:"profiles,omitempty"`
+	Seed         int64 `json:"seed,omitempty"`
+	Sites        int   `json:"sites,omitempty"`
+	TrancoSize   int   `json:"tranco_size,omitempty"`
+	PagesPerSite int   `json:"pages_per_site,omitempty"`
+	// Instances sizes each profile's browser pool in a stateless crawl
+	// (0 = 15; a stateful crawl ignores it). Like Workers it is
+	// deliberately NOT part of the cache key: every visit is a pure
+	// function of (seed, profile, page) and lands in a fixed slot, so the
+	// output bytes are identical for every instance count.
+	Instances int      `json:"instances,omitempty"`
+	Epoch     int      `json:"epoch,omitempty"`
+	Stateful  bool     `json:"stateful,omitempty"`
+	Profiles  []string `json:"profiles,omitempty"`
 	// FaultProfile selects the deterministic fault-injection profile
 	// ("off", "light", "heavy"; empty = off). Part of the cache key: the
 	// injected faults change the dataset, so each profile is its own
@@ -193,12 +198,13 @@ func (s JobSpec) normalize(limits Limits) (JobSpec, error) {
 }
 
 // cacheKey is the canonical identity of the measurement a spec describes:
-// the JSON encoding of the normalized spec with Workers and SiteWorkers
-// zeroed (neither pool size changes the output bytes). Two submissions
-// with equal keys are the same deterministic experiment.
+// the JSON encoding of the normalized spec with Workers, SiteWorkers and
+// Instances zeroed (no pool size changes the output bytes). Two
+// submissions with equal keys are the same deterministic experiment.
 func (s JobSpec) cacheKey() string {
 	s.Workers = 0
 	s.SiteWorkers = 0
+	s.Instances = 0
 	b, err := json.Marshal(s)
 	if err != nil {
 		// JobSpec is a plain struct of scalars and strings; Marshal

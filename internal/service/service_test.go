@@ -206,6 +206,31 @@ func TestCacheHitServesSameBytes(t *testing.T) {
 	}
 }
 
+// TestCacheKeyIgnoresInstances resubmits a finished spec with another
+// browser-instance count: the instance count sizes only each profile's
+// visit pool, so the resubmission is answered 200 from the cache.
+func TestCacheKeyIgnoresInstances(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := tinySpec(13)
+	spec.Instances = 1
+	first, code := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit code = %d", code)
+	}
+	if first = pollDone(t, s, ts, first.ID); first.State != StateDone {
+		t.Fatalf("first job: %q (%s)", first.State, first.Error)
+	}
+	spec.Instances = 15
+	second, code := postJob(t, ts, spec)
+	if code != http.StatusOK || !second.CacheHit {
+		t.Fatalf("resubmission with 15 instances: code %d, cache hit %v; want 200 from the cache", code, second.CacheHit)
+	}
+}
+
 // TestServedDatasetsMatchRun downloads both dataset encodings of finished
 // jobs. A whole columnar job's downloads must equal webmeasure.Run's own
 // exports for the same config, clean and under heavy faults, and its

@@ -158,17 +158,6 @@ func (t *Tree) Breadth() int {
 	return best
 }
 
-// KeysAtDepth returns the node keys at a depth, ascending.
-func (t *Tree) KeysAtDepth(d int) []string {
-	var out []string
-	for _, n := range t.Nodes() { // (depth, key) order
-		if n.Depth == d {
-			out = append(out, n.Key)
-		}
-	}
-	return out
-}
-
 // ChildKeys returns a node's children keys as a set.
 func (n *Node) ChildKeys() map[string]bool {
 	out := make(map[string]bool, len(n.Children))

@@ -109,6 +109,17 @@ func TestBuildStructure(t *testing.T) {
 	check("https://adhost-adcontent.example/creative/c1/img.png", 4, "https://adhost-adcontent.example/creative/c1/ad.js")
 }
 
+// keysAtDepth returns t's keys at depth d, ascending.
+func keysAtDepth(t *Tree, d int) []string {
+	var out []string
+	for _, n := range t.Nodes() { // (depth, key) order
+		if n.Depth == d {
+			out = append(out, n.Key)
+		}
+	}
+	return out
+}
+
 func TestBuildMetrics(t *testing.T) {
 	tr := build(t)
 	if d := tr.MaxDepth(); d != 5 {
@@ -117,11 +128,11 @@ func TestBuildMetrics(t *testing.T) {
 	if b := tr.Breadth(); b != 3 {
 		t.Errorf("Breadth = %d, want 3 (depth 1 and 2 have 3 nodes)", b)
 	}
-	if got := len(tr.KeysAtDepth(1)); got != 3 {
-		t.Errorf("len(KeysAtDepth(1)) = %d, want 3", got)
+	if got := len(keysAtDepth(tr, 1)); got != 3 {
+		t.Errorf("%d keys at depth 1, want 3", got)
 	}
-	if got := tr.KeysAtDepth(5); len(got) != 1 || got[0] != "https://partner-metrics.example/track/done" {
-		t.Errorf("KeysAtDepth(5) = %v", got)
+	if got := keysAtDepth(tr, 5); len(got) != 1 || got[0] != "https://partner-metrics.example/track/done" {
+		t.Errorf("keys at depth 5 = %v", got)
 	}
 	// Normalization stripped: api?sid=123, sync?uid=a, sync?uid=b.
 	if tr.StrippedURLs != 3 {

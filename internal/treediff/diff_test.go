@@ -96,10 +96,8 @@ func TestDiffConsistentWithComparison(t *testing.T) {
 	for _, m := range d.Moved {
 		movedSet[m.Key] = true
 	}
-	for key, ni := range cmp.Nodes {
-		if key == rootURL {
-			continue
-		}
+	for _, ni := range cmp.Nodes[1:] {
+		key := ni.Key
 		if ni.Presence == 2 && ni.SameParentEverywhere && movedSet[key] {
 			t.Errorf("node %s same-parent in Comparison but moved in Diff", key)
 		}

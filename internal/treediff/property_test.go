@@ -47,7 +47,8 @@ func TestCompareSimilaritiesBounded(t *testing.T) {
 			}
 		}
 		inUnit("AllNodesSimilarity", c.AllNodesSimilarity())
-		for key, ni := range c.Nodes {
+		for _, ni := range c.Nodes {
+			key := ni.Key
 			inUnit("ChildSim of "+key, ni.ChildSim)
 			inUnit("ParentSim of "+key, ni.ParentSim)
 			if ni.Presence < 1 || ni.Presence > len(c.Trees) {
@@ -79,7 +80,8 @@ func TestCompareIdenticalTreesPerfect(t *testing.T) {
 		if sim, _ := c.DepthSimilarity(DepthFilter{}); sim != 1 {
 			t.Fatalf("identical trees DepthSimilarity = %v", sim)
 		}
-		for key, ni := range c.Nodes {
+		for _, ni := range c.Nodes {
+			key := ni.Key
 			if ni.Presence != len(trees) {
 				t.Fatalf("node %s presence %d of %d", key, ni.Presence, len(trees))
 			}
@@ -142,15 +144,16 @@ func TestEachPairMatchesTwoTreeCompare(t *testing.T) {
 				pair := Compare([]*tree.Tree{ti, tj})
 				rootKey := ti.Root.Key
 				want := 0
-				for key, ni := range pair.Nodes {
-					if key != rootKey && ni.Presence == 2 {
+				for _, ni := range pair.Nodes[1:] {
+					if ni.Presence == 2 {
 						want++
 					}
 				}
+				pairByKey := nodesByKey(pair)
 				got := 0
 				c.EachPair(i, j, func(a, b *tree.Node, childSim, parentSim float64) {
 					got++
-					ni := pair.Nodes[a.Key]
+					ni := pairByKey[a.Key]
 					switch {
 					case a.Key == rootKey || ni == nil || ni.Presence != 2:
 						t.Fatalf("EachPair(%d,%d) visited %s, which the pair compare does not hold in both trees", i, j, a.Key)
@@ -179,7 +182,8 @@ func TestCompareDepthsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for iter := 0; iter < 100; iter++ {
 		c := Compare(randTrees(t, rng, 2+rng.Intn(4)))
-		for key, ni := range c.Nodes {
+		for _, ni := range c.Nodes {
+			key := ni.Key
 			if len(ni.Depths) != len(c.Trees) || len(ni.NumChildren) != len(c.Trees) {
 				t.Fatalf("node %s slices sized %d/%d for %d trees",
 					key, len(ni.Depths), len(ni.NumChildren), len(c.Trees))

@@ -89,10 +89,11 @@ func refDepthSimilarity(trees []*tree.Tree, c *Comparison, f DepthFilter) (float
 	for d := 1; d <= maxDepth; d++ {
 		sets := make([]map[string]bool, len(trees))
 		union := map[string]bool{}
+		byKey := nodesByKey(c)
 		for ti, t := range trees {
 			set := map[string]bool{}
-			for _, key := range t.KeysAtDepth(d) {
-				ni := c.Nodes[key]
+			for _, key := range treeKeysAtDepth(t, d) {
+				ni := byKey[key]
 				if ni != nil && f.admit(ni, len(trees)) {
 					set[key] = true
 					union[key] = true
@@ -191,7 +192,8 @@ func TestCompareMatchesMapReference(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		trees := randTrees(t, rng, 1+rng.Intn(5))
 		c := Compare(trees)
-		for key, ni := range c.Nodes {
+		for _, ni := range c.Nodes {
+			key := ni.Key
 			want := refFill(trees, ni)
 			if ni.ChildSim != want.childSim {
 				t.Fatalf("iter %d node %s: ChildSim %v != reference %v", iter, key, ni.ChildSim, want.childSim)
@@ -228,6 +230,77 @@ func TestCompareMatchesMapReference(t *testing.T) {
 			for j := range trees {
 				if got, want := c.PairwisePresence(i, j), refPairwisePresence(trees[i], trees[j]); got != want {
 					t.Fatalf("iter %d: PairwisePresence(%d,%d) %v != reference %v", iter, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// nodesByKey indexes a comparison's aggregates by key, for the lookups by
+// URL that only tests make.
+func nodesByKey(c *Comparison) map[string]*NodeInfo {
+	m := make(map[string]*NodeInfo, len(c.Nodes))
+	for _, ni := range c.Nodes {
+		m[ni.Key] = ni
+	}
+	return m
+}
+
+// treeKeysAtDepth returns t's keys at depth d, ascending.
+func treeKeysAtDepth(t *tree.Tree, d int) []string {
+	var out []string
+	for _, n := range t.Nodes() { // (depth, key) order
+		if n.Depth == d {
+			out = append(out, n.Key)
+		}
+	}
+	return out
+}
+
+// TestComparisonIDViews pins the id-ordered node table and the per-tree
+// views by id to the trees' own keys: Nodes holds each key of the union
+// once, tree 0's root first; TreeIDs and TreeNode give exactly a tree's
+// keys and nodes; DepthJaccard scores a depth as the Jaccard of the two
+// trees' key strings there.
+func TestComparisonIDViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for iter := 0; iter < 120; iter++ {
+		trees := randTrees(t, rng, 1+rng.Intn(5))
+		c := Compare(trees)
+		if c.Nodes[0].Key != trees[0].Root.Key {
+			t.Fatalf("iter %d: Nodes[0] is %s, not tree 0's root %s", iter, c.Nodes[0].Key, trees[0].Root.Key)
+		}
+		union := map[string]bool{}
+		maxDepth := 0
+		for _, tr := range trees {
+			for _, n := range tr.Nodes() {
+				union[n.Key] = true
+			}
+			maxDepth = max(maxDepth, tr.MaxDepth())
+		}
+		if byKey := nodesByKey(c); len(byKey) != len(c.Nodes) || len(byKey) != len(union) {
+			t.Fatalf("iter %d: %d aggregates, %d distinct keys, %d keys in the trees", iter, len(c.Nodes), len(byKey), len(union))
+		}
+		for ti, tr := range trees {
+			ids := c.TreeIDs(ti)
+			if !slices.IsSorted(ids) || len(ids) != tr.NodeCount() {
+				t.Fatalf("iter %d tree %d: ids %v for %d nodes", iter, ti, ids, tr.NodeCount())
+			}
+			for id, ni := range c.Nodes {
+				want := tr.Node(ni.Key)
+				if got := c.TreeNode(ti, int32(id)); got != want {
+					t.Fatalf("iter %d tree %d: TreeNode(%d) = %v, want the tree's node for %s", iter, ti, id, got, ni.Key)
+				}
+				if (want != nil) != slices.Contains(ids, int32(id)) {
+					t.Fatalf("iter %d tree %d: TreeIDs and the tree disagree on %s", iter, ti, ni.Key)
+				}
+			}
+			for tj := range trees {
+				for d := 1; d <= maxDepth+1; d++ {
+					want := stats.JaccardSorted(treeKeysAtDepth(tr, d), treeKeysAtDepth(trees[tj], d))
+					if got := c.DepthJaccard(ti, tj, d); got != want {
+						t.Fatalf("iter %d: DepthJaccard(%d,%d,%d) %v != %v", iter, ti, tj, d, got, want)
+					}
 				}
 			}
 		}

@@ -88,14 +88,15 @@ func (ni *NodeInfo) MeanDepth() float64 {
 // Comparison is the cross-comparison of one page's trees.
 type Comparison struct {
 	Trees []*tree.Tree
-	// Nodes maps every key observed in any tree (including the root) to
-	// its aggregate.
-	Nodes map[string]*NodeInfo
+	// Nodes holds the aggregate of every key observed in any tree, the
+	// roots included, indexed by the key's id. Ids are dense and assigned
+	// in first-seen order over each tree's (depth, key)-sorted nodes, tree
+	// 0 first, so Nodes[0] is tree 0's root and Nodes[1:] every other key.
+	Nodes []*NodeInfo
 
-	// Interned core. Every key in any tree gets a dense id (first-seen
-	// order); all set similarities run over ascending []int32 views carved
-	// from arenas sized once per comparison, by the union of keys.
-	infoByID []*NodeInfo          // id → aggregate
+	// Interned core. All set similarities run over ascending []int32 id
+	// views carved from arenas sized once per comparison, by the union of
+	// keys.
 	ints     []int                // every id's Depths then NumChildren, 2·len(Trees) per id
 	nodeID   map[*tree.Node]int32 // node → id (no string hashing in fill)
 	nodeByID [][]*tree.Node       // per tree: id → node, nil where absent
@@ -134,8 +135,7 @@ func Compare(trees []*tree.Tree) *Comparison {
 	nt, nk := len(trees), len(ids)
 	c := &Comparison{
 		Trees:    trees,
-		Nodes:    make(map[string]*NodeInfo, nk),
-		infoByID: make([]*NodeInfo, nk),
+		Nodes:    make([]*NodeInfo, nk),
 		ints:     make([]int, 2*nt*nk),
 		nodeID:   nodeID,
 		nodeByID: make([][]*tree.Node, nt),
@@ -159,7 +159,7 @@ func Compare(trees []*tree.Tree) *Comparison {
 		off := 2 * nt * id
 		ni.Depths = c.ints[off : off+nt : off+nt]
 		ni.NumChildren = c.ints[off+nt : off+2*nt : off+2*nt]
-		c.infoByID[id] = ni
+		c.Nodes[id] = ni
 	}
 
 	for ti, t := range trees {
@@ -169,10 +169,9 @@ func Compare(trees []*tree.Tree) *Comparison {
 		depths := make([][]int32, maxDepth+1)
 		for _, n := range nodes {
 			id := nodeID[n]
-			ni := c.infoByID[id]
+			ni := c.Nodes[id]
 			if ni.Presence == 0 { // the key's first node
 				ni.Key, ni.Type, ni.Party, ni.Tracking = n.Key, n.Type, n.Party, n.Tracking
-				c.Nodes[n.Key] = ni
 			}
 			lookup[id] = n
 			classes[id*int32(nt)+int32(ti)] = c.chainClass(classes, ti, id, n)
@@ -219,7 +218,7 @@ func Compare(trees []*tree.Tree) *Comparison {
 	// id order is deterministic (first-seen over the sorted node lists),
 	// unlike the map-range order the pre-interning kernel used; fill only
 	// writes to its own NodeInfo either way.
-	for id, ni := range c.infoByID {
+	for id, ni := range c.Nodes {
 		c.fill(int32(id), ni, classes[id*nt:(id+1)*nt], s)
 	}
 	return c
@@ -427,7 +426,7 @@ var depthScratchPool = sync.Pool{New: func() any { return new(depthScratch) }}
 // similarity is 1.
 func (c *Comparison) DepthSimilarity(f DepthFilter) (float64, int) {
 	nt := len(c.Trees)
-	nk := len(c.infoByID)
+	nk := len(c.Nodes)
 	s := depthScratchPool.Get().(*depthScratch)
 	defer depthScratchPool.Put(s)
 	if cap(s.admit) < nk {
@@ -440,7 +439,7 @@ func (c *Comparison) DepthSimilarity(f DepthFilter) (float64, int) {
 		s.sets = make([][]int32, nt)
 	}
 	s.sets = s.sets[:nt]
-	for id, ni := range c.infoByID {
+	for id, ni := range c.Nodes {
 		s.admit[id] = f.admit(ni, nt)
 	}
 
@@ -453,12 +452,8 @@ func (c *Comparison) DepthSimilarity(f DepthFilter) (float64, int) {
 		union := 0
 		buf := s.arena[:0]
 		for ti := range c.Trees {
-			var src []int32
-			if d < len(c.byDepth[ti]) {
-				src = c.byDepth[ti][d]
-			}
 			start := len(buf)
-			for _, id := range src {
+			for _, id := range c.keysAtDepth(ti, d) {
 				if s.admit[id] {
 					buf = append(buf, id)
 					if s.seen[id] != s.gen {
@@ -532,6 +527,32 @@ func (c *Comparison) EachPair(i, j int, fn func(a, b *tree.Node, childSim, paren
 			fn(a, b, stats.JaccardSorted(buf[:na], buf[na:]), parentSim)
 		}
 	}
+}
+
+// TreeNode returns tree ti's node for key id, or nil where the tree lacks
+// the key.
+func (c *Comparison) TreeNode(ti int, id int32) *tree.Node {
+	return c.nodeByID[ti][id]
+}
+
+// TreeIDs returns the ids of tree ti's keys, ascending, its root
+// included. Callers must not modify the slice.
+func (c *Comparison) TreeIDs(ti int) []int32 {
+	return c.treeKeys[ti]
+}
+
+// DepthJaccard is the Jaccard of trees i and j's key sets at depth d ≥ 1;
+// two empty sets score 1.
+func (c *Comparison) DepthJaccard(i, j, d int) float64 {
+	return stats.JaccardSorted(c.keysAtDepth(i, d), c.keysAtDepth(j, d))
+}
+
+// keysAtDepth returns tree ti's ids at depth d ≥ 1, ascending.
+func (c *Comparison) keysAtDepth(ti, d int) []int32 {
+	if d < len(c.byDepth[ti]) {
+		return c.byDepth[ti][d]
+	}
+	return nil
 }
 
 // PairwisePresence reports, for two tree indices, the share of the union

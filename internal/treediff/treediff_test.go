@@ -65,7 +65,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 func TestFig6DepthOneSimilarity(t *testing.T) {
 	c := Compare(fig6Trees(t))
 	// Horizontal, depth one: ({a,b,c},{a,c},{a,b,c}) → (2/3 + 1 + 2/3)/3 ≈ .77
-	root := c.Nodes[rootURL]
+	root := nodesByKey(c)[rootURL]
 	want := (2.0/3 + 1 + 2.0/3) / 3
 	if !almost(root.ChildSim, want) {
 		t.Errorf("depth-one similarity = %v, want %v", root.ChildSim, want)
@@ -74,7 +74,7 @@ func TestFig6DepthOneSimilarity(t *testing.T) {
 
 func TestFig6ParentOfE(t *testing.T) {
 	c := Compare(fig6Trees(t))
-	e := c.Nodes[u("e")]
+	e := nodesByKey(c)[u("e")]
 	if e == nil {
 		t.Fatal("node e missing")
 	}
@@ -98,36 +98,36 @@ func TestFig6AllNodesSimilarity(t *testing.T) {
 
 func TestPresenceAndDepths(t *testing.T) {
 	c := Compare(fig6Trees(t))
-	a := c.Nodes[u("a")]
+	a := nodesByKey(c)[u("a")]
 	if a.Presence != 3 || !a.SameDepth || a.Depths[0] != 1 {
 		t.Errorf("a: %+v", a)
 	}
-	b := c.Nodes[u("b")]
+	b := nodesByKey(c)[u("b")]
 	if b.Presence != 2 {
 		t.Errorf("b presence = %d", b.Presence)
 	}
-	y := c.Nodes[u("y")]
+	y := nodesByKey(c)[u("y")]
 	if y.Presence != 3 || y.SameDepth {
 		t.Errorf("y should differ in depth: %+v", y)
 	}
 	if got := y.MeanDepth(); !almost(got, (4.0+4+3)/3) {
 		t.Errorf("y mean depth = %v", got)
 	}
-	if c.Nodes[rootURL].Presence != 3 {
+	if nodesByKey(c)[rootURL].Presence != 3 {
 		t.Error("root must be present everywhere")
 	}
 }
 
 func TestChains(t *testing.T) {
 	c := Compare(fig6Trees(t))
-	d := c.Nodes[u("d")]
+	d := nodesByKey(c)[u("d")]
 	if !d.ChainEqualAll {
 		t.Errorf("d has identical chains in all trees: %+v", d)
 	}
 	if d.UniqueChains != 0 {
 		t.Errorf("d unique chains = %d", d.UniqueChains)
 	}
-	y := c.Nodes[u("y")]
+	y := nodesByKey(c)[u("y")]
 	if y.ChainEqualAll {
 		t.Error("y chains differ (T3 loads y from d)")
 	}
@@ -136,7 +136,7 @@ func TestChains(t *testing.T) {
 	if y.UniqueChains != 1 {
 		t.Errorf("y unique chains = %d, want 1", y.UniqueChains)
 	}
-	e := c.Nodes[u("e")]
+	e := nodesByKey(c)[u("e")]
 	if e.ChainEqualAll {
 		t.Error("e absent from T3 cannot have ChainEqualAll")
 	}
@@ -144,24 +144,24 @@ func TestChains(t *testing.T) {
 
 func TestSameParentEverywhere(t *testing.T) {
 	c := Compare(fig6Trees(t))
-	if !c.Nodes[u("d")].SameParentEverywhere {
+	if !nodesByKey(c)[u("d")].SameParentEverywhere {
 		t.Error("d always loaded by c")
 	}
-	if c.Nodes[u("y")].SameParentEverywhere {
+	if nodesByKey(c)[u("y")].SameParentEverywhere {
 		t.Error("y loaded by e and d")
 	}
 }
 
 func TestChildCounts(t *testing.T) {
 	c := Compare(fig6Trees(t))
-	e := c.Nodes[u("e")]
+	e := nodesByKey(c)[u("e")]
 	if e.MaxChildren != 2 || !e.HasChildAnywhere {
 		t.Errorf("e children: %+v", e)
 	}
 	if e.NumChildren[2] != -1 {
 		t.Errorf("absent tree must report -1: %v", e.NumChildren)
 	}
-	x := c.Nodes[u("x")]
+	x := nodesByKey(c)[u("x")]
 	if x.HasChildAnywhere || x.MaxChildren != 0 {
 		t.Errorf("x is a leaf: %+v", x)
 	}
@@ -208,7 +208,7 @@ func TestChainsDifferAboveTheParent(t *testing.T) {
 		buildTree(t, "P3", [][2]string{{u("a"), rootURL}, {u("b"), rootURL}, {u("x"), u("a")}, {u("y"), u("x")}}),
 	}
 	c := Compare(trees[:2])
-	y := c.Nodes[u("y")]
+	y := nodesByKey(c)[u("y")]
 	if !y.SameParentEverywhere {
 		t.Fatal("y must have the same parent key in both trees")
 	}
@@ -218,10 +218,10 @@ func TestChainsDifferAboveTheParent(t *testing.T) {
 	// A third tree repeating the first one's chain leaves only the second
 	// tree's chain unique.
 	c = Compare(trees)
-	if y := c.Nodes[u("y")]; y.UniqueChains != 1 || y.ChainEqualAll {
+	if y := nodesByKey(c)[u("y")]; y.UniqueChains != 1 || y.ChainEqualAll {
 		t.Errorf("three trees: y has %d unique chains, ChainEqualAll %v; want 1, false", y.UniqueChains, y.ChainEqualAll)
 	}
-	if a := c.Nodes[u("a")]; a.UniqueChains != 0 || !a.ChainEqualAll {
+	if a := nodesByKey(c)[u("a")]; a.UniqueChains != 0 || !a.ChainEqualAll {
 		t.Errorf("a: %d unique chains, ChainEqualAll %v; want 0, true", a.UniqueChains, a.ChainEqualAll)
 	}
 }
@@ -281,8 +281,8 @@ func TestCompareSizedByUnion(t *testing.T) {
 		c := Compare(trees)
 		nk := len(c.Nodes)
 		union += nk
-		if cap(c.infoByID) != nk {
-			t.Errorf("%v: %d aggregates for %d keys", pv.Key, cap(c.infoByID), nk)
+		if cap(c.Nodes) != nk {
+			t.Errorf("%v: %d aggregates for %d keys", pv.Key, cap(c.Nodes), nk)
 		}
 		for ti, lookup := range c.nodeByID {
 			if cap(lookup) != nk {

@@ -73,7 +73,7 @@ func TestWholeTreeScoresHideAttribution(t *testing.T) {
 	}
 	cmpA := Compare([]*tree.Tree{a1, a2})
 	cmpB := Compare([]*tree.Tree{b1, b2})
-	eA, eB := cmpA.Nodes[u("e")], cmpB.Nodes[u("e")]
+	eA, eB := nodesByKey(cmpA)[u("e")], nodesByKey(cmpB)[u("e")]
 	if eA.Presence == eB.Presence {
 		t.Error("node-level presence should distinguish the sets")
 	}
@@ -137,7 +137,8 @@ func TestCompareInvariantsRandom(t *testing.T) {
 			trees = append(trees, buildTree(t, name(p), edges))
 		}
 		cmp := Compare(trees)
-		for key, ni := range cmp.Nodes {
+		for _, ni := range cmp.Nodes {
+			key := ni.Key
 			if ni.Presence < 1 || ni.Presence > len(trees) {
 				t.Fatalf("presence out of range for %s: %d", key, ni.Presence)
 			}

@@ -74,9 +74,6 @@ type Config struct {
 	// empty = off). Faults are seeded from Seed, so the same configuration
 	// reproduces the same failures byte for byte.
 	FaultProfile string
-	// Retry bounds the crawler's per-visit retry loop for transient
-	// (injected) failures; the zero value uses the crawler's defaults.
-	Retry crawler.RetryPolicy
 	// Progress, if non-nil, receives crawl progress (sites done, total).
 	Progress func(done, total int)
 	// ResumeJSONL, if non-nil, streams a previously written dataset
@@ -274,7 +271,6 @@ func (c Config) crawlerConfig(u *webgen.Universe, sample []tranco.Entry) (crawle
 		Epoch:       c.Epoch,
 		Stateful:    c.Stateful,
 		Faults:      faultProfile,
-		Retry:       c.Retry,
 		Progress:    c.Progress,
 		Resume:      resume,
 		Metrics:     c.Metrics,
