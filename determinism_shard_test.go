@@ -176,7 +176,8 @@ func TestShardMergeByteIdentical(t *testing.T) {
 					c.Name == "crawl.visits.degraded" || c.Name == "crawl.visits.retried" ||
 					c.Name == "analysis.pages" || c.Name == "analysis.pages.vetted" ||
 					c.Name == "analysis.trees" ||
-					strings.HasPrefix(c.Name, "analysis.pages.excluded.")
+					strings.HasPrefix(c.Name, "analysis.pages.excluded.") ||
+					strings.HasPrefix(c.Name, "trace.spans.")
 				if !exact {
 					continue
 				}
