@@ -55,14 +55,17 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "convert: %v\n", err)
 		return 1
 	}
-	outFormat := *to
+	read, outFormat := dataset.ReadJSONL, *to
+	if inFormat == dataset.FormatCol {
+		read = dataset.ReadCol
+	}
 	if outFormat == "auto" {
 		outFormat = dataset.FormatCol
 		if inFormat == dataset.FormatCol {
 			outFormat = dataset.FormatJSONL
 		}
 	}
-	ds, err := dataset.ReadAuto(rd)
+	ds, err := read(rd)
 	if err != nil {
 		fmt.Fprintf(stderr, "convert: read %s: %v\n", *in, err)
 		return 1
