@@ -22,11 +22,7 @@ func BenchmarkShardAssemble(b *testing.B) {
 	for i := range wires {
 		shardCfg := cfg
 		shardCfg.ShardIndex = i
-		res, err := Run(context.Background(), shardCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		part, err := res.Partial()
+		part, _, err := CrawlPartial(context.Background(), shardCfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,32 +30,23 @@ func renderArtifacts(t *testing.T, res *Results) artifacts {
 }
 
 // shardedRun executes the full distributed pipeline for nShards: one
-// shard-restricted Run per shard (each with its own registry and tracer),
-// a wire round-trip of every partial, then metric/trace/analysis merges —
-// exactly what a coordinator with remote workers does, down to assembling
-// into the registry the shard dumps were merged into.
+// shard crawl per shard (each with its own registry and tracer), a wire
+// round-trip of every partial, then an assembly into a fresh registry and
+// tracer — exactly what a coordinator with remote workers does.
 func shardedRun(t *testing.T, cfg Config, nShards int) (artifacts, *metrics.Registry, *trace.Tracer) {
 	t.Helper()
 	parts := make([]*core.Partial, nShards)
 	for i := 0; i < nShards; i++ {
 		reg := metrics.New()
-		tr := trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1, Metrics: reg})
 		shardCfg := cfg
 		shardCfg.Shards = nShards
 		shardCfg.ShardIndex = i
 		shardCfg.Metrics = reg
-		shardCfg.Tracer = tr
-		res, err := Run(context.Background(), shardCfg)
+		shardCfg.Tracer = trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1, Metrics: reg})
+		part, _, err := CrawlPartial(context.Background(), shardCfg)
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, nShards, err)
 		}
-		part, err := res.Partial()
-		if err != nil {
-			t.Fatalf("shard %d/%d: %v", i, nShards, err)
-		}
-		dump := reg.Dump()
-		part.Metrics = &dump
-		part.Traces = tr.Export()
 		wire, err := part.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -64,24 +55,15 @@ func shardedRun(t *testing.T, cfg Config, nShards int) (artifacts, *metrics.Regi
 			t.Fatal(err)
 		}
 	}
-	merged := metrics.New()
-	mergedTracer := trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1})
-	for _, part := range parts {
-		if err := merged.Merge(*part.Metrics); err != nil {
-			t.Fatal(err)
-		}
-		if err := mergedTracer.Import(part.Traces); err != nil {
-			t.Fatal(err)
-		}
-	}
 	asmCfg := cfg
 	asmCfg.Shards = nShards
-	asmCfg.Metrics = merged
+	asmCfg.Metrics = metrics.New()
+	asmCfg.Tracer = trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1, Metrics: asmCfg.Metrics})
 	res, err := AssembleFromPartials(context.Background(), asmCfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderArtifacts(t, res), merged, mergedTracer
+	return renderArtifacts(t, res), asmCfg.Metrics, asmCfg.Tracer
 }
 
 // traceBytes renders both trace exports.

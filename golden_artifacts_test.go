@@ -122,8 +122,8 @@ func goldenHashes(t *testing.T) map[string]string {
 	return out
 }
 
-// assembleShards runs each shard of cfg, round-trips its partial through
-// the wire encoding, and assembles the results.
+// assembleShards crawls each shard of cfg, round-trips its partial
+// through the wire encoding, and assembles the results.
 func assembleShards(t *testing.T, cfg Config, n int) *Results {
 	t.Helper()
 	cfg.Shards = n
@@ -131,13 +131,9 @@ func assembleShards(t *testing.T, cfg Config, n int) *Results {
 	for i := range parts {
 		shardCfg := cfg
 		shardCfg.ShardIndex = i
-		res, err := Run(context.Background(), shardCfg)
+		part, _, err := CrawlPartial(context.Background(), shardCfg)
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
-		}
-		part, err := res.Partial()
-		if err != nil {
-			t.Fatal(err)
 		}
 		wire, err := part.Encode()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -387,6 +388,25 @@ func TestCorruptionDetected(t *testing.T) {
 		bad := data[:len(Magic)+len(blockMagic)+3]
 		if _, err := Scan(bytes.NewReader(bad), func(*SiteBlock) error { return nil }); err == nil {
 			t.Error("scan accepted truncated block")
+		}
+	})
+	t.Run("length-beyond-input", func(t *testing.T) {
+		// A block whose declared length is far past the input's end, as a
+		// torn or forged file carries: refused before a buffer of that
+		// size is allocated.
+		var bad []byte
+		bad = append(bad, Magic...)
+		bad = append(bad, blockMagic...)
+		bad = binary.AppendUvarint(bad, maxRecordLen-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Scan(bytes.NewReader(bad), func(*SiteBlock) error { return nil })
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "bytes left") {
+			t.Errorf("scan of a record longer than its input: err %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("scan allocated %d bytes for a %d-byte input", grew, len(bad))
 		}
 	})
 	t.Run("short-file", func(t *testing.T) {

@@ -155,6 +155,11 @@ func readRecordBody(br byteReader, what string, buf []byte) ([]byte, error) {
 	if n > maxRecordLen {
 		return nil, fmt.Errorf("colstore: %s record of %d bytes exceeds the %d-byte limit (corrupt length?)", what, n, maxRecordLen)
 	}
+	// An in-memory input (a bytes.Reader) knows how much of it is left, so
+	// a torn or forged length is refused before its buffer is allocated.
+	if rest, ok := br.(interface{ Len() int }); ok && n > uint64(rest.Len()) {
+		return nil, fmt.Errorf("colstore: %s record of %d bytes runs past the %d bytes left (truncated?)", what, n, rest.Len())
+	}
 	if uint64(cap(buf)) < n {
 		buf = make([]byte, n)
 	}

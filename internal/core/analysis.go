@@ -52,12 +52,9 @@ type profileVisit struct {
 }
 
 // captureVisits copies what profileVisit keeps of each profile's visit in
-// pv (nil reads as no visits).
+// pv.
 func captureVisits(pv *dataset.PageVisits, profiles []string) []profileVisit {
 	out := make([]profileVisit, len(profiles))
-	if pv == nil {
-		return out
-	}
 	for i, prof := range profiles {
 		if v := pv.ByProfile[prof]; v != nil {
 			out[i] = profileVisit{success: v.Success, durationMS: v.DurationMS,
@@ -88,9 +85,9 @@ func (pa *PageAnalysis) treeIndex(profile string) int {
 
 // Analysis is the fully-computed experiment analysis.
 type Analysis struct {
-	// ds receives the visits WriteSite adds; Partial ships them. It is
-	// nil when the stream was given none (a columnar load), and no table
-	// reads it.
+	// ds is the dataset the stream was given, which Dataset returns;
+	// WriteSite adds each crawled site's visits to it. It is nil when the
+	// stream was given none (a columnar load), and no table reads it.
 	ds       *dataset.Dataset
 	profiles []string
 
@@ -170,8 +167,8 @@ type Stream struct {
 }
 
 // NewStream starts an incremental analysis. ds receives the visits
-// WriteSite adds, for Analysis.Partial to ship and Analysis.Dataset to
-// return; it may be nil when no site arrives through WriteSite. Every
+// WriteSite adds, for Analysis.Dataset to return; it may be nil when no
+// site arrives through WriteSite. Every
 // table reads what the stream captured while each site's visits were at
 // hand, so a caller of AddSite or AddSiteVisits may drop or reuse the
 // visits once the call returns.

@@ -103,11 +103,10 @@ func TestPageTableTreesMatchPlainBuild(t *testing.T) {
 }
 
 // TestAttributionOnEveryScoringPath: attribution is scored in the per-page
-// pass against the worker's URL table, and a merged partial keeps the
-// score its shard shipped. Every path that feeds a stream — sites written
-// as a crawl emits them, a columnar reload through the block tables, a
-// JSONL reload, a three-shard merge of encoded partials, and the raw-URL
-// ablation — must score each vetted page exactly as building and scoring
+// pass against the worker's URL table. Every path that feeds a stream —
+// sites written as a crawl emits them, a columnar reload through the block
+// tables, a JSONL reload, the union of three encoded shard partials, and
+// the raw-URL ablation — must score each vetted page exactly as building and scoring
 // each of its ground-truth visits from scratch does, and Attribution must
 // be their sum.
 func TestAttributionOnEveryScoringPath(t *testing.T) {
@@ -125,11 +124,11 @@ func TestAttributionOnEveryScoringPath(t *testing.T) {
 		{"jsonl", false, analyzeJSONL},
 		{"shards3", false, func(t *testing.T, ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis, *dataset.Dataset) {
 			plan := ShardPlan{Count: 3, Seed: 3}
-			a, err := NewFromPartials(ds, opts, plan, splitPartials(t, ds, filter, opts, plan))
+			a, union, err := analyzePartials(plan, splitPartials(t, ds, opts, plan), filter, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return a, ds
+			return a, union
 		}},
 		{"raw-url", true, func(t *testing.T, ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis, *dataset.Dataset) {
 			a, err := analyzeDataset(ds, filter, rawURL(opts))

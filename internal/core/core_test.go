@@ -568,7 +568,7 @@ func TestPartialVettingOption(t *testing.T) {
 }
 
 // The analysis builds with a copy of Options.TreeBuilder: the caller's
-// builder keeps its Filter through NewStream and NewFromPartials.
+// builder keeps its Filter through NewStream.
 func TestTreeBuilderNotModified(t *testing.T) {
 	ds, filter, opts := shardExperiment(t, 21)
 	b := &tree.Builder{RawURLIdentity: true}
@@ -578,22 +578,6 @@ func TestTreeBuilderNotModified(t *testing.T) {
 	}
 	if b.Filter != nil {
 		t.Fatal("NewStream set the Filter of the caller's builder")
-	}
-	plan := ShardPlan{Count: 2, Seed: 3}
-	parts := splitPartials(t, ds, filter, opts, plan)
-	if _, err := NewFromPartials(ds, opts, plan, parts); err != nil {
-		t.Fatal(err)
-	}
-	if b.Filter != nil {
-		t.Fatal("NewStream or NewFromPartials set the Filter of the caller's builder")
-	}
-	withFilter := &tree.Builder{Filter: filter}
-	opts.TreeBuilder = withFilter
-	if _, err := NewFromPartials(ds, opts, plan, parts); err != nil {
-		t.Fatal(err)
-	}
-	if withFilter.Filter != filter {
-		t.Fatal("NewFromPartials cleared the Filter of the caller's builder")
 	}
 }
 

@@ -83,13 +83,3 @@ func (v *Vetting) count(reason string) {
 		v.ExcludedBuild++
 	}
 }
-
-// add books another tally's pages, e.g. one shard's.
-func (v *Vetting) add(o Vetting) {
-	v.PagesSeen += o.PagesSeen
-	v.PagesVetted += o.PagesVetted
-	v.ExcludedMissing += o.ExcludedMissing
-	v.ExcludedFailed += o.ExcludedFailed
-	v.ExcludedDegraded += o.ExcludedDegraded
-	v.ExcludedBuild += o.ExcludedBuild
-}

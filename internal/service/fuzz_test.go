@@ -11,8 +11,9 @@ var fuzzProfiles = []string{"Old", "Sim1", "Sim2", "NoAction", "Headless"}
 // FuzzSpecCanonical pins the service's spec identity: the canonicalized
 // cache key must be invariant under every spelling of the same experiment
 // — profile reordering and duplication, "off" vs "" fault profiles,
-// "jsonl" vs "" dataset formats, and any analysis worker or browser
-// instance count (neither changes the result bytes). It also pins that normalization is
+// every dataset format ("", "jsonl" and "col": each job serves both
+// encodings), and any analysis worker or browser instance count (neither
+// changes the result bytes). It also pins that normalization is
 // idempotent and that a valid spec never changes meaning when
 // re-canonicalized.
 func FuzzSpecCanonical(f *testing.F) {
@@ -48,8 +49,8 @@ func FuzzSpecCanonical(f *testing.F) {
 
 		// specB means the identical experiment spelled differently:
 		// shuffled and duplicated profiles, the alternate spelling of the
-		// default fault/format, a different analysis worker count and
-		// the default browser-instance count.
+		// default fault profile, another dataset format, a different
+		// analysis worker count and the default browser-instance count.
 		specB := specA
 		if len(profiles) > 0 {
 			shuffled := append([]string(nil), profiles...)
@@ -64,7 +65,8 @@ func FuzzSpecCanonical(f *testing.F) {
 		case "off":
 			specB.FaultProfile = ""
 		}
-		if format == "" {
+		specB.DatasetFormat = "col"
+		if colFormat {
 			specB.DatasetFormat = "jsonl"
 		}
 		specB.Workers = specA.Workers + 7

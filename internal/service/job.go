@@ -10,6 +10,7 @@ import (
 	"webmeasure/internal/dataset"
 	"webmeasure/internal/faults"
 	"webmeasure/internal/metrics"
+	"webmeasure/internal/trace"
 )
 
 // JobSpec is the wire form of a measurement job: which universe to
@@ -68,9 +69,11 @@ type JobSpec struct {
 	ShardSeed int64 `json:"shard_seed,omitempty"`
 	// DatasetFormat selects the job's primary dataset artifact encoding:
 	// "jsonl" (the default, canonicalized to empty) or "col" (the compact
-	// columnar format, published as dataset.col). It IS part of the cache
-	// key — like TraceSample, a columnar job advertises an artifact a
-	// JSONL job lacks — though the visits underneath are identical.
+	// columnar format, also listed as dataset_col among the job's
+	// artifact links). It is deliberately NOT part of the cache key: every
+	// job holds its visits columnar and serves both dataset.jsonl and
+	// dataset.col, so the format only picks the links the job's own view
+	// lists, and specs that differ only here share one result.
 	DatasetFormat string `json:"dataset_format,omitempty"`
 }
 
@@ -199,12 +202,14 @@ func (s JobSpec) normalize(limits Limits) (JobSpec, error) {
 
 // cacheKey is the canonical identity of the measurement a spec describes:
 // the JSON encoding of the normalized spec with Workers, SiteWorkers and
-// Instances zeroed (no pool size changes the output bytes). Two
+// Instances zeroed (no pool size changes the output bytes) and
+// DatasetFormat zeroed (every job serves both dataset encodings). Two
 // submissions with equal keys are the same deterministic experiment.
 func (s JobSpec) cacheKey() string {
 	s.Workers = 0
 	s.SiteWorkers = 0
 	s.Instances = 0
+	s.DatasetFormat = ""
 	b, err := json.Marshal(s)
 	if err != nil {
 		// JobSpec is a plain struct of scalars and strings; Marshal
@@ -238,6 +243,15 @@ func (s JobSpec) config(reg *metrics.Registry) webmeasure.Config {
 		ShardSeed:    s.ShardSeed,
 		Metrics:      reg,
 	}
+}
+
+// tracer returns the job's tracer, seeded from the spec and counting its
+// spans into reg, or nil when the spec runs untraced.
+func (s JobSpec) tracer(reg *metrics.Registry) *trace.Tracer {
+	if s.TraceSample <= 0 {
+		return nil
+	}
+	return trace.New(trace.Options{Seed: s.Seed, SampleEvery: s.TraceSample, Metrics: reg})
 }
 
 // State is a job's lifecycle position.

@@ -62,8 +62,10 @@ type Config struct {
 	// Logger receives structured job-lifecycle records (submitted,
 	// started, finished) with job IDs and durations. nil discards them.
 	Logger *slog.Logger
-	// Runner overrides the job executor — tests and benchmarks stub the
-	// pipeline here. nil runs webmeasure.Run.
+	// Runner overrides the executor of whole-experiment jobs and monitor
+	// epochs — tests and benchmarks stub the pipeline here. nil runs
+	// webmeasure.Run. Shard jobs only crawl (webmeasure.CrawlPartial) and
+	// coordinators only assemble, so neither calls it.
 	Runner func(ctx context.Context, cfg webmeasure.Config) (*webmeasure.Results, error)
 	// ShardWorkers lists base URLs of peer servers a coordinator job fans
 	// shard jobs out to (e.g. "http://10.0.0.2:8080"). Empty runs every
@@ -506,20 +508,12 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (*result, error) {
 		runner = webmeasure.Run
 	}
 	cfg := spec.config(s.reg)
-	var tracer *trace.Tracer
-	if spec.TraceSample > 0 {
-		tracer = trace.New(trace.Options{
-			Seed:        spec.Seed,
-			SampleEvery: spec.TraceSample,
-			Metrics:     s.reg,
-		})
-		cfg.Tracer = tracer
-	}
+	cfg.Tracer = spec.tracer(s.reg)
 	r, err := runner(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return render(r, tracer)
+	return render(r, cfg.Tracer)
 }
 
 // render turns finished Results into a job's artifacts: report, JSON,
@@ -576,69 +570,43 @@ func exactBytes(write func(io.Writer) error) ([]byte, error) {
 	return out, nil
 }
 
-// executeShard runs one shard job: a shard-restricted measurement whose
-// artifact is the encoded partial. The run uses a fresh registry and
-// tracer — the partial carries both, and merging them into the shared
+// executeShard runs one shard job: a crawl of the shard's slice whose
+// artifact is the encoded partial. The crawl uses a fresh registry and
+// tracer, since the partial carries both: merging them into the shared
 // registry is the coordinator's decision, not the worker's, so a local
-// fallback never double-counts against a remote dispatch.
+// fallback never double-counts against a remote dispatch. The shard
+// analyzes nothing, so its summary holds only crawl facts.
 func (s *Server) executeShard(ctx context.Context, spec JobSpec) (*result, error) {
-	runner := s.cfg.Runner
-	if runner == nil {
-		runner = webmeasure.Run
-	}
 	reg := metrics.New()
 	cfg := spec.config(reg)
-	var tracer *trace.Tracer
-	if spec.TraceSample > 0 {
-		tracer = trace.New(trace.Options{
-			Seed:        spec.Seed,
-			SampleEvery: spec.TraceSample,
-			Metrics:     reg,
-		})
-		cfg.Tracer = tracer
-	}
-	r, err := runner(ctx, cfg)
+	cfg.Tracer = spec.tracer(reg)
+	part, stats, err := webmeasure.CrawlPartial(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	part, err := r.Partial()
-	if err != nil {
-		return nil, err
-	}
-	dump := reg.Dump()
-	part.Metrics = &dump
-	part.Traces = tracer.Export()
 	wire, err := part.Encode()
 	if err != nil {
 		return nil, err
 	}
-	col, err := exactBytes(r.WriteDatasetCol)
-	if err != nil {
-		return nil, fmt.Errorf("encode dataset: %w", err)
-	}
-	// Shard summaries report only crawl-level facts: the tree-derived
-	// means of one slice's pages are not the experiment's.
-	cs := r.Analysis().CrawlSummary()
+	col := make([]byte, len(part.Dataset)) // exact size, as every artifact a job keeps
+	copy(col, part.Dataset)
 	return &result{
 		partial:    wire,
 		datasetCol: col,
 		summary: webmeasure.Summary{
-			Sites:            cs.Sites,
-			Pages:            cs.Pages,
-			Visits:           cs.Visits,
-			VettedPages:      cs.VettedPages,
-			VettedShare:      cs.VettedShare,
-			ExcludedPages:    cs.Vetting.Excluded(),
-			ExcludedDegraded: cs.Vetting.ExcludedDegraded,
+			Sites:  stats.SitesVisited,
+			Pages:  stats.PagesDiscovered,
+			Visits: stats.VisitsTotal,
 		},
 	}, nil
 }
 
 // executeCoordinator fans one shard job per slice out — to the configured
-// shard workers when present, in-process otherwise — then merges the
-// partials: metrics dumps into the server registry, trace exports into
-// one tracer, and the analysis partials into full Results whose rendered
-// artifacts are byte-identical to an unsharded run of the same spec.
+// shard workers when present, in-process otherwise — then assembles the
+// partials (webmeasure.AssembleFromPartials) into the server registry and
+// the job's tracer, whose rendered artifacts are byte-identical to an
+// unsharded run of the same spec. The tracer counts the analysis spans
+// into the server registry, as an unsharded job's does.
 func (s *Server) executeCoordinator(ctx context.Context, spec JobSpec) (*result, error) {
 	parts := make([]*core.Partial, spec.Shards)
 	errs := make([]error, spec.Shards)
@@ -656,27 +624,13 @@ func (s *Server) executeCoordinator(ctx context.Context, spec JobSpec) (*result,
 			return nil, err
 		}
 	}
-	for _, part := range parts {
-		if part.Metrics != nil {
-			if err := s.reg.Merge(*part.Metrics); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res, err := webmeasure.AssembleFromPartials(ctx, spec.config(s.reg), parts)
+	cfg := spec.config(s.reg)
+	cfg.Tracer = spec.tracer(s.reg)
+	res, err := webmeasure.AssembleFromPartials(ctx, cfg, parts)
 	if err != nil {
 		return nil, err
 	}
-	var merged *trace.Tracer
-	if spec.TraceSample > 0 {
-		merged = trace.New(trace.Options{Seed: spec.Seed, SampleEvery: spec.TraceSample})
-		for _, part := range parts {
-			if err := merged.Import(part.Traces); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return render(res, merged)
+	return render(res, cfg.Tracer)
 }
 
 // shardPartial obtains one shard's partial: result cache first, then the

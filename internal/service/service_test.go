@@ -231,6 +231,33 @@ func TestCacheKeyIgnoresInstances(t *testing.T) {
 	}
 }
 
+// TestCacheKeyIgnoresDatasetFormat resubmits a finished spec with each
+// other dataset format: every job holds its visits columnar and serves
+// both encodings, so each resubmission is answered 200 from the cache,
+// and each cache hit's view lists dataset.col as its own spec asks.
+func TestCacheKeyIgnoresDatasetFormat(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := tinySpec(17)
+	first := runToDone(t, s, ts, spec)
+	if first.Artifacts["dataset_col"] != "" {
+		t.Errorf("a JSONL job lists dataset_col: %v", first.Artifacts)
+	}
+	for _, format := range []string{"col", "jsonl"} {
+		spec.DatasetFormat = format
+		hit, code := postJob(t, ts, spec)
+		if code != http.StatusOK || !hit.CacheHit {
+			t.Fatalf("resubmission as %q: code %d, cache hit %v; want 200 from the cache", format, code, hit.CacheHit)
+		}
+		if got, want := hit.Artifacts["dataset_col"] != "", format == "col"; got != want {
+			t.Errorf("cache hit of a %q spec lists dataset_col: %v, want %v (%v)", format, got, want, hit.Artifacts)
+		}
+	}
+}
+
 // TestServedDatasetsMatchRun downloads both dataset encodings of finished
 // jobs. A whole columnar job's downloads must equal webmeasure.Run's own
 // exports for the same config, clean and under heavy faults, and its
@@ -353,30 +380,37 @@ func TestResultBytesGauge(t *testing.T) {
 }
 
 // TestResultArtifactsExactSize: a traced job keeps every artifact at its
-// exact size, so the lengths service.results.bytes sums are what the job
-// holds, with no spare capacity behind them.
+// exact size, and a shard job its dataset, so the lengths
+// service.results.bytes sums are what the job holds, with no spare
+// capacity behind them.
 func TestResultArtifactsExactSize(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	spec := tinySpec(7)
 	spec.TraceSample = 1
-	job, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	s.mu.Lock()
-	res, state := job.res, job.state
-	s.mu.Unlock()
-	if state != StateDone || res == nil {
-		t.Fatalf("traced job ended %q", state)
-	}
-	for name, b := range map[string][]byte{
-		"report": res.report, "result.json": res.json, "result.csv": res.csv,
-		"dataset.col": res.datasetCol, "trace.json": res.traceChrome, "trace.jsonl": res.traceJSONL,
-	} {
-		if len(b) == 0 || len(b) != cap(b) {
-			t.Errorf("%s: len %d, cap %d", name, len(b), cap(b))
+	shard := spec
+	shard.Shards, shard.Shard = 2, 1
+	for _, spec := range []JobSpec{spec, shard} {
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		s.mu.Lock()
+		res, state := job.res, job.state
+		s.mu.Unlock()
+		if state != StateDone || res == nil {
+			t.Fatalf("traced job %+v ended %q", spec, state)
+		}
+		held := map[string][]byte{"dataset.col": res.datasetCol}
+		if spec.Shard == 0 {
+			held["report"], held["result.json"], held["result.csv"] = res.report, res.json, res.csv
+			held["trace.json"], held["trace.jsonl"] = res.traceChrome, res.traceJSONL
+		}
+		for name, b := range held {
+			if len(b) == 0 || len(b) != cap(b) {
+				t.Errorf("shard %d: %s: len %d, cap %d", spec.Shard, name, len(b), cap(b))
+			}
 		}
 	}
 }

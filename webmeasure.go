@@ -93,11 +93,12 @@ type Config struct {
 	// trace exports — is identical for any value. 0 = GOMAXPROCS.
 	SiteWorkers int
 	// Shards splits the experiment's page-key space into this many slices
-	// for distributed shard-and-merge analysis (0 or 1 = the whole
-	// experiment in one process). With Shards > 1 the run covers only the
-	// slice ShardIndex selects; one Partial per shard is then assembled
-	// with AssembleFromPartials into results whose report, JSON, CSV, and
-	// Summary are byte-identical to the single-process run's.
+	// for a distributed crawl (0 or 1 = the whole experiment in one
+	// process). With Shards > 1 a run or crawl covers only the slice
+	// ShardIndex selects; CrawlPartial ships one slice's visits, and
+	// AssembleFromPartials analyzes one partial per shard into results
+	// whose report, JSON, CSV, and Summary are byte-identical to the
+	// single-process run's.
 	Shards int
 	// ShardIndex selects this run's slice (0-based, < Shards) when Shards
 	// is set.
@@ -306,32 +307,32 @@ func CrawlStream(ctx context.Context, cfg Config, sink crawler.SiteSink) (crawle
 	return stats, nil
 }
 
-// analysisEnv derives the analysis inputs every entry point shares from
-// the experiment frame: the site→rank map and the ordered profile names.
-func analysisEnv(sample []tranco.Entry, cfg Config) (map[string]int, []string, error) {
-	ranks := make(map[string]int, len(sample))
-	for _, e := range sample {
-		ranks[e.Site] = e.Rank
-	}
-	profs, err := selectProfiles(cfg.Profiles)
+// profileNames resolves Config.Profiles to the analysis's ordered profile
+// names.
+func (c Config) profileNames() ([]string, error) {
+	profs, err := selectProfiles(c.Profiles)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	names := make([]string, len(profs))
 	for i, p := range profs {
 		names[i] = p.Name
 	}
-	return ranks, names, nil
+	return names, nil
 }
 
 // analyzeSites is the analysis behind every facade entry point: it
-// derives the analysis environment and the universe's filter list once,
-// opens one core.Stream over ds, lets feed push the input's sites into it
-// one at a time, in whatever order the input holds them, and seals the
-// result.
+// derives the site→rank map, the profile names and the universe's filter
+// list once, opens one core.Stream over ds, lets feed push the input's
+// sites into it one at a time, in whatever order the input holds them,
+// and seals the result.
 func analyzeSites(ctx context.Context, cfg Config, u *webgen.Universe, sample []tranco.Entry, boundaries []int,
 	ds *dataset.Dataset, feed func(*core.Stream) error) (*Results, error) {
-	ranks, names, err := analysisEnv(sample, cfg)
+	ranks := make(map[string]int, len(sample))
+	for _, e := range sample {
+		ranks[e.Site] = e.Rank
+	}
+	names, err := cfg.profileNames()
 	if err != nil {
 		return nil, err
 	}
@@ -628,70 +629,74 @@ func sizeHint(r io.Reader) int {
 
 var errNoVisits = errors.New("webmeasure: load dataset: no visits")
 
-// Partial exports this run's analysis as one shard's contribution to a
-// distributed shard-and-merge analysis. The run must have been sharded
-// (Config.Shards > 1); the partial carries the shard's vetted trees,
-// vetting tally, and raw visits (metrics dumps and trace exports are
-// attached by the caller, which owns those registries).
-func (r *Results) Partial() (*core.Partial, error) {
-	if r.cfg.Shards <= 1 {
-		return nil, fmt.Errorf("webmeasure: Partial requires a sharded run (Shards > 1)")
+// CrawlPartial crawls shard ShardIndex of a sharded config and returns
+// the shard's partial: its visits in the columnar format, streamed through
+// CrawlStream into a dataset.ColSiteWriter (the bytes WriteDatasetCol
+// writes for the shard's Run), with the dump of cfg.Metrics and the export
+// of cfg.Tracer. The partial carries all those two hold, so give each
+// shard a registry and tracer of its own. Nothing is analyzed here.
+func CrawlPartial(ctx context.Context, cfg Config) (*core.Partial, crawler.Stats, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Shards <= 1 {
+		return nil, crawler.Stats{}, fmt.Errorf("webmeasure: CrawlPartial requires a sharded config (Shards > 1)")
 	}
-	return r.exp.Analysis.Partial(r.cfg.shardPlan(), r.cfg.ShardIndex)
+	names, err := cfg.profileNames()
+	if err != nil {
+		return nil, crawler.Stats{}, err
+	}
+	var col bytes.Buffer
+	w := dataset.NewColSiteWriter(&col)
+	stats, err := CrawlStream(ctx, cfg, w)
+	if err != nil {
+		return nil, stats, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, stats, fmt.Errorf("webmeasure: encode shard dataset: %w", err)
+	}
+	dump := cfg.Metrics.Dump()
+	return &core.Partial{
+		Schema:   core.PartialSchema,
+		Plan:     cfg.shardPlan(),
+		Shard:    cfg.ShardIndex,
+		Profiles: names,
+		Dataset:  col.Bytes(),
+		Metrics:  &dump,
+		Traces:   cfg.Tracer.Export(),
+	}, stats, nil
 }
 
-// AssembleFromPartials merges one Partial per shard into full Results
-// whose report, JSON, CSV, and Summary are byte-identical to a
-// single-process run of the same config; the dataset exports are not, as
-// the union dataset is rebuilt from the partials' visits in shard order.
-// cfg must carry the same experiment parameters the shard workers used
-// (Seed, Sites, TrancoSize, PagesPerSite, Profiles, Shards, ShardSeed).
-// The context cancels the merge between pages.
+// AssembleFromPartials analyzes one Partial per shard into Results whose
+// report, JSON, CSV, Summary, counters and trace exports are
+// byte-identical to a single-process run of the same config; the dataset
+// exports hold the shards' visits in shard order. cfg must carry the
+// experiment parameters the shards used (Seed, Sites, TrancoSize,
+// PagesPerSite, Profiles, Shards, ShardSeed). Once core.UnionPartials has
+// checked the set, each partial's metrics merge into cfg.Metrics and its
+// traces into cfg.Tracer, and the union is analyzed as AnalyzeContext
+// does, so the analysis is recorded once, here; ctx cancels it.
 func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial) (*Results, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards <= 1 {
 		return nil, fmt.Errorf("webmeasure: AssembleFromPartials requires Shards > 1")
 	}
-	u, sample, boundaries := experimentFrame(cfg)
-	ranks, names, err := analysisEnv(sample, cfg)
+	names, err := cfg.profileNames()
 	if err != nil {
 		return nil, err
 	}
-	// The union dataset: every shard's visits, in shard order. Exports
-	// that depend on visit *grouping* use the page-key-sorted view, so
-	// the concatenation order is invisible to every artifact.
-	byShard := make([]*core.Partial, cfg.Shards)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if p.Shard >= 0 && p.Shard < cfg.Shards && byShard[p.Shard] == nil {
-			byShard[p.Shard] = p
-		}
-	}
-	ds := dataset.New()
-	for _, p := range byShard {
-		if p == nil {
-			continue
-		}
-		for _, v := range p.Visits {
-			ds.Add(v)
-		}
-	}
-	analysis, err := core.NewFromPartials(ds, core.Options{
-		Profiles: names,
-		SiteRank: ranks,
-		Workers:  cfg.Workers,
-		Metrics:  cfg.Metrics,
-		Context:  ctx,
-	}, cfg.shardPlan(), parts)
+	ds, err := core.UnionPartials(cfg.shardPlan(), names, parts)
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: assemble: %w", err)
 	}
-	return &Results{
-		cfg:      cfg,
-		universe: u,
-		dataset:  ds,
-		exp:      &report.Experiment{Analysis: analysis, RankBoundaries: boundaries},
-	}, nil
+	for _, p := range parts {
+		if p.Metrics != nil {
+			if err := cfg.Metrics.Merge(*p.Metrics); err != nil {
+				return nil, fmt.Errorf("webmeasure: assemble: shard %d metrics: %w", p.Shard, err)
+			}
+		}
+		if err := cfg.Tracer.Import(p.Traces); err != nil {
+			return nil, fmt.Errorf("webmeasure: assemble: shard %d traces: %w", p.Shard, err)
+		}
+	}
+	u, sample, boundaries := experimentFrame(cfg)
+	return AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
 }
