@@ -168,10 +168,9 @@ type Stream struct {
 
 // NewStream starts an incremental analysis. ds receives the visits
 // WriteSite adds, for Analysis.Dataset to return; it may be nil when no
-// site arrives through WriteSite. Every
-// table reads what the stream captured while each site's visits were at
-// hand, so a caller of AddSite or AddSiteVisits may drop or reuse the
-// visits once the call returns.
+// site arrives through WriteSite. Every table reads what the stream
+// captured while each site's visits were at hand, so a caller of AddSite
+// or AddSiteVisits may drop or reuse the visits once the call returns.
 // Options.Profiles is required: it fixes every table's profile order
 // before any site arrives.
 func NewStream(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Stream, error) {

@@ -132,8 +132,8 @@ func (s JobSpec) normalize(limits Limits) (JobSpec, error) {
 	switch s.DatasetFormat {
 	case "", dataset.FormatCol:
 	case dataset.FormatJSONL:
-		// "jsonl" and "" mean the same artifact set; canonicalize so they
-		// share a cache key.
+		// "jsonl" and "" mean the same artifact links; canonicalize so
+		// the job's spec spells them one way.
 		s.DatasetFormat = ""
 	default:
 		return s, fmt.Errorf("unknown dataset_format %q (want jsonl or col)", s.DatasetFormat)

@@ -134,9 +134,9 @@ func counterValue(s *Server, name string) int64 {
 // TestCoordinatorMatchesSingleProcess: a coordinator job with no remote
 // workers (every shard runs in-process) must publish report/JSON/CSV
 // byte-identical to the plain unsharded job, under fault injection, and
-// its registry's fault/retry counter families must equal the single
-// process's — the coordinator sees the sum over shards (satellite:
-// mergeable metrics).
+// its registry's fault, retry and span counter families must equal the
+// single process's — the coordinator sees the sum over shards' crawls
+// plus its own analysis (satellite: mergeable metrics).
 func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 	single := New(Config{Workers: 2})
 	defer single.Shutdown(context.Background())
@@ -148,7 +148,7 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 	coordTS := httptest.NewServer(coord.Handler())
 	defer coordTS.Close()
 
-	spec := JobSpec{Seed: 13, Sites: 6, PagesPerSite: 3, Workers: 2, FaultProfile: "heavy"}
+	spec := JobSpec{Seed: 13, Sites: 6, PagesPerSite: 3, Workers: 2, FaultProfile: "heavy", TraceSample: 1}
 	sv := runToDone(t, single, singleTS, spec)
 	sRep, sJS, sCSV := fetchArtifacts(t, singleTS, sv.ID)
 
@@ -167,18 +167,20 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 		t.Errorf("result.csv differs: single %d bytes, coordinator %d bytes", len(sCSV), len(cCSV))
 	}
 
-	sawFault := false
+	sawFault, sawSpans := false, false
 	for _, c := range single.Metrics().Snapshot().Counters {
-		if !strings.HasPrefix(c.Name, "faults.injected") && !strings.HasPrefix(c.Name, "crawl.retries.total") {
+		spans := strings.HasPrefix(c.Name, "trace.spans.")
+		if !spans && !strings.HasPrefix(c.Name, "faults.injected") && !strings.HasPrefix(c.Name, "crawl.retries.total") {
 			continue
 		}
-		sawFault = true
+		sawFault = sawFault || !spans
+		sawSpans = sawSpans || spans
 		if got := counterValue(coord, c.Name); got != c.Value {
 			t.Errorf("counter %s: coordinator has %d, single process has %d", c.Name, got, c.Value)
 		}
 	}
-	if !sawFault {
-		t.Error("heavy-fault job recorded no fault counters to compare")
+	if !sawFault || !sawSpans {
+		t.Errorf("traced heavy-fault job recorded fault counters %v, span counters %v; want both to compare", sawFault, sawSpans)
 	}
 }
 

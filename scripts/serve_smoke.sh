@@ -61,8 +61,12 @@ grep -q "Table 2" "$REPORT" || { echo "report artifact looks wrong"; exit 1; }
 
 # A columnar job serves both dataset encodings, and they hold the same
 # visits: dataset.col converted to JSONL must equal dataset.jsonl byte for
-# byte. (Its spec differs from the first job's, so it is no cache hit.)
+# byte. dataset_format is not part of the cache key (every job holds its
+# visits columnar), so this job resolves from the first job's result, and
+# its own status must still list the dataset_col link its spec asks for.
 COLJOB=$(run_job '{"seed": 3, "sites": 5, "pages_per_site": 2, "dataset_format": "col"}')
+curl -fsS "$BASE/v1/jobs/$COLJOB" | grep -q '"dataset_col"' || {
+    echo "columnar job lists no dataset_col artifact"; exit 1; }
 curl -fsS "$BASE/v1/jobs/$COLJOB/dataset.col" -o "$WORKDIR/dataset.col"
 curl -fsS "$BASE/v1/jobs/$COLJOB/dataset.jsonl" -o "$WORKDIR/dataset.jsonl"
 [ -s "$WORKDIR/dataset.jsonl" ] || { echo "dataset.jsonl artifact is empty"; exit 1; }
@@ -70,12 +74,13 @@ curl -fsS "$BASE/v1/jobs/$COLJOB/dataset.jsonl" -o "$WORKDIR/dataset.jsonl"
 cmp -s "$WORKDIR/converted.jsonl" "$WORKDIR/dataset.jsonl" || {
     echo "dataset.col converted to JSONL differs from dataset.jsonl"; exit 1; }
 
-# A resubmission of the identical spec must be a cache hit on /metrics.
+# A resubmission of the identical spec must be a cache hit too: with the
+# columnar job, two hits on /metrics.
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"seed": 3, "sites": 5, "pages_per_site": 2}' "$BASE/v1/jobs" >/dev/null
 curl -fsS "$BASE/metrics" -o "$WORKDIR/metrics.txt"
-grep -q '^service_cache_hits 1$' "$WORKDIR/metrics.txt" || {
-    echo "cache hit not visible on /metrics"; exit 1; }
+grep -q '^service_cache_hits 2$' "$WORKDIR/metrics.txt" || {
+    echo "cache hits not visible on /metrics"; exit 1; }
 
 kill -INT "$PID"
 if ! wait "$PID"; then

@@ -1,10 +1,11 @@
 #!/bin/sh
-# Smoke test for the distributed shard-and-merge pipeline: boot two shard
-# worker servers and one coordinator pointed at them, submit the same tiny
-# experiment once unsharded (on a worker) and once as a 2-shard
-# coordinator job, and require the report/result.json/result.csv bytes to
-# be identical — the end-to-end, multi-process form of the golden 1-vs-N
-# determinism suite. Finally every server must drain cleanly on SIGINT.
+# Smoke test for the distributed crawl: boot two shard worker servers and
+# one coordinator pointed at them, submit the same tiny experiment once
+# unsharded (on a worker) and once as a 2-shard coordinator job (each
+# worker crawls one slice, the coordinator analyzes the union), and
+# require the report/result.json/result.csv bytes to be identical — the
+# end-to-end, multi-process form of the golden 1-vs-N determinism suite.
+# Finally every server must drain cleanly on SIGINT.
 #
 # Usage: scripts/shard_smoke.sh [path-to-serve-binary]
 set -eu

@@ -666,8 +666,8 @@ func CrawlPartial(ctx context.Context, cfg Config) (*core.Partial, crawler.Stats
 }
 
 // AssembleFromPartials analyzes one Partial per shard into Results whose
-// report, JSON, CSV, Summary, counters and trace exports are
-// byte-identical to a single-process run of the same config; the dataset
+// report, JSON, CSV, Summary and trace exports, and page-granular
+// counters, equal a single-process run's of the same config; the dataset
 // exports hold the shards' visits in shard order. cfg must carry the
 // experiment parameters the shards used (Seed, Sites, TrancoSize,
 // PagesPerSite, Profiles, Shards, ShardSeed). Once core.UnionPartials has
