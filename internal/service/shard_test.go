@@ -136,7 +136,7 @@ func counterValue(s *Server, name string) int64 {
 // byte-identical to the plain unsharded job, under fault injection, and
 // its registry's fault, retry and span counter families must equal the
 // single process's — the coordinator sees the sum over shards' crawls
-// plus its own analysis (satellite: mergeable metrics).
+// plus its own analysis.
 func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 	single := New(Config{Workers: 2})
 	defer single.Shutdown(context.Background())
