@@ -10,13 +10,18 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"webmeasure"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite "+serviceGoldenPath+" from this build")
+var updateGolden = flag.Bool("update", false, "rewrite "+serviceGoldenPath+" and "+monitorGoldenPath+" from this build")
 
 // serviceGoldenPath holds one SHA-256 per download of
 // TestServiceArtifactsGolden's jobs, under a header line naming the
@@ -80,9 +85,113 @@ func TestServiceArtifactsGolden(t *testing.T) {
 		}
 	}
 
+	checkGolden(t, serviceGoldenPath, "every download of TestServiceArtifactsGolden's jobs", got)
+}
+
+// monitorGoldenPath holds one SHA-256 per file of
+// TestMonitorStateGolden's state directory, under the same header.
+const monitorGoldenPath = "../../scripts/golden/monitor.sha256"
+
+// TestMonitorStateGolden pins a monitor's state directory to the hashes
+// committed in scripts/golden/monitor.sha256. A 17-epoch monitor (seed 7,
+// 6 sites × 3 pages, heavy faults, pinned at epoch 3) writes 49 files: 17
+// baselines, 16 sequential deltas, 13 pinned deltas, alerts.jsonl,
+// drift.csv and drift-report.txt. A second server then resumes a copy
+// that lost every baseline and delta after epoch 8 and whose alerts.jsonl
+// and drift-report.txt end mid-line, as a crash leaves them; it must
+// re-crawl only epochs 9–16 and write the same 49 files. A change that
+// moves a file on purpose rewrites the golden with
+//
+//	go test ./internal/service -run TestMonitorStateGolden -update
+func TestMonitorStateGolden(t *testing.T) {
+	const epochs, pin, cut = 17, 3, 8
+	spec := JobSpec{Seed: 7, Sites: 6, PagesPerSite: 3, FaultProfile: "heavy"}
+	run := func(dir string) (crawled []int) {
+		t.Helper()
+		s := New(Config{
+			Workers: 1,
+			Runner: func(ctx context.Context, cfg webmeasure.Config) (*webmeasure.Results, error) {
+				crawled = append(crawled, cfg.Epoch) // the loop runs one epoch at a time
+				return webmeasure.Run(ctx, cfg)
+			},
+			Monitor: &MonitorConfig{Spec: spec, Epochs: epochs, StateDir: dir, PinEpoch: pin},
+		})
+		defer shutdownServer(t, s)
+		select {
+		case <-s.MonitorDone():
+		case <-time.After(5 * time.Minute):
+			t.Fatal("monitor did not finish")
+		}
+		if st, _ := s.MonitorStatus(); st.LastError != "" || st.EpochsDone != epochs {
+			t.Fatalf("monitor over %s: %d epochs, error %q", dir, st.EpochsDone, st.LastError)
+		}
+		return crawled
+	}
+	hashes := func(dir string) map[string]string {
+		t.Helper()
+		out := make(map[string]string)
+		for name, data := range readStateDir(t, dir) {
+			sum := sha256.Sum256(data)
+			out[name] = hex.EncodeToString(sum[:])
+		}
+		return out
+	}
+
+	dir := t.TempDir()
+	run(dir)
+	got := hashes(dir)
+	if len(got) != 49 {
+		t.Fatalf("state directory holds %d files, want 49", len(got))
+	}
+
+	// Resume a copy torn after epoch 8.
+	torn := t.TempDir()
+	for name, data := range readStateDir(t, dir) {
+		switch {
+		case strings.HasSuffix(name, ".json"):
+			// baseline-eNNNN.json, pinned-eNNNN.json, delta-eMMMM-eNNNN.json
+			if to, _ := strconv.Atoi(name[len(name)-9 : len(name)-5]); to > cut {
+				continue
+			}
+		case name == "alerts.jsonl" || name == "drift-report.txt":
+			// End the file halfway through its last line.
+			if len(data) < 2 {
+				t.Fatalf("%s holds no line to tear", name)
+			}
+			nl := bytes.LastIndexByte(data[:len(data)-1], '\n')
+			data = data[:nl+1+(len(data)-nl-1)/2]
+			if bytes.HasSuffix(data, []byte("\n")) {
+				t.Fatalf("%s: the cut fell on a line end", name)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(torn, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if crawled := run(torn); fmt.Sprint(crawled) != "[9 10 11 12 13 14 15 16]" {
+		t.Errorf("the resumed monitor crawled epochs %v, want 9 through 16", crawled)
+	}
+	resumed := hashes(torn)
+	for name, h := range got {
+		if resumed[name] != h {
+			t.Errorf("%s: the resumed monitor wrote sha256 %s, the uninterrupted one %s", name, resumed[name], h)
+		}
+	}
+	if len(resumed) != len(got) {
+		t.Errorf("the resumed state directory holds %d files, the uninterrupted one %d", len(resumed), len(got))
+	}
+	checkGolden(t, monitorGoldenPath, "every file of TestMonitorStateGolden's monitor state directory", got)
+}
+
+// checkGolden compares got (name → SHA-256) with the golden file at path,
+// or rewrites that file under -update. what describes the hashed files in
+// the file's comment line. The golden skips on a GOARCH other than the
+// one it was recorded on.
+func checkGolden(t *testing.T, path, what string, got map[string]string) {
+	t.Helper()
 	if *updateGolden {
 		var b bytes.Buffer
-		fmt.Fprintf(&b, "# SHA-256 of every download of TestServiceArtifactsGolden's jobs; rewrite with -update.\n")
+		fmt.Fprintf(&b, "# SHA-256 of %s; rewrite with -update.\n", what)
 		fmt.Fprintf(&b, "goarch %s\n", runtime.GOARCH)
 		names := make([]string, 0, len(got))
 		for name := range got {
@@ -92,35 +201,35 @@ func TestServiceArtifactsGolden(t *testing.T) {
 		for _, name := range names {
 			fmt.Fprintf(&b, "%s  %s\n", got[name], name)
 		}
-		if err := os.WriteFile(serviceGoldenPath, b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	arch, want := readServiceGolden(t)
+	arch, want := readGolden(t, path)
 	if arch != runtime.GOARCH {
-		t.Skipf("%s was recorded on %s, not %s: the compiler may fuse floating-point multiply-adds on this architecture, which moves the last bits of derived figures", serviceGoldenPath, arch, runtime.GOARCH)
+		t.Skipf("%s was recorded on %s, not %s: the compiler may fuse floating-point multiply-adds on this architecture, which moves the last bits of derived figures", path, arch, runtime.GOARCH)
 	}
 	for name, h := range want {
 		switch g, ok := got[name]; {
 		case !ok:
-			t.Errorf("%s: no longer downloaded", name)
+			t.Errorf("%s: no longer written", name)
 		case g != h:
 			t.Errorf("%s: sha256 %s, golden %s", name, g, h)
 		}
 	}
 	for name := range got {
 		if _, ok := want[name]; !ok {
-			t.Errorf("%s: downloaded but not in %s", name, serviceGoldenPath)
+			t.Errorf("%s: written but not in %s", name, path)
 		}
 	}
 }
 
-// readServiceGolden parses the golden file: '#' comments, one
-// "goarch <arch>" line, then "<sha256>  <name>" lines.
-func readServiceGolden(t *testing.T) (arch string, hashes map[string]string) {
+// readGolden parses a golden file: '#' comments, one "goarch <arch>"
+// line, then "<sha256>  <name>" lines.
+func readGolden(t *testing.T, path string) (arch string, hashes map[string]string) {
 	t.Helper()
-	f, err := os.Open(serviceGoldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("%v (record it with -update)", err)
 	}
@@ -138,7 +247,7 @@ func readServiceGolden(t *testing.T) (arch string, hashes map[string]string) {
 		}
 		h, name, ok := strings.Cut(line, "  ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", serviceGoldenPath, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		hashes[name] = h
 	}
