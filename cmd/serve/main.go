@@ -26,6 +26,15 @@ import (
 	"webmeasure/internal/version"
 )
 
+// A client has readHeaderTimeout to send its request headers, and an idle
+// keep-alive connection closes after idleTimeout, so a stalled client
+// cannot hold a connection for good. Dataset downloads stream, so there is
+// no write timeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -132,7 +141,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		fmt.Fprintf(stderr, "serve: %v\n", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	fmt.Fprintf(stdout, "serving on http://%s (workers=%d queue=%d cache=%d)\n",
 		ln.Addr(), srv.Stats().Workers, *queue, *cache)
 	if ready != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -114,6 +115,65 @@ func TestServeEndToEnd(t *testing.T) {
 	if !strings.Contains(stdout.String(), "serving on http://") ||
 		!strings.Contains(stdout.String(), "(workers=2 queue=16 cache=64)") {
 		t.Errorf("stdout missing banner:\n%s", stdout.String())
+	}
+}
+
+// TestServeCutsOffStalledHeaders: a client that stops halfway through
+// its request headers is disconnected within readHeaderTimeout (plus 2 s
+// of slack), while a job submitted on another connection completes.
+func TestServeCutsOffStalledHeaders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	exit := make(chan int, 1)
+	go func() { exit <- run(ctx, []string{"-addr", "127.0.0.1:0"}, io.Discard, io.Discard, ready) }()
+	defer func() {
+		cancel()
+		<-exit
+	}()
+	addr := <-ready
+
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	opened := time.Now()
+	if _, err := io.WriteString(stalled, "GET /healthz HTTP/1.1\r\nHost: "+addr+"\r\nX-Stalled: "); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post("http://"+addr+"/v1/jobs", "application/json", strings.NewReader(`{"seed": 3, "sites": 5, "pages_per_site": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct{ ID, State string }
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job.State != "done" {
+		if job.State == "failed" || job.State == "canceled" || time.Since(opened) > readHeaderTimeout {
+			t.Fatalf("job %s is %s after %v beside a stalled connection", job.ID, job.State, time.Since(opened))
+		}
+		time.Sleep(20 * time.Millisecond)
+		_, body := httpGet(t, "http://"+addr+"/v1/jobs/"+job.ID)
+		if err := json.Unmarshal(body, &job); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := stalled.SetReadDeadline(opened.Add(readHeaderTimeout + 2*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(stalled); err != nil {
+		t.Fatalf("the stalled connection was still open %v after it stopped mid-header: %v", time.Since(opened), err)
+	}
+	if held := time.Since(opened); held < readHeaderTimeout/2 {
+		t.Errorf("the stalled connection closed after %v, well inside the %v header timeout", held, readHeaderTimeout)
 	}
 }
 

@@ -145,8 +145,7 @@ func scan(r io.Reader, buf *[]byte, block func(payload []byte) error) (*Index, e
 }
 
 // readRecordBody reads uvarint(len) + payload + crc32 and verifies the
-// checksum. The payload reuses buf when it fits and is freshly allocated
-// otherwise.
+// checksum. The payload reuses buf when it fits.
 func readRecordBody(br byteReader, what string, buf []byte) ([]byte, error) {
 	n, err := readUvarint(br)
 	if err != nil {
@@ -156,15 +155,18 @@ func readRecordBody(br byteReader, what string, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("colstore: %s record of %d bytes exceeds the %d-byte limit (corrupt length?)", what, n, maxRecordLen)
 	}
 	// An in-memory input (a bytes.Reader) knows how much of it is left, so
-	// a torn or forged length is refused before its buffer is allocated.
-	if rest, ok := br.(interface{ Len() int }); ok && n > uint64(rest.Len()) {
-		return nil, fmt.Errorf("colstore: %s record of %d bytes runs past the %d bytes left (truncated?)", what, n, rest.Len())
+	// a torn or forged length is refused before its buffer is allocated,
+	// and the payload is read in one piece. A stream cannot say, so its
+	// payload is read in chunks from 64 KiB up.
+	chunk := 64 << 10
+	if rest, ok := br.(interface{ Len() int }); ok {
+		if n > uint64(rest.Len()) {
+			return nil, fmt.Errorf("colstore: %s record of %d bytes runs past the %d bytes left (truncated?)", what, n, rest.Len())
+		}
+		chunk = int(n)
 	}
-	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readChunks(br, int(n), chunk, buf)
+	if err != nil {
 		return nil, fmt.Errorf("colstore: read %s payload (%d bytes): %w", what, n, err)
 	}
 	var crc [4]byte
@@ -175,6 +177,26 @@ func readRecordBody(br byteReader, what string, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// readChunks reads n bytes into buf, reusing it when it fits and
+// otherwise growing it to exactly what the next chunk needs. The first
+// chunk is first bytes and each later one doubles the buffer, so a torn
+// or forged length costs a buffer of at most about twice the bytes that
+// arrived, not the length it declares.
+func readChunks(r io.Reader, n, first int, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), first))
+		if cap(buf) < len(buf)+step {
+			buf = append(make([]byte, 0, len(buf)+step), buf...)
+		}
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+step]
+	}
+	return buf, nil
 }
 
 func verifyCRC(crc, payload []byte, what string) error {

@@ -110,8 +110,9 @@ func TestStreamRejectsBadSites(t *testing.T) {
 
 // TestCrawlSummaryCountsRepeatedVisits: a dataset holding a second visit
 // of one (page, profile) pair, a failed one, counts both in the crawl
-// summary, as Dataset.Len and Dataset.SuccessRate do, whether the visits
-// arrive as a dataset (AddDataset) or as flat sites (AddSiteVisits).
+// summary, as Dataset.Len and an independent count of each profile's
+// successes do, whether the visits arrive as a dataset (AddDataset) or as
+// flat sites (AddSiteVisits).
 func TestCrawlSummaryCountsRepeatedVisits(t *testing.T) {
 	src, filter, opts := shardExperiment(t, 9)
 	ds := dataset.New()
@@ -142,14 +143,21 @@ func TestCrawlSummaryCountsRepeatedVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	visits, successes := map[string]int{}, map[string]int{}
+	for _, v := range ds.Visits() {
+		visits[v.Profile]++
+		if v.Success {
+			successes[v.Profile]++
+		}
+	}
 	for name, a := range map[string]*Analysis{"AddDataset": direct, "AddSiteVisits": flat} {
 		cs := a.CrawlSummary()
 		if cs.Visits != ds.Len() || cs.Pages != len(ds.Pages()) {
 			t.Errorf("%s: %d visits on %d pages, the dataset holds %d on %d", name, cs.Visits, cs.Pages, ds.Len(), len(ds.Pages()))
 		}
 		for _, p := range opts.Profiles {
-			if got, want := cs.SuccessRate[p], ds.SuccessRate(p); got != want {
-				t.Errorf("%s: %s success rate %v, the dataset's %v", name, p, got, want)
+			if got, want := cs.SuccessRate[p], float64(successes[p])/float64(visits[p]); got != want {
+				t.Errorf("%s: %s success rate %v, %d of %d visits succeeded", name, p, got, successes[p], visits[p])
 			}
 		}
 	}

@@ -96,12 +96,10 @@ type Config struct {
 	// Faults injects deterministic per-attempt failures (errors, 5xx,
 	// latency, truncation, redirect loops) into every page fetch. The
 	// zero value injects nothing — the seed pipeline's clean network.
-	Faults faults.Profile
-	// Retry bounds the per-visit attempt loop; zero fields take defaults
-	// (see RetryPolicy). Retries only run when Faults is enabled: the
+	// Injected faults are the only failures visitPage retries: the
 	// baseline failure modes are session-persistent and retrying them
 	// would only skew the paper's ~11% failure calibration.
-	Retry RetryPolicy
+	Faults faults.Profile
 	// Tracer, if non-nil, records one trace per page: a crawl.visit span
 	// per profile with crawl.fetch/crawl.backoff children carrying fault
 	// kind and attempt attributes, on the crawl's simulated-time axis
@@ -121,46 +119,25 @@ type Config struct {
 	PageFilter func(site, pageURL string) bool
 }
 
-// RetryPolicy bounds visitPage's attempt loop. Backoff is exponential
-// with deterministic jitter and accrues against a per-visit simulated
-// time budget — no wall clock is consulted, so the schedule is identical
-// for every worker count.
-type RetryPolicy struct {
-	// MaxAttempts caps fetch attempts per visit (default 3).
-	MaxAttempts int
-	// BaseBackoffMS is the first backoff step (default 500).
-	BaseBackoffMS int
-	// MaxBackoffMS caps a single backoff step (default 8000).
-	MaxBackoffMS int
-	// BudgetMS caps the visit's total simulated spend — render time plus
-	// backoff; when the next backoff would blow the budget, the loop
-	// stops and the visit keeps its last failure (default 60000).
-	BudgetMS int
-}
-
-func (r RetryPolicy) withDefaults() RetryPolicy {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BaseBackoffMS <= 0 {
-		r.BaseBackoffMS = 500
-	}
-	if r.MaxBackoffMS <= 0 {
-		r.MaxBackoffMS = 8_000
-	}
-	if r.BudgetMS <= 0 {
-		r.BudgetMS = 60_000
-	}
-	return r
-}
+// visitPage's retry schedule: at most maxAttempts fetches per visit,
+// with exponential backoff from baseBackoffMS capped at maxBackoffMS per
+// step, plus deterministic jitter, accrued against a budgetMS budget of
+// simulated render and backoff time. No wall clock is consulted, so the
+// schedule is identical for every worker count.
+const (
+	maxAttempts   = 3
+	baseBackoffMS = 500
+	maxBackoffMS  = 8_000
+	budgetMS      = 60_000
+)
 
 // backoffMS computes the simulated wait before retrying after the given
 // attempt (0-based): exponential growth, capped, plus up to 50%
 // deterministic jitter derived from the visit's entropy.
-func (r RetryPolicy) backoffMS(attempt int, pageSeed, nonce uint64) int {
-	step := r.BaseBackoffMS << uint(attempt)
-	if step > r.MaxBackoffMS || step <= 0 {
-		step = r.MaxBackoffMS
+func backoffMS(attempt int, pageSeed, nonce uint64) int {
+	step := baseBackoffMS << uint(attempt)
+	if step > maxBackoffMS || step <= 0 {
+		step = maxBackoffMS
 	}
 	jitter := webgen.RollProb(pageSeed, nonce, "crawler", fmt.Sprintf("backoff%d", attempt))
 	return step + int(jitter*float64(step)/2)
@@ -207,7 +184,6 @@ type crawlRun struct {
 	cfg       Config
 	profiles  []browser.Profile
 	instances int
-	retry     RetryPolicy
 	// transport is the run's fault injector, nil when it injects nothing.
 	// Its decisions are pure functions of (seed, profile, page, attempt),
 	// so every site worker shares it.
@@ -250,7 +226,6 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, Stats, error) {
 		cfg:       cfg,
 		profiles:  cfg.Profiles,
 		instances: cfg.Instances,
-		retry:     cfg.Retry.withDefaults(),
 	}
 	if len(c.profiles) == 0 {
 		c.profiles = browser.DefaultProfiles()
@@ -470,14 +445,14 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 				jar := browser.NewJar()
 				for _, p := range pages {
 					if cfg.PageFilter != nil && !cfg.PageFilter(site.Domain, p.URL) {
-						visitPage(nil, nil, replay, site, p, cfg.Seed, jar, c.retry)
+						visitPage(nil, nil, replay, site, p, cfg.Seed, jar)
 						continue
 					}
 					if v := reuse(prof, p); v != nil {
 						fill(v, true)
 						continue
 					}
-					performed(visitPage(tracer, reg, b, site, p, cfg.Seed, jar, c.retry))
+					performed(visitPage(tracer, reg, b, site, p, cfg.Seed, jar))
 				}
 				return
 			}
@@ -489,7 +464,7 @@ func (c *crawlRun) crawlSite(si int) *siteResult {
 				}
 				todo = append(todo, p)
 			}
-			visitAll(tracer, reg, b, site, todo, cfg.Seed, c.instances, c.retry, performed)
+			visitAll(tracer, reg, b, site, todo, cfg.Seed, c.instances, performed)
 		}(pi, prof)
 	}
 	wg.Wait()
@@ -533,7 +508,7 @@ func discoverPages(site *webgen.Site, maxPages int) []*webgen.Page {
 // crawls interleave recorded and discarded visits over one shared jar.)
 func visitAll(tracer *trace.Tracer, reg *metrics.Registry, b *browser.Browser,
 	site *webgen.Site, pages []*webgen.Page,
-	seed int64, instances int, retry RetryPolicy,
+	seed int64, instances int,
 	sink func(*measurement.Visit)) {
 
 	type job struct{ page *webgen.Page }
@@ -544,7 +519,7 @@ func visitAll(tracer *trace.Tracer, reg *metrics.Registry, b *browser.Browser,
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				sink(visitPage(tracer, reg, b, site, j.page, seed, nil, retry))
+				sink(visitPage(tracer, reg, b, site, j.page, seed, nil))
 			}
 		}()
 	}
@@ -570,7 +545,7 @@ func visitAll(tracer *trace.Tracer, reg *metrics.Registry, b *browser.Browser,
 // simulated milliseconds.
 func visitPage(tracer *trace.Tracer, reg *metrics.Registry,
 	b *browser.Browser, site *webgen.Site, page *webgen.Page,
-	seed int64, jar *cookies.Jar, retry RetryPolicy) *measurement.Visit {
+	seed int64, jar *cookies.Jar) *measurement.Visit {
 
 	nonce := visitNonce(seed, b.Profile.Name, page.URL)
 	tr := tracer.Trace("page", site.Domain+"|"+page.URL)
@@ -629,11 +604,11 @@ func visitPage(tracer *trace.Tracer, reg *metrics.Registry,
 		cursorUS += int64(v.DurationMS) * 1000
 		fs.End(cursorUS)
 		spentMS += v.DurationMS
-		if v.Success || !v.Retryable || attempt+1 >= retry.MaxAttempts {
+		if v.Success || !v.Retryable || attempt+1 >= maxAttempts {
 			break
 		}
-		wait := retry.backoffMS(attempt, page.Seed, nonce)
-		if spentMS+wait > retry.BudgetMS {
+		wait := backoffMS(attempt, page.Seed, nonce)
+		if spentMS+wait > budgetMS {
 			vs.AddEvent("retry.budget_exhausted", cursorUS,
 				trace.Attr{Key: "spent_ms", Value: fmt.Sprintf("%d", spentMS)},
 				trace.Attr{Key: "next_wait_ms", Value: fmt.Sprintf("%d", wait)})

@@ -71,27 +71,34 @@ func TestRetriesRecoverFlakyPages(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetStopsAttempts: with a one-attempt policy the flaky pages
-// cannot recover and must surface as retryable failures.
+// TestRetryBudgetStopsAttempts: flaky pages that fail maxAttempts times
+// in a row never recover. No visit makes more than maxAttempts fetches,
+// and the flaky visits surface as retryable failures on top of the clean
+// baseline's.
 func TestRetryBudgetStopsAttempts(t *testing.T) {
-	flaky := faults.Profile{Name: "flaky-only", FlakyProb: 0.5, FlakyFailures: 2}
-	cfg := faultyCrawl(t, 8, 11, flaky)
-	cfg.Retry = RetryPolicy{MaxAttempts: 1}
-	ds, got, err := Run(context.Background(), cfg)
+	flaky := faults.Profile{Name: "flaky-only", FlakyProb: 0.5, FlakyFailures: maxAttempts}
+	_, base, err := Run(context.Background(), smallCrawl(t, 8, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.VisitsRetried != 0 {
-		t.Errorf("MaxAttempts=1 still retried %d visits", got.VisitsRetried)
+	ds, got, err := Run(context.Background(), faultyCrawl(t, 8, 11, flaky))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.VisitsRetried == 0 {
+		t.Error("flaky pages were never retried")
 	}
 	retryable := 0
 	for _, v := range ds.Visits() {
+		if v.Attempts > maxAttempts {
+			t.Errorf("%s %s made %d fetches, more than %d", v.Profile, v.PageURL, v.Attempts, maxAttempts)
+		}
 		if !v.Success && v.Retryable {
 			retryable++
 		}
 	}
-	if retryable == 0 {
-		t.Error("no failure was marked retryable despite flaky faults and no retries")
+	if retryable == 0 || got.VisitsFailed != base.VisitsFailed+retryable {
+		t.Errorf("%d visits failed, %d of them retryable; the clean crawl failed %d", got.VisitsFailed, retryable, base.VisitsFailed)
 	}
 }
 

@@ -110,43 +110,6 @@ func (d *Dataset) Profiles() []string {
 	return out
 }
 
-// Sites returns the distinct sites present, sorted.
-func (d *Dataset) Sites() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seen := map[string]bool{}
-	for _, v := range d.visits {
-		seen[v.Site] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SuccessRate returns a profile's share of successful visits (0 when the
-// profile made none).
-func (d *Dataset) SuccessRate(profile string) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	total, ok := 0, 0
-	for _, v := range d.visits {
-		if v.Profile != profile {
-			continue
-		}
-		total++
-		if v.Success {
-			ok++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ok) / float64(total)
-}
-
 // WriteJSONL streams the dataset as one visit per line.
 func (d *Dataset) WriteJSONL(w io.Writer) error {
 	return d.StreamJSONL(w, 0)

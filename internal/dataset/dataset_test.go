@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -42,22 +44,13 @@ func TestAddAndGroup(t *testing.T) {
 	}
 }
 
-func TestProfilesSitesSuccessRate(t *testing.T) {
+func TestProfiles(t *testing.T) {
 	d := New()
 	d.Add(visit("a.example", "https://a.example/", "Sim1", true))
 	d.Add(visit("b.example", "https://b.example/", "Sim1", false))
 	d.Add(visit("b.example", "https://b.example/", "Old", true))
 	if got := d.Profiles(); len(got) != 2 || got[0] != "Old" || got[1] != "Sim1" {
 		t.Errorf("Profiles = %v", got)
-	}
-	if got := d.Sites(); len(got) != 2 || got[0] != "a.example" {
-		t.Errorf("Sites = %v", got)
-	}
-	if r := d.SuccessRate("Sim1"); r != 0.5 {
-		t.Errorf("SuccessRate(Sim1) = %v", r)
-	}
-	if r := d.SuccessRate("missing"); r != 0 {
-		t.Errorf("SuccessRate(missing) = %v", r)
 	}
 }
 
@@ -203,5 +196,65 @@ func TestDetectFormat(t *testing.T) {
 				t.Errorf("reader yields %q, want %q", rest, tc.in)
 			}
 		})
+	}
+}
+
+// TestStreamedRecordGrowsWithInput: a stream (a reader that cannot say
+// how much of it is left, as a file read through cmd/convert or a crawl's
+// resume is) whose block declares far more bytes than it holds fails
+// without allocating the declared length, through colstore.Scan and
+// through ReadCol; a whole file read one byte per call still decodes to
+// the dataset an in-memory read gives.
+func TestStreamedRecordGrowsWithInput(t *testing.T) {
+	forged := []byte(colstore.Magic + "BLK\n") // the header, then a block record's magic
+	forged = binary.AppendUvarint(forged, 256<<20)
+	if len(forged) != 17 {
+		t.Fatalf("forged input is %d bytes, want 17", len(forged))
+	}
+	stream := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
+	for name, read := range map[string]func(io.Reader) error{
+		"colstore.Scan": func(r io.Reader) error {
+			_, err := colstore.Scan(r, func(*colstore.SiteBlock) error { return nil })
+			return err
+		},
+		"ReadCol": func(r io.Reader) error { _, err := ReadCol(r); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read(stream(forged))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "read block payload") {
+			t.Errorf("%s of a 17-byte stream declaring a 256 MiB block: err %v, want a short payload", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+			t.Errorf("%s allocated %d bytes for a %d-byte stream", name, grew, len(forged))
+		}
+	}
+
+	d := New()
+	for i := 0; i < 50; i++ {
+		d.Add(visit("a.example", "https://a.example/"+strings.Repeat("p", i+1), "Sim1", i%3 != 0))
+	}
+	var col bytes.Buffer
+	if err := d.WriteCol(&col); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadCol(bytes.NewReader(col.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCol(iotest.OneByteReader(bytes.NewReader(col.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := want.WriteJSONL(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("a one-byte-per-read stream decodes to %d bytes of JSONL, the in-memory read to %d", b.Len(), a.Len())
 	}
 }

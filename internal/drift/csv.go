@@ -35,22 +35,28 @@ func WriteCSV(w io.Writer, rows []CSVRow) error {
 	if _, err := fmt.Fprintln(w, strings.Join(CSVHeader, ",")); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, row := range rows {
-		d := row.Delta
-		cols := []string{
-			strconv.Itoa(d.FromEpoch), strconv.Itoa(d.ToEpoch),
-			f(d.ThirdPartyJaccard), strconv.Itoa(len(d.NewThirdParties)), strconv.Itoa(len(d.VanishedThirdParties)),
-			strconv.Itoa(len(d.NewTrackers)), strconv.Itoa(len(d.VanishedTrackers)),
-			f(d.TrackingShareTo), f(d.TrackingShareDrift),
-			f(d.TreeSimilarity), f(d.EdgeSimilarity),
-			f(d.ChildSimDrift), f(d.ParentSimDrift),
-			f(d.MeanNodesDriftRel), f(d.VettedPagesDriftRel),
-			strconv.Itoa(len(d.NewSites)), strconv.Itoa(len(d.VanishedSites)), strconv.Itoa(row.Alerts),
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
+		if err := WriteCSVRow(w, row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteCSVRow renders one drift.csv row line.
+func WriteCSVRow(w io.Writer, row CSVRow) error {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	d := row.Delta
+	cols := []string{
+		strconv.Itoa(d.FromEpoch), strconv.Itoa(d.ToEpoch),
+		f(d.ThirdPartyJaccard), strconv.Itoa(len(d.NewThirdParties)), strconv.Itoa(len(d.VanishedThirdParties)),
+		strconv.Itoa(len(d.NewTrackers)), strconv.Itoa(len(d.VanishedTrackers)),
+		f(d.TrackingShareTo), f(d.TrackingShareDrift),
+		f(d.TreeSimilarity), f(d.EdgeSimilarity),
+		f(d.ChildSimDrift), f(d.ParentSimDrift),
+		f(d.MeanNodesDriftRel), f(d.VettedPagesDriftRel),
+		strconv.Itoa(len(d.NewSites)), strconv.Itoa(len(d.VanishedSites)), strconv.Itoa(row.Alerts),
+	}
+	_, err := fmt.Fprintln(w, strings.Join(cols, ","))
+	return err
 }

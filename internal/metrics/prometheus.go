@@ -108,7 +108,7 @@ var helpText = map[string]string{
 	"service.jobs.failed":            "Jobs whose run returned an error.",
 	"service.jobs.canceled":          "Jobs canceled while queued or running, or abandoned at shutdown.",
 	"service.jobs.rejected":          "Submissions refused because the queue was full.",
-	"service.cache.hits":             "Jobs and shard slices served from the result cache.",
+	"service.cache.hits":             "Jobs served from the result cache.",
 	"service.cache.misses":           "Dequeued jobs that missed the result cache and ran.",
 	"service.job_ms":                 "Wall-clock milliseconds per job run.",
 	"service.queue_wait_ms":          "Wall-clock milliseconds a job waited in the queue.",

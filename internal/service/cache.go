@@ -29,7 +29,7 @@ func newResultCache(capacity int) *resultCache {
 
 // get returns the cached result for key and refreshes its recency.
 func (c *resultCache) get(key string) (*result, bool) {
-	if c == nil || c.cap <= 0 {
+	if c.cap <= 0 {
 		return nil, false
 	}
 	el, ok := c.entries[key]
@@ -42,7 +42,7 @@ func (c *resultCache) get(key string) (*result, bool) {
 
 // put stores a result, evicting the least recently used entry past cap.
 func (c *resultCache) put(key string, res *result) {
-	if c == nil || c.cap <= 0 {
+	if c.cap <= 0 {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
@@ -59,9 +59,4 @@ func (c *resultCache) put(key string, res *result) {
 }
 
 // len returns the number of cached results.
-func (c *resultCache) len() int {
-	if c == nil {
-		return 0
-	}
-	return c.order.Len()
-}
+func (c *resultCache) len() int { return c.order.Len() }

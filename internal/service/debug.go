@@ -57,17 +57,9 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 	}
 	view := driftView{MonitorStatus: m.status()}
 	m.mu.Lock()
-	if n := len(m.deltas); n > 0 {
-		view.LastDelta = m.deltas[n-1]
-	}
+	view.LastDelta = m.lastDelta
 	view.LastPinned = m.lastPinned
-	if n := len(m.alerts); n > 0 {
-		lo := n - debugDriftAlerts
-		if lo < 0 {
-			lo = 0
-		}
-		view.RecentAlerts = append([]drift.Alert(nil), m.alerts[lo:]...)
-	}
+	view.RecentAlerts = append([]drift.Alert(nil), m.recent...)
 	m.mu.Unlock()
 	writeJSON(w, http.StatusOK, view)
 }

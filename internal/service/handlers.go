@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"webmeasure/internal/core"
 	"webmeasure/internal/dataset"
 	"webmeasure/internal/version"
 )
@@ -202,17 +203,11 @@ func (s *Server) artifact(pick func(*result) ([]byte, string)) http.HandlerFunc 
 // held columnar bytes on every download and streamed with periodic
 // flushes.
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.finishedResult(w, r)
+	col, ok := s.heldDataset(w, r)
 	if !ok {
 		return
 	}
-	if res.datasetCol == nil {
-		// e.g. a shard result cached from a remote dispatch: the
-		// coordinator stored the partial bytes, never the visits.
-		writeError(w, http.StatusNotFound, "job holds no dataset")
-		return
-	}
-	ds, err := dataset.ReadCol(bytes.NewReader(res.datasetCol))
+	ds, err := dataset.ReadCol(bytes.NewReader(col))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "decode held dataset: "+err.Error())
 		return
@@ -222,19 +217,34 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDatasetCol serves the job's held columnar bytes — available for
-// every job that holds a dataset, whatever its requested DatasetFormat,
-// since the encoding is a pure function of the visits.
+// every finished job, whatever its requested DatasetFormat, since the
+// encoding is a pure function of the visits.
 func (s *Server) handleDatasetCol(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.finishedResult(w, r)
+	col, ok := s.heldDataset(w, r)
 	if !ok {
 		return
 	}
-	if res.datasetCol == nil {
-		writeError(w, http.StatusNotFound, "job holds no dataset")
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(res.datasetCol)
+	_, _ = w.Write(col)
+}
+
+// heldDataset resolves the request's finished job and returns the
+// columnar visits it holds (a shard job's decoded from its partial),
+// writing the error response itself otherwise.
+func (s *Server) heldDataset(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	res, ok := s.finishedResult(w, r)
+	if !ok {
+		return nil, false
+	}
+	if res.partial == nil {
+		return res.datasetCol, true
+	}
+	p, err := core.DecodePartial(res.partial)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "decode held partial: "+err.Error())
+		return nil, false
+	}
+	return p.Dataset, true
 }
 
 // handlePartial serves a shard job's encoded partial. Whole-experiment

@@ -273,10 +273,10 @@ func (s State) terminal() bool {
 // result holds a finished job's artifacts, each rendered or encoded once
 // and held as bytes, so a cache hit serves the exact same bytes and no
 // finished job keeps its visits in memory. The dataset is held as its
-// columnar encoding: dataset.col downloads write those bytes, and
-// dataset.jsonl downloads decode them and stream the JSONL form, which
-// the columnar round trip reproduces byte for byte. The trace fields are
-// nil/zero for untraced jobs.
+// columnar encoding (a shard job's inside its partial): dataset.col
+// downloads write those bytes, and dataset.jsonl downloads decode them
+// and stream the JSONL form, which the columnar round trip reproduces
+// byte for byte. The trace fields are nil/zero for untraced jobs.
 type result struct {
 	report     []byte
 	json       []byte
@@ -289,8 +289,9 @@ type result struct {
 	traceCount  int
 	spanCount   int
 
-	// partial is the encoded core.Partial of a shard job (nil for whole
-	// and coordinator jobs, whose artifacts are the rendered text above).
+	// partial is the encoded core.Partial of a shard job, its only
+	// artifact (nil for whole and coordinator jobs, whose artifacts are
+	// the rendered text above).
 	partial []byte
 }
 
@@ -394,11 +395,9 @@ func (j *Job) view() jobJSON {
 			v.Artifacts["json"] = base + "result.json"
 			v.Artifacts["csv"] = base + "result.csv"
 		}
-		if j.res.datasetCol != nil {
-			v.Artifacts["dataset"] = base + "dataset.jsonl"
-			if j.Spec.DatasetFormat == dataset.FormatCol {
-				v.Artifacts["dataset_col"] = base + "dataset.col"
-			}
+		v.Artifacts["dataset"] = base + "dataset.jsonl"
+		if j.Spec.DatasetFormat == dataset.FormatCol {
+			v.Artifacts["dataset_col"] = base + "dataset.col"
 		}
 		if j.res.partial != nil {
 			v.Artifacts["partial"] = base + "partial.json"

@@ -6,14 +6,15 @@ package service
 // webgen's epoch churn), snapshots the analysis into a drift baseline,
 // persists it to the state directory, diffs it against the previous
 // epoch and against a pinned reference baseline, feeds the sequential
-// delta through the alert rule engine, and rewrites the derived
-// artifacts (alerts.jsonl, drift.csv, drift-report.txt).
+// delta through the alert rule engine, and appends to the derived logs
+// (alerts.jsonl, drift.csv, drift-report.txt).
 //
 // Everything an epoch emits is a pure function of (spec, epoch) plus the
 // baselines before it, so a monitor run is byte-reproducible: two
 // servers given the same MonitorConfig write identical state
-// directories, and a restarted server resumes from the persisted
-// baselines without re-crawling finished epochs.
+// directories. A restarted server replays every epoch from the persisted
+// baselines (to rebuild the rule engine's streaks) without re-crawling
+// them, so its appends rewrite the logs to an uninterrupted run's bytes.
 
 import (
 	"bytes"
@@ -97,10 +98,12 @@ type monitorState struct {
 	// prev is the last folded epoch's baseline and pin the pinned
 	// epoch's, once reached; the state directory holds the others.
 	prev, pin  *drift.Baseline
-	deltas     []*drift.Delta // sequential epoch-over-epoch deltas
-	rows       []drift.CSVRow
-	alerts     []drift.Alert
+	lastDelta  *drift.Delta // newest sequential epoch-over-epoch delta
 	lastPinned *drift.Delta // newest delta vs the pinned baseline
+	// recent holds the newest debugDriftAlerts alerts, oldest first, and
+	// alertsTotal counts every alert fired.
+	recent      []drift.Alert
+	alertsTotal int
 
 	epochsDone   int
 	currentEpoch int // -1 when idle
@@ -121,7 +124,7 @@ func (m *monitorState) status() MonitorStatus {
 		CurrentEpoch:  m.currentEpoch,
 		LastEpoch:     m.lastEpoch,
 		PinEpoch:      m.cfg.PinEpoch,
-		AlertsTotal:   len(m.alerts),
+		AlertsTotal:   m.alertsTotal,
 		Firing:        m.engine.Firing(),
 		Done:          m.done,
 		LastError:     m.lastError,
@@ -245,14 +248,15 @@ func (s *Server) monitorLoop() {
 			s.log.Info("monitor epoch resumed from baseline", "epoch", epoch)
 		}
 
-		if err := s.monitorAdvance(m, b, epoch); err != nil {
+		n, err := s.monitorAdvance(m, b, epoch)
+		if err != nil {
 			fail(err)
 			return
 		}
 		epochsTotal.Inc()
-		alertsTotal.Add(int64(m.lastEpochAlerts(epoch)))
+		alertsTotal.Add(int64(n))
 		firing.Set(int64(m.engine.Firing()))
-		s.log.Info("monitor epoch done", "epoch", epoch, "alerts", m.lastEpochAlerts(epoch))
+		s.log.Info("monitor epoch done", "epoch", epoch, "alerts", n)
 	}
 	m.mu.Lock()
 	m.currentEpoch = -1
@@ -283,8 +287,10 @@ func (s *Server) runEpoch(spec JobSpec, epoch int) (*drift.Baseline, error) {
 
 // monitorAdvance folds one completed epoch's baseline into the monitor
 // state — sequential delta, pinned delta, alert evaluation, drift
-// metrics — and rewrites the derived artifacts.
-func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) error {
+// metrics — and returns how many alerts fired. The first epoch folded
+// resets the derived logs, and every sequential delta after it appends
+// its alert lines, CSV row and report section to them.
+func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	prev := m.prev
@@ -297,39 +303,82 @@ func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) e
 	m.currentEpoch = -1
 	dir := m.cfg.StateDir
 
-	if prev != nil {
-		d, err := drift.Diff(prev, b)
+	var logs [len(logNames)]bytes.Buffer
+	flag := os.O_APPEND
+	var alerts []drift.Alert
+	if prev == nil {
+		flag = os.O_CREATE | os.O_TRUNC
+		if err := drift.WriteCSV(&logs[1], nil); err != nil {
+			return 0, err
+		}
+	} else {
+		d, err := writeDelta(prev, b, deltaFile(dir, prev.Meta.Epoch, epoch))
 		if err != nil {
-			return err
+			return 0, err
 		}
-		alerts := m.engine.Evaluate(d)
-		m.deltas = append(m.deltas, d)
-		m.rows = append(m.rows, drift.CSVRow{Delta: d, Alerts: len(alerts)})
-		m.alerts = append(m.alerts, alerts...)
-		data, err := d.Encode()
-		if err != nil {
-			return err
+		alerts = m.engine.Evaluate(d)
+		enc := json.NewEncoder(&logs[0])
+		for _, a := range alerts {
+			if err := enc.Encode(a); err != nil {
+				return 0, err
+			}
 		}
-		if err := os.WriteFile(deltaFile(dir, d.FromEpoch, d.ToEpoch), data, 0o644); err != nil {
-			return err
+		if err := drift.WriteCSVRow(&logs[1], drift.CSVRow{Delta: d, Alerts: len(alerts)}); err != nil {
+			return 0, err
 		}
+		if m.lastDelta != nil {
+			logs[2].WriteByte('\n')
+		}
+		report.WriteDriftSection(&logs[2], d, alerts)
+		m.lastDelta = d
+		m.alertsTotal += len(alerts)
+		m.recent = append(m.recent, alerts...)
+		m.recent = m.recent[max(0, len(m.recent)-debugDriftAlerts):]
 		s.publishDriftMetrics(d)
 	}
-	if m.pin != nil && epoch != m.cfg.PinEpoch {
-		d, err := drift.Diff(m.pin, b)
-		if err != nil {
-			return err
-		}
-		m.lastPinned = d
-		data, err := d.Encode()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(pinnedFile(dir, epoch), data, 0o644); err != nil {
-			return err
+	for i, name := range logNames {
+		if err := writeFile(filepath.Join(dir, name), flag, logs[i].Bytes()); err != nil {
+			return 0, err
 		}
 	}
-	return m.rewriteArtifactsLocked()
+	if m.pin != nil && epoch != m.cfg.PinEpoch {
+		d, err := writeDelta(m.pin, b, pinnedFile(dir, epoch))
+		if err != nil {
+			return 0, err
+		}
+		m.lastPinned = d
+	}
+	return len(alerts), nil
+}
+
+// logNames are the derived logs, in the order monitorAdvance fills them.
+var logNames = [...]string{"alerts.jsonl", "drift.csv", "drift-report.txt"}
+
+// writeFile opens path write-only with flag added (truncate or append)
+// and writes data.
+func writeFile(path string, flag int, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeDelta diffs two baselines and persists the delta to path.
+func writeDelta(from, to *drift.Baseline, path string) (*drift.Delta, error) {
+	d, err := drift.Diff(from, to)
+	if err != nil {
+		return nil, err
+	}
+	data, err := d.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return d, os.WriteFile(path, data, 0o644)
 }
 
 // publishDriftMetrics exports the latest sequential delta as gauges.
@@ -340,63 +389,6 @@ func (s *Server) publishDriftMetrics(d *drift.Delta) {
 	s.reg.FloatGauge("drift.tree_similarity").Set(d.TreeSimilarity)
 	s.reg.Gauge("drift.new_third_parties").Set(int64(len(d.NewThirdParties)))
 	s.reg.Gauge("drift.vanished_third_parties").Set(int64(len(d.VanishedThirdParties)))
-}
-
-// lastEpochAlerts counts the alerts fired at one epoch.
-func (m *monitorState) lastEpochAlerts(epoch int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, a := range m.alerts {
-		if a.Epoch == epoch {
-			n++
-		}
-	}
-	return n
-}
-
-// rewriteArtifactsLocked rewrites alerts.jsonl, drift.csv, and
-// drift-report.txt from the accumulated state. Full rewrites keep the
-// files correct under resume (no duplicate appends) and byte-identical
-// to a fresh run. Caller holds m.mu.
-func (m *monitorState) rewriteArtifactsLocked() error {
-	dir := m.cfg.StateDir
-
-	var alertsBuf bytes.Buffer
-	for _, a := range m.alerts {
-		line, err := json.Marshal(a)
-		if err != nil {
-			return err
-		}
-		alertsBuf.Write(line)
-		alertsBuf.WriteByte('\n')
-	}
-	if err := os.WriteFile(filepath.Join(dir, "alerts.jsonl"), alertsBuf.Bytes(), 0o644); err != nil {
-		return err
-	}
-
-	var csvBuf bytes.Buffer
-	if err := drift.WriteCSV(&csvBuf, m.rows); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "drift.csv"), csvBuf.Bytes(), 0o644); err != nil {
-		return err
-	}
-
-	var repBuf bytes.Buffer
-	for i, d := range m.deltas {
-		if i > 0 {
-			fmt.Fprintln(&repBuf)
-		}
-		var epochAlerts []drift.Alert
-		for _, a := range m.alerts {
-			if a.Epoch == d.ToEpoch {
-				epochAlerts = append(epochAlerts, a)
-			}
-		}
-		report.WriteDriftSection(&repBuf, d, epochAlerts)
-	}
-	return os.WriteFile(filepath.Join(dir, "drift-report.txt"), repBuf.Bytes(), 0o644)
 }
 
 // loadBaseline loads a persisted epoch baseline if present.

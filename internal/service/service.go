@@ -29,6 +29,7 @@ import (
 
 	"webmeasure"
 	"webmeasure/internal/core"
+	"webmeasure/internal/crawler"
 	"webmeasure/internal/drift"
 	"webmeasure/internal/metrics"
 	"webmeasure/internal/trace"
@@ -69,15 +70,9 @@ type Config struct {
 	Runner func(ctx context.Context, cfg webmeasure.Config) (*webmeasure.Results, error)
 	// ShardWorkers lists base URLs of peer servers a coordinator job fans
 	// shard jobs out to (e.g. "http://10.0.0.2:8080"). Empty runs every
-	// shard in-process — correct, just not distributed.
+	// shard in-process — correct, just not distributed. A dispatch tries
+	// shardAttempts workers and polls each every shardPoll.
 	ShardWorkers []string
-	// ShardAttempts bounds how many workers a shard dispatch tries before
-	// falling back to running the shard locally (default 3, clamped to the
-	// worker count).
-	ShardAttempts int
-	// ShardPoll is the coordinator's polling interval while a remote shard
-	// job runs (default 150ms).
-	ShardPoll time.Duration
 	// Monitor, if non-nil, starts the longitudinal drift monitor: a
 	// background loop that reruns Monitor.Spec for a sequence of epochs,
 	// persists per-epoch baselines to Monitor.StateDir, diffs adjacent
@@ -103,12 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Limits.MaxShards <= 0 {
 		c.Limits.MaxShards = 16
-	}
-	if c.ShardAttempts <= 0 {
-		c.ShardAttempts = 3
-	}
-	if c.ShardPoll <= 0 {
-		c.ShardPoll = 150 * time.Millisecond
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.New()
@@ -218,7 +207,7 @@ func New(cfg Config) *Server {
 		mResultBytes:    cfg.Metrics.Gauge("service.results.bytes"),
 	}
 	if len(cfg.ShardWorkers) > 0 {
-		s.shard = newShardClient(cfg.ShardWorkers, cfg.ShardAttempts, cfg.ShardPoll, cfg.Logger, s.mShardRetries)
+		s.shard = newShardClient(cfg.ShardWorkers, cfg.Logger, s.mShardRetries)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -571,16 +560,11 @@ func exactBytes(write func(io.Writer) error) ([]byte, error) {
 }
 
 // executeShard runs one shard job: a crawl of the shard's slice whose
-// artifact is the encoded partial. The crawl uses a fresh registry and
-// tracer, since the partial carries both: merging them into the shared
-// registry is the coordinator's decision, not the worker's, so a local
-// fallback never double-counts against a remote dispatch. The shard
-// analyzes nothing, so its summary holds only crawl facts.
+// only artifact is the encoded partial, which carries the slice's visits
+// columnar. The shard analyzes nothing, so its summary holds only crawl
+// facts.
 func (s *Server) executeShard(ctx context.Context, spec JobSpec) (*result, error) {
-	reg := metrics.New()
-	cfg := spec.config(reg)
-	cfg.Tracer = spec.tracer(reg)
-	part, stats, err := webmeasure.CrawlPartial(ctx, cfg)
+	part, stats, err := crawlShard(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -588,17 +572,24 @@ func (s *Server) executeShard(ctx context.Context, spec JobSpec) (*result, error
 	if err != nil {
 		return nil, err
 	}
-	col := make([]byte, len(part.Dataset)) // exact size, as every artifact a job keeps
-	copy(col, part.Dataset)
 	return &result{
-		partial:    wire,
-		datasetCol: col,
+		partial: append(make([]byte, 0, len(wire)), wire...), // exact size, as every artifact a job keeps
 		summary: webmeasure.Summary{
 			Sites:  stats.SitesVisited,
 			Pages:  stats.PagesDiscovered,
 			Visits: stats.VisitsTotal,
 		},
 	}, nil
+}
+
+// crawlShard crawls one shard's slice into a partial, with a fresh
+// registry and tracer that the partial carries: merging them is the
+// coordinator's decision, so a local fallback never double-counts.
+func crawlShard(ctx context.Context, spec JobSpec) (*core.Partial, crawler.Stats, error) {
+	reg := metrics.New()
+	cfg := spec.config(reg)
+	cfg.Tracer = spec.tracer(reg)
+	return webmeasure.CrawlPartial(ctx, cfg)
 }
 
 // executeCoordinator fans one shard job per slice out — to the configured
@@ -633,24 +624,17 @@ func (s *Server) executeCoordinator(ctx context.Context, spec JobSpec) (*result,
 	return render(res, cfg.Tracer)
 }
 
-// shardPartial obtains one shard's partial: result cache first, then the
-// remote shard workers, then — when every dispatch attempt fails — an
-// in-process run. Whatever produced the bytes, they land in the result
-// cache under the shard job's own key, so a retried coordinator (or a
-// second coordinator sharing slices) reuses them.
+// shardPartial obtains one shard's partial from the remote shard workers,
+// or crawls the slice in-process when none is configured or every
+// dispatch fails. It caches nothing: a resubmitted coordinator resolves
+// from its own result, a re-dispatched slice from the worker's cache.
 func (s *Server) shardPartial(ctx context.Context, spec JobSpec, shard int) (*core.Partial, error) {
 	shardSpec := spec
 	shardSpec.Shard = shard
-	key := shardSpec.cacheKey()
-	if res, ok := s.cacheGet(key); ok && res.partial != nil {
-		s.mCacheHits.Inc()
-		return core.DecodePartial(res.partial)
-	}
 	if s.shard != nil {
 		wire, err := s.shard.fetchPartial(ctx, shardSpec)
 		if err == nil {
 			s.mShardRemote.Inc()
-			s.cachePut(key, &result{partial: wire})
 			return core.DecodePartial(wire)
 		}
 		if ctx.Err() != nil {
@@ -659,26 +643,8 @@ func (s *Server) shardPartial(ctx context.Context, spec JobSpec, shard int) (*co
 		s.mShardFallbacks.Inc()
 		s.log.Warn("shard dispatch failed, running locally", "shard", shard, "error", err.Error())
 	}
-	res, err := s.executeShard(ctx, shardSpec)
-	if err != nil {
-		return nil, err
-	}
-	s.cachePut(key, res)
-	return core.DecodePartial(res.partial)
-}
-
-// cacheGet / cachePut are the locked cache accessors for paths that do
-// not already hold the server mutex.
-func (s *Server) cacheGet(key string) (*result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.get(key)
-}
-
-func (s *Server) cachePut(key string, res *result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache.put(key, res)
+	part, _, err := crawlShard(ctx, shardSpec)
+	return part, err
 }
 
 // Shutdown stops intake, drains the queued and running jobs, and waits

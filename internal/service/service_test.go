@@ -380,38 +380,80 @@ func TestResultBytesGauge(t *testing.T) {
 }
 
 // TestResultArtifactsExactSize: a traced job keeps every artifact at its
-// exact size, and a shard job its dataset, so the lengths
+// exact size, and a shard job its partial and nothing else, so the lengths
 // service.results.bytes sums are what the job holds, with no spare
-// capacity behind them.
+// capacity behind them, and equal what its downloads serve.
 func TestResultArtifactsExactSize(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	spec := tinySpec(7)
 	spec.TraceSample = 1
 	shard := spec
 	shard.Shards, shard.Shard = 2, 1
 	for _, spec := range []JobSpec{spec, shard} {
-		job, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-job.Done()
+		v := runToDone(t, s, ts, spec)
+		job, _ := s.Job(v.ID)
 		s.mu.Lock()
-		res, state := job.res, job.state
+		res := job.res
 		s.mu.Unlock()
-		if state != StateDone || res == nil {
-			t.Fatalf("traced job %+v ended %q", spec, state)
-		}
-		held := map[string][]byte{"dataset.col": res.datasetCol}
+		held := map[string][]byte{"partial.json": res.partial}
 		if spec.Shard == 0 {
-			held["report"], held["result.json"], held["result.csv"] = res.report, res.json, res.csv
-			held["trace.json"], held["trace.jsonl"] = res.traceChrome, res.traceJSONL
+			held = map[string][]byte{
+				"report": res.report, "result.json": res.json, "result.csv": res.csv, "dataset.col": res.datasetCol,
+				"trace.json": res.traceChrome, "trace.jsonl": res.traceJSONL,
+			}
 		}
+		var sum int64
 		for name, b := range held {
 			if len(b) == 0 || len(b) != cap(b) {
 				t.Errorf("shard %d: %s: len %d, cap %d", spec.Shard, name, len(b), cap(b))
 			}
+			if code, body := get(t, ts.URL+"/v1/jobs/"+v.ID+"/"+name); code != 200 || !bytes.Equal(body, b) {
+				t.Errorf("shard %d: %s download (code %d, %d bytes) is not the %d bytes held", spec.Shard, name, code, len(body), len(b))
+			}
+			sum += int64(len(b))
 		}
+		if got := res.size(); got != sum {
+			t.Errorf("shard %d: the job holds %d bytes, its %d downloads serve %d", spec.Shard, got, len(held), sum)
+		}
+	}
+}
+
+// TestCoordinatorCachesOnlyItsResult: an in-process coordinator job puts
+// its own result in the cache and nothing of its slices, so three of them
+// leave three entries holding exactly what service.results.bytes counts,
+// and a resubmitted coordinator spec still resolves from the cache.
+func TestCoordinatorCachesOnlyItsResult(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	spec := func(seed int64) JobSpec {
+		return JobSpec{Seed: seed, Sites: 10, PagesPerSite: 3, Workers: 2, Shards: 3}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		runToDone(t, s, ts, spec(seed))
+	}
+	s.mu.Lock()
+	entries := s.cache.len()
+	var held int64
+	for _, el := range s.cache.entries {
+		held += el.Value.(*cacheEntry).res.size()
+	}
+	s.mu.Unlock()
+	var gauge int64
+	for _, g := range s.Metrics().Snapshot().Gauges {
+		if g.Name == "service.results.bytes" {
+			gauge = g.Value
+		}
+	}
+	if entries != 3 || held != gauge {
+		t.Errorf("three coordinator jobs left %d cache entries holding %d bytes; service.results.bytes reads %d", entries, held, gauge)
+	}
+	if v, code := postJob(t, ts, spec(2)); code != http.StatusOK || !v.CacheHit {
+		t.Errorf("resubmitted coordinator spec: code %d, cache hit %v", code, v.CacheHit)
 	}
 }
 

@@ -21,26 +21,26 @@ import (
 	"webmeasure/internal/metrics"
 )
 
+// A shard dispatch tries up to shardAttempts workers (clamped to the
+// worker count) before the coordinator crawls the slice itself, and polls
+// a running remote shard job every shardPoll.
+const (
+	shardAttempts = 3
+	shardPoll     = 150 * time.Millisecond
+)
+
 type shardClient struct {
 	workers  []string
-	attempts int
 	poll     time.Duration
 	client   *http.Client
 	log      *slog.Logger
 	mRetries *metrics.Counter
 }
 
-func newShardClient(workers []string, attempts int, poll time.Duration, log *slog.Logger, retries *metrics.Counter) *shardClient {
-	if attempts > len(workers) {
-		attempts = len(workers)
-	}
-	if attempts < 1 {
-		attempts = 1
-	}
+func newShardClient(workers []string, log *slog.Logger, retries *metrics.Counter) *shardClient {
 	return &shardClient{
 		workers:  workers,
-		attempts: attempts,
-		poll:     poll,
+		poll:     shardPoll,
 		client:   &http.Client{Timeout: 30 * time.Second},
 		log:      log,
 		mRetries: retries,
@@ -53,7 +53,8 @@ func newShardClient(workers []string, attempts int, poll time.Duration, log *slo
 // and rotates on every retry.
 func (c *shardClient) fetchPartial(ctx context.Context, spec JobSpec) ([]byte, error) {
 	var lastErr error
-	for a := 0; a < c.attempts; a++ {
+	attempts := min(shardAttempts, len(c.workers))
+	for a := 0; a < attempts; a++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -63,13 +64,13 @@ func (c *shardClient) fetchPartial(ctx context.Context, spec JobSpec) ([]byte, e
 			return wire, nil
 		}
 		lastErr = err
-		if a+1 < c.attempts {
+		if a+1 < attempts {
 			c.mRetries.Inc()
 			c.log.Warn("shard worker failed, retrying on next",
 				"shard", spec.Shard, "worker", worker, "error", err.Error())
 		}
 	}
-	return nil, fmt.Errorf("service: shard %d failed on %d worker(s): %w", spec.Shard, c.attempts, lastErr)
+	return nil, fmt.Errorf("service: shard %d failed on %d worker(s): %w", spec.Shard, attempts, lastErr)
 }
 
 // tryWorker drives one worker through the full job lifecycle.

@@ -209,13 +209,14 @@ func TestShardWorkerFailure(t *testing.T) {
 	defer broken.Close()
 
 	// The broken worker is listed first, so every shard dispatch hits it
-	// before failing over to the healthy one.
+	// before failing over to the healthy one. A dispatch tries both
+	// workers (shardAttempts clamped to two); the short poll only
+	// shortens the test.
 	coord := New(Config{
-		Workers:       2,
-		ShardWorkers:  []string{broken.URL, workerTS.URL},
-		ShardAttempts: 2,
-		ShardPoll:     10 * time.Millisecond,
+		Workers:      2,
+		ShardWorkers: []string{broken.URL, workerTS.URL},
 	})
+	coord.shard.poll = 10 * time.Millisecond
 	defer coord.Shutdown(context.Background())
 	coordTS := httptest.NewServer(coord.Handler())
 	defer coordTS.Close()
@@ -251,12 +252,13 @@ func TestShardWorkerAllDead(t *testing.T) {
 	}))
 	defer broken.Close()
 
+	// One attempt on the one worker (shardAttempts clamped), then the
+	// local crawl; the short poll only shortens the test.
 	coord := New(Config{
-		Workers:       2,
-		ShardWorkers:  []string{broken.URL},
-		ShardAttempts: 1,
-		ShardPoll:     10 * time.Millisecond,
+		Workers:      2,
+		ShardWorkers: []string{broken.URL},
 	})
+	coord.shard.poll = 10 * time.Millisecond
 	defer coord.Shutdown(context.Background())
 	coordTS := httptest.NewServer(coord.Handler())
 	defer coordTS.Close()
