@@ -181,9 +181,9 @@ func readRecordBody(br byteReader, what string, buf []byte) ([]byte, error) {
 
 // readChunks reads n bytes into buf, reusing it when it fits and
 // otherwise growing it to exactly what the next chunk needs. The first
-// chunk is first bytes and each later one doubles the buffer, so a torn
-// or forged length costs a buffer of at most about twice the bytes that
-// arrived, not the length it declares.
+// chunk holds first bytes and each later one doubles the buffer, so a
+// torn or forged length costs a buffer of at most about twice the bytes
+// that arrived, not the length it declares.
 func readChunks(r io.Reader, n, first int, buf []byte) ([]byte, error) {
 	buf = buf[:0]
 	for len(buf) < n {

@@ -303,12 +303,12 @@ func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) (
 	m.currentEpoch = -1
 	dir := m.cfg.StateDir
 
-	var logs [len(logNames)]bytes.Buffer
+	var lines, row, section bytes.Buffer // for alerts.jsonl, drift.csv, drift-report.txt
 	flag := os.O_APPEND
 	var alerts []drift.Alert
 	if prev == nil {
 		flag = os.O_CREATE | os.O_TRUNC
-		if err := drift.WriteCSV(&logs[1], nil); err != nil {
+		if err := drift.WriteCSV(&row, nil); err != nil {
 			return 0, err
 		}
 	} else {
@@ -317,27 +317,27 @@ func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) (
 			return 0, err
 		}
 		alerts = m.engine.Evaluate(d)
-		enc := json.NewEncoder(&logs[0])
+		enc := json.NewEncoder(&lines)
 		for _, a := range alerts {
 			if err := enc.Encode(a); err != nil {
 				return 0, err
 			}
 		}
-		if err := drift.WriteCSVRow(&logs[1], drift.CSVRow{Delta: d, Alerts: len(alerts)}); err != nil {
+		if err := drift.WriteCSVRow(&row, drift.CSVRow{Delta: d, Alerts: len(alerts)}); err != nil {
 			return 0, err
 		}
 		if m.lastDelta != nil {
-			logs[2].WriteByte('\n')
+			section.WriteByte('\n')
 		}
-		report.WriteDriftSection(&logs[2], d, alerts)
+		report.WriteDriftSection(&section, d, alerts)
 		m.lastDelta = d
 		m.alertsTotal += len(alerts)
 		m.recent = append(m.recent, alerts...)
 		m.recent = m.recent[max(0, len(m.recent)-debugDriftAlerts):]
 		s.publishDriftMetrics(d)
 	}
-	for i, name := range logNames {
-		if err := writeFile(filepath.Join(dir, name), flag, logs[i].Bytes()); err != nil {
+	for name, data := range map[string][]byte{"alerts.jsonl": lines.Bytes(), "drift.csv": row.Bytes(), "drift-report.txt": section.Bytes()} {
+		if err := writeFile(filepath.Join(dir, name), flag, data); err != nil {
 			return 0, err
 		}
 	}
@@ -350,9 +350,6 @@ func (s *Server) monitorAdvance(m *monitorState, b *drift.Baseline, epoch int) (
 	}
 	return len(alerts), nil
 }
-
-// logNames are the derived logs, in the order monitorAdvance fills them.
-var logNames = [...]string{"alerts.jsonl", "drift.csv", "drift-report.txt"}
 
 // writeFile opens path write-only with flag added (truncate or append)
 // and writes data.
